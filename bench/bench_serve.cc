@@ -16,8 +16,10 @@
  *    human banner does not interleave with protocol output.
  *
  * Each accepted connection gets its own thread, so N clients can open,
- * stream and wait on sessions concurrently. The accept loop exits
- * after a client sends {"op":"shutdown"} -- or on SIGTERM/SIGINT,
+ * start and wait on sessions concurrently. Each session runs on its
+ * own thread over the server's shared cached BlockStreams, grouped and
+ * executed exactly as a batch grid (serve/server.hh). The accept loop
+ * exits after a client sends {"op":"shutdown"} -- or on SIGTERM/SIGINT,
  * which triggers a graceful drain: no new sessions are admitted
  * (typed "draining" refusals), in-flight sessions finish inside
  * EV8_SERVE_DRAIN_MS (default 5000; stragglers past the deadline are
@@ -32,10 +34,10 @@
  * EV8_SERVE_HEARTBEAT_MS cadence.
  *
  * The uniform bench surface applies: `--trace-out` captures the
- * serve.accept / serve.enqueue / serve.stall / serve.session_run /
- * serve.snapshot phases on the Perfetto timeline, `--jobs` caps
- * concurrently simulating sessions, and `--json`/`--csv` write the
- * (row-less) harness artifact with the usual telemetry block.
+ * serve.accept / serve.session_run / serve.snapshot phases (and the
+ * sessions' cell and fused.walk spans) on the Perfetto timeline,
+ * `--jobs` caps concurrently simulating sessions, and `--json`/`--csv`
+ * write the (row-less) harness artifact with the usual telemetry block.
  *
  * Exit codes (the shared bench table):
  *

@@ -18,8 +18,8 @@
  * `--connect=<socket>` talks to a daemon over AF_UNIX and
  * `--connect-tcp=<host:port>` over TCP; without either the client
  * embeds its own PredictionServer, which is the loopback used by tests
- * (same transport framing: the ring + packet codec still carry every
- * block). The artifacts are byte-identical across all three.
+ * (the same request and reply lines, no socket). The artifacts are
+ * byte-identical across all three.
  *
  * Hostile-network behavior: connects retry with bounded exponential
  * backoff (the EV8_RETRY_MAX / EV8_RETRY_BASE_MS envelope the cell

@@ -20,14 +20,14 @@ sees in practice), and asserts the daemon's resident set stays flat:
 --chaos-clients N switches to the concurrent chaos soak instead: one
 daemon on BOTH transports (AF_UNIX + TCP), N concurrent clean clients
 per round racing a victim of every fault class (conn_drop client whose
-connection vanishes, partial_write / garbage_frame clients whose
-streams are corrupted, slow_peer client on a glacial link), with the
-session-lease reaper armed.  The gate then asserts the documented
-failure semantics end to end:
+connection vanishes, session_drop client whose session's cells all
+fail, slow_peer client on a glacial link), with the session-lease
+reaper armed.  The gate then asserts the documented failure semantics
+end to end:
 
  * every clean client exits 0 on both transports, every round, no
    matter what happens to the victims next to it;
- * conn_drop victims exit 4 (connection lost mid-run), torn/garbage
+ * conn_drop victims exit 4 (connection lost mid-run), session_drop
    victims exit 3 (structured cell failures), slow_peer victims exit 0
    (timing-only);
  * the abandoned sessions of vanished clients are lease-expired and
@@ -124,12 +124,11 @@ def chaos_soak(args, report, finish):
         #  - conn_drop/drop: replies to drop* sessions vanish (the
         #    client observes a mid-run connection loss; the abandoned
         #    session is left for the lease reaper);
-        #  - partial_write/torn + garbage_frame/garb: torn* / garb*
-        #    sessions get corrupted streams (structured cell failures);
+        #  - session_drop/doom: every cell of doom* sessions fails
+        #    (structured cell failures);
         #  - slow_peer/slow: slow* replies are delayed (timing only).
         daemon_env["EV8_FAULT_SPEC"] = (
-            "conn_drop/drop+*,partial_write/torn+*,"
-            "garbage_frame/garb+*,slow_peer/slow+*")
+            "conn_drop/drop+*,session_drop/doom+*,slow_peer/slow+*")
         daemon_env["EV8_SERVE_IDLE_TIMEOUT_MS"] = "1500"
         daemon_env["EV8_SERVE_HEARTBEAT_MS"] = "100"
         daemon_env["EV8_SERVE_DRAIN_MS"] = "20000"
@@ -190,8 +189,7 @@ def chaos_soak(args, report, finish):
                     for i in range(args.chaos_clients)
                 ] + [
                     spawn(f"drop{r}", {4}, r),
-                    spawn(f"torn{r}", {3}, r),
-                    spawn(f"garb{r}", {3}, r),
+                    spawn(f"doom{r}", {3}, r),
                     spawn(f"slow{r}", {0}, r),
                 ])
 
@@ -226,7 +224,7 @@ def chaos_soak(args, report, finish):
                 print(f"FAIL: {failures[-1]}", file=sys.stderr)
 
             # SIGTERM -> graceful drain. The daemon recorded cell
-            # failures (torn/garb victims), so its fate is exit 3.
+            # failures (doom victims), so its fate is exit 3.
             daemon.send_signal(signal.SIGTERM)
             try:
                 daemon.wait(timeout=40)

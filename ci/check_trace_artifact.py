@@ -35,8 +35,7 @@ PHASE_NAMES = {
     "grid.setup", "cell", "fused.walk", "fused.demote", "decode",
     "cache.load", "checkpoint", "merge", "sim.time.lookup",
     "sim.time.update", "sim.time.history", "serve.accept",
-    "serve.enqueue", "serve.stall", "serve.session_run",
-    "serve.snapshot",
+    "serve.session_run", "serve.snapshot",
 }
 
 ARGS = ["--branches=2000", "--sample=16", "--no-timing"]

@@ -24,8 +24,6 @@ spanPhaseName(SpanPhase phase)
       case SpanPhase::SimUpdate: return "sim.time.update";
       case SpanPhase::SimHistory: return "sim.time.history";
       case SpanPhase::Accept: return "serve.accept";
-      case SpanPhase::Enqueue: return "serve.enqueue";
-      case SpanPhase::Stall: return "serve.stall";
       case SpanPhase::SessionRun: return "serve.session_run";
       case SpanPhase::Snapshot: return "serve.snapshot";
       case SpanPhase::None: break;

@@ -55,8 +55,6 @@ enum class SpanPhase : uint8_t
     SimUpdate,   //!< ScopedTimer sim.time.update routing
     SimHistory,  //!< ScopedTimer sim.time.history routing
     Accept,      //!< serve: accepting/admitting a client session
-    Enqueue,     //!< serve: producer framing + ring push of one packet
-    Stall,       //!< serve: blocked on ring backpressure (either side)
     SessionRun,  //!< serve: one session's cell grid, end to end
     Snapshot,    //!< serve: building a live session snapshot reply
     None,        //!< sentinel: not a phase, never accumulated

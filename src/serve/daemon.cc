@@ -161,13 +161,25 @@ ServeDaemon::run()
     while (!server_.shutdownRequested() && !stopRequested()) {
         const int fd =
             serveio::acceptWithTimeout(listenFds_, opts_.pollMs);
-        if (fd == -1)
-            continue; // tick: re-check shutdown/stop
         if (fd == -2) {
             ok = false;
             break;
         }
-        connections_.emplace_back([this, fd] { serveConnection(fd); });
+        if (fd >= 0) { // -1 is a tick: re-check shutdown/stop
+            Connection &conn = connections_.emplace_back();
+            conn.thread = std::thread([this, fd, &conn] {
+                serveConnection(fd);
+                conn.done.store(true, std::memory_order_release);
+            });
+        }
+        // Join closed connections' threads now rather than at exit:
+        // each one still holds its stack until joined.
+        connections_.remove_if([](Connection &conn) {
+            if (!conn.done.load(std::memory_order_acquire))
+                return false;
+            conn.thread.join();
+            return true;
+        });
     }
 
     // External stop -> graceful drain: admission closes first, then
@@ -181,8 +193,8 @@ ServeDaemon::run()
     // Now the connection threads: each notices closing_ within one
     // read tick once its in-flight request (if any) has been answered.
     closing_.store(true, std::memory_order_relaxed);
-    for (std::thread &t : connections_)
-        t.join();
+    for (Connection &conn : connections_)
+        conn.thread.join();
     connections_.clear();
     return ok;
 }

@@ -40,6 +40,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdint>
+#include <list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,6 +101,8 @@ class ServeDaemon
     /**
      * Accepts and serves connections until a protocol shutdown or an
      * external stop, then drains and joins every connection thread.
+     * Threads of connections that closed are joined as the loop ticks,
+     * so a long-lived daemon holds only its open connections' threads.
      * Returns true on a clean exit, false on a hard accept error.
      */
     bool run();
@@ -108,6 +111,13 @@ class ServeDaemon
     bool drainedClean() const { return drainedClean_; }
 
   private:
+    /** One accepted connection's thread. */
+    struct Connection
+    {
+        std::atomic<bool> done{false}; //!< serveConnection() returned
+        std::thread thread;
+    };
+
     void serveConnection(int fd);
     bool stopRequested() const;
 
@@ -115,7 +125,7 @@ class ServeDaemon
     const DaemonOptions opts_;
     std::vector<int> listenFds_;
     uint16_t boundTcpPort_ = 0;
-    std::vector<std::thread> connections_;
+    std::list<Connection> connections_; //!< accept-loop thread only
     std::atomic<bool> closing_{false}; //!< tells conn threads to exit
     bool drainedClean_ = true;
 };

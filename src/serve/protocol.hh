@@ -13,10 +13,10 @@
  *              creates session S over named grid G (admission control
  *              applies). Reply echoes the grid shape.
  *     start    {"op":"start","session":S}
- *              launches the session's producer/consumer threads.
+ *              launches the session's thread.
  *     snapshot {"op":"snapshot","session":S}
- *              live progress: state, cells done/total, packets framed,
- *              ring stats, failure count. Never blocks on the run.
+ *              live progress: state, cells done/total, failure count,
+ *              expiry mark. Never blocks on the run.
  *     wait     {"op":"wait","session":S}
  *              blocks until the session finishes; the reply carries the
  *              full per-cell output records (the checkpoint codec,

@@ -1,57 +1,26 @@
 #include "serve/server.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
-#include <tuple>
 #include <sstream>
 #include <thread>
 
 #include "common/env.hh"
 #include "obs/trace_span.hh"
-#include "serve/packet.hh"
-#include "serve/ring_buffer.hh"
 #include "serve/transport.hh"
 #include "sim/cell_executor.hh"
 #include "sim/checkpoint.hh"
 #include "sim/experiment.hh"
-#include "sim/fault_injection.hh"
 
 namespace ev8
 {
 
-namespace
-{
-
-/** Deterministic pause of an injected ring_stall fault. */
-constexpr auto kRingStallPause = std::chrono::milliseconds(25);
-
-/** Writes the ring counters as one JSON object member set. */
-void
-writeRingStats(JsonWriter &w, const RingStats &stats)
-{
-    w.beginObject();
-    w.key("pushed");
-    w.value(stats.pushed);
-    w.key("popped");
-    w.value(stats.popped);
-    w.key("push_stall_ns");
-    w.value(stats.pushStallNs);
-    w.key("pop_stall_ns");
-    w.value(stats.popStallNs);
-    w.key("max_depth");
-    w.value(stats.maxDepth);
-    w.endObject();
-}
-
-} // namespace
-
 /**
- * One served session: a named grid streamed through the transport and
- * executed by the shared cell core. The session owns its outputs; the
- * server's scheduling (run slots, sibling sessions) cannot change a
- * single byte of them.
+ * One served session: a named grid run over the server's shared cached
+ * BlockStreams by the shared cell core, one benchmark at a time on the
+ * session's own thread. The session owns its outputs; the server's
+ * scheduling (run slots, sibling sessions) cannot change a single byte
+ * of them.
  */
 class PredictionServer::Session
 {
@@ -59,8 +28,7 @@ class PredictionServer::Session
     Session(PredictionServer &server, ServeRequest open,
             const GridSpec &grid)
         : server_(server), open_(std::move(open)), grid_(grid),
-          name_(open_.session), nbench_(specint95Suite().size()),
-          ring_(server.limits().ringCapacity)
+          name_(open_.session), nbench_(specint95Suite().size())
     {
         SimConfig config = baseConfig(grid_);
         config.profileTiming = open_.timing;
@@ -72,11 +40,10 @@ class PredictionServer::Session
             const size_t r = i / nbench_;
             const size_t b = i % nbench_;
             CellRequest &req = requests_[i];
-            // The consumer repoints current_ at each benchmark's
-            // reassembled stream before running that benchmark's cells;
-            // retries of a cell re-read the same assembled stream.
-            req.stream = [this]() -> const BlockStream & {
-                return *current_;
+            // The immutable stream every session and batch grid shares.
+            req.stream = [&runner = server_.runner(),
+                          b]() -> const BlockStream & {
+                return runner.blockStream(b);
             };
             req.profile = &specint95Suite()[b].profile;
             req.factory = rows_[r].factory;
@@ -101,11 +68,9 @@ class PredictionServer::Session
     ~Session()
     {
         // A session destroyed mid-run (server teardown) finishes
-        // gracefully: both threads have bounded work left.
-        if (producer_.joinable())
-            producer_.join();
-        if (consumer_.joinable())
-            consumer_.join();
+        // gracefully: its thread has bounded work left.
+        if (thread_.joinable())
+            thread_.join();
     }
 
     const std::string &name() const { return name_; }
@@ -113,7 +78,7 @@ class PredictionServer::Session
     size_t benches() const { return nbench_; }
     size_t cells() const { return rows_.size() * nbench_; }
 
-    /** Launches the pipeline. Returns false when already started. */
+    /** Launches the session thread. Returns false when already started. */
     bool
     start()
     {
@@ -123,8 +88,7 @@ class PredictionServer::Session
                 return false;
             state_ = State::Running;
         }
-        producer_ = std::thread([this] { produce(); });
-        consumer_ = std::thread([this] { consume(); });
+        thread_ = std::thread([this] { run(); });
         return true;
     }
 
@@ -146,10 +110,6 @@ class PredictionServer::Session
         w.value(cellsDone_.load(std::memory_order_relaxed));
         w.key("failures");
         w.value(failedCells_.load(std::memory_order_relaxed));
-        w.key("packets");
-        w.value(packetsFramed_.load(std::memory_order_relaxed));
-        w.key("ring");
-        writeRingStats(w, ring_.stats());
         w.key("expired");
         w.value(wasExpired());
     }
@@ -200,7 +160,7 @@ class PredictionServer::Session
      * Force-expires the session: its remaining cells fail with
      * @p reason as structured CellFailures and it reaches Done in
      * bounded time, after which it is retirable (the vanished client's
-     * ring, threads and admission slot get reclaimed). Idempotent. A
+     * thread and admission slot get reclaimed). Idempotent. A
      * session already Done just gets the expired mark -- its results
      * were computed but abandoned, and the mark makes it retirable.
      */
@@ -223,9 +183,14 @@ class PredictionServer::Session
             expireError_ = reason;
             if (state_ == State::Open) {
                 // Claim the never-started session (a racing start() is
-                // refused); no threads exist, so fail the cells here.
+                // refused); no thread exists, so fail the cells here.
                 state_ = State::Running;
                 failNow = true;
+            } else {
+                // Running: the session thread fails the remaining cells
+                // with the expiry reason at its next benchmark and
+                // settles to Done on its own (see runCells()).
+                cancel_.store(true, std::memory_order_release);
             }
         }
         if (failNow) {
@@ -237,11 +202,6 @@ class PredictionServer::Session
                 state_ = State::Done;
             }
             done_.notify_all();
-        } else {
-            // Running: abort the transport; the consumer fails the
-            // remaining cells (with the expiry reason -- see
-            // runCells()) and settles to Done on its own.
-            ring_.abort();
         }
     }
 
@@ -341,87 +301,11 @@ class PredictionServer::Session
     }
 
     /**
-     * Producer thread: frame every benchmark's pre-decoded stream, in
-     * suite order, into the ring. The ring's backpressure bounds how
-     * far this thread can run ahead of the simulation.
+     * Session thread: run the grid one benchmark at a time through the
+     * shared executor, then publish the failures and settle to Done.
      */
     void
-    produce()
-    {
-        SpanTracer &tracer = SpanTracer::global();
-        tracer.setThreadName("serve:" + name_ + ":producer");
-        FaultInjector &faults = FaultInjector::global();
-        try {
-            for (size_t b = 0; b < nbench_; ++b) {
-                StreamFramer framer(server_.runner().blockStream(b),
-                                    server_.limits().blocksPerPacket);
-                Packet p;
-                // A garbage_frame fault on a Blocks frame drops it and
-                // rebases every later seq so the gap is invisible until
-                // End's totals check -- the corruption the assembler
-                // can only catch by accounting, not by ordering.
-                uint64_t seqBias = 0;
-                while (framer.next(p)) {
-                    const uint64_t idx = packetsFramed_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    bool dropFrame = false;
-                    if (faults.enabled()) {
-                        const std::string key =
-                            name_ + "/p" + std::to_string(idx);
-                        if (faults.fires(FaultPoint::RingStall, key)) {
-                            // Timing-only: the packet is merely late.
-                            const uint64_t t0 = tracer.nowNs();
-                            std::this_thread::sleep_for(kRingStallPause);
-                            tracer.addPhase(SpanPhase::Stall,
-                                            tracer.nowNs() - t0);
-                        }
-                        if (faults.fires(FaultPoint::PartialWrite, key)) {
-                            // Torn frame: half the payload vanished.
-                            p.payload.resize(p.payload.size() / 2);
-                        }
-                        if (faults.fires(FaultPoint::GarbageFrame, key)) {
-                            switch (p.type) {
-                              case Packet::Type::Hello:
-                                // Byte garbage: the header no longer
-                                // parses.
-                                for (char &c : p.payload)
-                                    c = static_cast<char>(0xFF);
-                                break;
-                              case Packet::Type::Blocks:
-                                dropFrame = true;
-                                break;
-                              case Packet::Type::End:
-                                // Out-of-order End (reorder detection).
-                                p.seq += 1;
-                                break;
-                            }
-                        }
-                    }
-                    if (dropFrame) {
-                        ++seqBias;
-                        continue;
-                    }
-                    p.seq -= std::min<uint64_t>(seqBias, p.seq);
-                    ScopedSpan span(SpanPhase::Enqueue, "serve.enqueue");
-                    if (!ring_.push(std::move(p)))
-                        return; // aborted: the consumer gave up
-                }
-            }
-            ring_.close();
-        } catch (const std::exception &err) {
-            noteTransportError(std::string("producer: ") + err.what());
-            ring_.abort();
-        }
-    }
-
-    /**
-     * Consumer thread: reassemble each benchmark from its frames, run
-     * that benchmark's cells through the shared executor, repeat. A
-     * transport fault fails this session's remaining cells and leaves
-     * every other session untouched.
-     */
-    void
-    consume()
+    run()
     {
         SpanTracer::global().setThreadName("serve:" + name_);
         server_.acquireRunSlot();
@@ -452,65 +336,21 @@ class PredictionServer::Session
         const bool fused = ExperimentEngine::fusedEnabled();
         const size_t laneCap = ExperimentEngine::fusedLaneCap();
         for (size_t b = 0; b < nbench_; ++b) {
-            StreamAssembler assembler;
-            try {
-                Packet p;
-                while (!assembler.done()) {
-                    if (!ring_.pop(p)) {
-                        throw PacketError(
-                            "transport closed mid-stream");
-                    }
-                    assembler.accept(p);
-                }
-            } catch (const std::exception &err) {
-                // An abort caused by a force-expiry surfaces as the
-                // expiry reason, not as a generic transport error.
-                const std::string reason = expireError();
-                failFrom(b, reason.empty()
-                                ? std::string("transport: ") + err.what()
-                                : reason);
-                ring_.abort();
+            // A force-expiry lands between benchmarks: every cell not
+            // yet run fails with the expiry reason.
+            if (cancel_.load(std::memory_order_acquire)) {
+                failFrom(b, expireError());
                 return;
             }
-            const BlockStream stream = assembler.take();
-            current_ = &stream;
-
-            // This benchmark's cells, in row order. The open flags are
-            // session-wide, so a lane group is determined by the row's
-            // walk config (rows may override the grid preset); group by
-            // the same simulation-field key the batch engine's fuse key
-            // uses, preserving row order within each group and opening
-            // a fresh group at the lane cap, so the groups match the
-            // batch engine's byte for byte.
+            // This benchmark's cells, in row order, grouped exactly as
+            // the batch engine groups them.
             std::vector<size_t> bench_cells;
             bench_cells.reserve(rows_.size());
             for (size_t r = 0; r < rows_.size(); ++r)
                 bench_cells.push_back(r * nbench_ + b);
-            if (!fused) {
-                for (const size_t i : bench_cells)
-                    executor.runGuarded(i, requests_[i], outputs_[i]);
-            } else {
-                using WalkKey = std::tuple<int, unsigned, bool>;
-                std::vector<std::vector<size_t>> groups;
-                std::map<WalkKey, size_t> open;
-                for (const size_t i : bench_cells) {
-                    const SimConfig &c = requests_[i].config;
-                    const WalkKey key{static_cast<int>(c.history),
-                                      c.historyAge, c.assignBanks};
-                    auto [it, inserted] =
-                        open.try_emplace(key, groups.size());
-                    if (inserted) {
-                        groups.emplace_back();
-                    } else if (groups[it->second].size() >= laneCap) {
-                        it->second = groups.size();
-                        groups.emplace_back();
-                    }
-                    groups[it->second].push_back(i);
-                }
-                for (const auto &cells : groups)
-                    executor.runGroup(cells, requests_, outputs_);
-            }
-            current_ = nullptr;
+            for (const auto &group :
+                 fuseGroups(bench_cells, requests_, laneCap, fused))
+                executor.runGroup(group, requests_, outputs_);
             for (const size_t i : bench_cells) {
                 if (outputs_[i].failed)
                     failedCells_.fetch_add(1,
@@ -541,7 +381,7 @@ class PredictionServer::Session
     /**
      * Row-major failure sweep, mirroring the batch merge loop's
      * submission-order CellFailure construction. Called exactly once,
-     * by whichever path finishes the session (consume() or expire()).
+     * by whichever path finishes the session (run() or expire()).
      */
     void
     sweepFailures()
@@ -561,14 +401,6 @@ class PredictionServer::Session
         }
     }
 
-    void
-    noteTransportError(const std::string &error)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (transportError_.empty())
-            transportError_ = error;
-    }
-
     PredictionServer &server_;
     const ServeRequest open_;
     const GridSpec &grid_;
@@ -580,20 +412,14 @@ class PredictionServer::Session
     std::vector<CellOutput> outputs_;
     std::vector<CellFailure> failures_; //!< filled once, before Done
 
-    SpscRing<Packet> ring_;
-    const BlockStream *current_ = nullptr; //!< consumer-thread only
-    std::thread producer_;
-    std::thread consumer_;
-
+    std::atomic<bool> cancel_{false}; //!< set by expire() while Running
     std::atomic<uint64_t> cellsDone_{0};
     std::atomic<uint64_t> failedCells_{0};
-    std::atomic<uint64_t> packetsFramed_{0};
 
     std::mutex mutex_; //!< guards state_, delivered_, lease fields
     std::condition_variable done_;
     State state_ = State::Open;
     bool delivered_ = false;
-    std::string transportError_;
 
     // Lease state (guarded by mutex_).
     std::chrono::steady_clock::time_point lastTouch_ =
@@ -601,6 +427,8 @@ class PredictionServer::Session
     size_t waiters_ = 0;    //!< blocked awaitDone() callers (lease pin)
     bool expired_ = false;  //!< force-expired (lease lapse or drain)
     std::string expireError_;
+
+    std::thread thread_; //!< last: uses every member above
 
     friend class PredictionServer;
 };
@@ -611,10 +439,6 @@ PredictionServer::defaultLimits()
     ServeLimits limits;
     limits.maxSessions = static_cast<size_t>(
         strictEnvU64("EV8_SERVE_MAX_SESSIONS", 1, 256, 8));
-    limits.ringCapacity = static_cast<size_t>(
-        strictEnvU64("EV8_SERVE_RING_CAP", 1, 65536, 64));
-    limits.blocksPerPacket = static_cast<size_t>(
-        strictEnvU64("EV8_SERVE_BLOCKS_PER_PACKET", 1, 1u << 20, 4096));
     limits.idleTimeoutMs =
         strictEnvU64("EV8_SERVE_IDLE_TIMEOUT_MS", 0, 3600000, 0);
     limits.heartbeatMs =
@@ -702,9 +526,9 @@ PredictionServer::drainWait(uint64_t deadline_ms)
     while (!allDone()) {
         if (std::chrono::steady_clock::now() >= deadline) {
             // Deadline lapsed: force-expire the stragglers (their
-            // remaining cells fail as structured records) and give the
-            // aborted pipelines a moment to settle -- that wait is
-            // bounded because an aborted consumer fails fast.
+            // remaining cells fail as structured records) and wait for
+            // them to settle -- bounded, because a cancelled session
+            // stops at its next benchmark.
             std::vector<std::shared_ptr<Session>> laggards;
             {
                 std::lock_guard<std::mutex> lock(mutex_);
@@ -1029,10 +853,6 @@ PredictionServer::handleStats()
     w.value(static_cast<uint64_t>(runningSlots_));
     w.key("max_sessions");
     w.value(static_cast<uint64_t>(limits_.maxSessions));
-    w.key("ring_capacity");
-    w.value(static_cast<uint64_t>(limits_.ringCapacity));
-    w.key("blocks_per_packet");
-    w.value(static_cast<uint64_t>(limits_.blocksPerPacket));
     w.key("jobs");
     w.value(uint64_t{jobs_});
     w.key("idle_timeout_ms");

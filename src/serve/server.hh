@@ -4,20 +4,15 @@
  *
  * A PredictionServer owns one SuiteRunner (so every session shares the
  * trace/stream disk cache and in-memory decode -- N sessions over the
- * same profile pay for one synthesis) and a set of named ClientSessions.
- * Each session is one predictor grid evaluated over the suite, wired as
- * a true streaming pipeline:
- *
- *     producer thread: blockStream(b) -> StreamFramer -> SpscRing
- *     consumer thread: SpscRing -> StreamAssembler -> CellExecutor
- *
- * The consumer simulates the REASSEMBLED stream, never the producer's
- * object, so the transport is on the critical path and its determinism
- * contract (packet.hh) is exercised by every served cell. Cells run
- * through the same CellExecutor core as batch grids -- fused lane
- * groups, retry/backoff, fault hooks -- which is what makes a served
- * session's cell outputs byte-identical to a batch run of the same
- * grid.
+ * same profile pay for one synthesis and share one immutable
+ * BlockStream per benchmark) and a set of named sessions. Each session
+ * is one predictor grid evaluated over the suite on the session's own
+ * thread, one benchmark at a time: it reads runner().blockStream(b)
+ * directly, as ExperimentEngine::runGrid does, groups the benchmark's
+ * cells with the same fuseGroups() and runs them through the same
+ * CellExecutor -- fused lane groups, retry/backoff, fault hooks --
+ * which is what makes a served session's cell outputs byte-identical to
+ * a batch run of the same grid.
  *
  * Concurrency and isolation:
  *
@@ -32,18 +27,20 @@
  *  - session leases: with EV8_SERVE_IDLE_TIMEOUT_MS armed, every
  *    client op on a session renews its lease and a reaper thread
  *    (EV8_SERVE_HEARTBEAT_MS cadence) expires sessions no client has
- *    touched within the timeout -- the vanished client's ring, threads
- *    and admission slot are reclaimed, and the expiry is surfaced as a
+ *    touched within the timeout -- the vanished client's thread and
+ *    admission slot are reclaimed, and the expiry is surfaced as a
  *    structured CellFailure-style record in the "stats" reply. A
  *    blocked "wait" pins the lease (the waiter IS the heartbeat).
  *  - graceful drain: beginDrain() stops admitting (typed "draining"
  *    refusal) while in-flight sessions run to completion;
  *    drainWait(deadline) bounds the wait and force-expires stragglers.
- *  - `jobs` caps sessions simulating concurrently (their producers may
- *    stream ahead into ring backpressure). Scheduling order cannot
- *    change any session's artifact -- outputs are per-session state.
- *  - a session that dies (injected session_drop faults, transport
- *    errors, an expired lease) records structured CellFailures for its
+ *    A force-expired running session stops at its next benchmark
+ *    boundary.
+ *  - `jobs` caps sessions simulating concurrently. Scheduling order
+ *    cannot change any session's artifact -- outputs are per-session
+ *    state.
+ *  - a session that dies (injected session_drop faults, an expired
+ *    lease, a drain deadline) records structured CellFailures for its
  *    own cells only; sibling sessions and the server keep running.
  *
  * The protocol front (protocol.hh) is transport-agnostic: handle() maps
@@ -74,17 +71,11 @@
 namespace ev8
 {
 
-/** Transport/admission knobs, env-resolved once per server. */
+/** Admission and lease knobs, env-resolved once per server. */
 struct ServeLimits
 {
     /** Max concurrently open sessions (admission control). */
     size_t maxSessions = 8;
-
-    /** SpscRing capacity, in packets, per session. */
-    size_t ringCapacity = 64;
-
-    /** Fetch blocks per Blocks frame (packet granularity). */
-    size_t blocksPerPacket = 4096;
 
     /**
      * Session lease duration in ms: a session no client op has touched
@@ -105,11 +96,9 @@ class PredictionServer
      * Limits from the environment, strictly parsed (a set-but-invalid
      * value is stderr + exit 2, matching EV8_JOBS):
      *
-     *     EV8_SERVE_MAX_SESSIONS      [1, 256]     default 8
-     *     EV8_SERVE_RING_CAP          [1, 65536]   default 64
-     *     EV8_SERVE_BLOCKS_PER_PACKET [1, 1048576] default 4096
-     *     EV8_SERVE_IDLE_TIMEOUT_MS   [0, 3600000] default 0 (off)
-     *     EV8_SERVE_HEARTBEAT_MS      [10, 60000]  default 250
+     *     EV8_SERVE_MAX_SESSIONS    [1, 256]     default 8
+     *     EV8_SERVE_IDLE_TIMEOUT_MS [0, 3600000] default 0 (off)
+     *     EV8_SERVE_HEARTBEAT_MS    [10, 60000]  default 250
      */
     static ServeLimits defaultLimits();
 
@@ -117,7 +106,7 @@ class PredictionServer
     static constexpr uint64_t kRetryAfterMs = 250;
 
     /**
-     * @param limits admission/transport knobs (see defaultLimits()).
+     * @param limits admission/lease knobs (see defaultLimits()).
      * @param jobs max sessions simulating concurrently; 0 picks
      *        ExperimentEngine::defaultJobs(). Artifacts do not depend
      *        on it.
@@ -155,9 +144,9 @@ class PredictionServer
 
     /**
      * Blocks until every session reached Done, or @p deadline_ms
-     * elapsed -- in which case the stragglers are force-expired (rings
-     * aborted, remaining cells failed as structured records) and given
-     * a short grace period to settle. Returns true when every session
+     * elapsed -- in which case the stragglers are force-expired (their
+     * not-yet-run benchmarks' cells failed as structured records) and
+     * waited for until they settle. Returns true when every session
      * finished on its own, false when any had to be force-expired.
      */
     bool drainWait(uint64_t deadline_ms);

@@ -126,7 +126,6 @@ class BlockStream
   private:
     friend BlockStream decodeBlockStream(const Trace &trace);
     friend BlockStream readBlockStream(std::istream &in);
-    friend class StreamAssembler; // serve/packet.hh wire reassembly
 
     std::string name_;
     uint64_t instructions_ = 0;

@@ -1,7 +1,9 @@
 #include "sim/cell_executor.hh"
 
 #include <chrono>
+#include <map>
 #include <thread>
+#include <tuple>
 
 #include "common/env.hh"
 #include "obs/json.hh"
@@ -20,6 +22,41 @@ namespace
 constexpr uint64_t kMaxBackoffMs = 1000;
 
 } // namespace
+
+std::vector<std::vector<size_t>>
+fuseGroups(const std::vector<size_t> &cells,
+           const std::vector<CellRequest> &reqs, size_t laneCap,
+           bool fused)
+{
+    std::vector<std::vector<size_t>> groups;
+    if (!fused) {
+        for (const size_t i : cells)
+            groups.push_back({i});
+        return groups;
+    }
+    // Everything in the key must be identical for the lanes to legally
+    // share one history walk / one kernel shape.
+    using FuseKey = std::tuple<const WorkloadProfile *, int, unsigned,
+                               bool, bool, bool, bool, bool>;
+    std::map<FuseKey, size_t> open; //!< key -> unfilled group
+    for (const size_t i : cells) {
+        const CellRequest &req = reqs[i];
+        const SimConfig &c = req.config;
+        const FuseKey key{req.profile, static_cast<int>(c.history),
+                          c.historyAge, c.assignBanks, c.profileTiming,
+                          req.wantEvents, req.wantMetrics,
+                          c.forceGenericKernel};
+        auto [it, inserted] = open.try_emplace(key, groups.size());
+        if (inserted) {
+            groups.emplace_back();
+        } else if (groups[it->second].size() >= laneCap) {
+            it->second = groups.size();
+            groups.emplace_back();
+        }
+        groups[it->second].push_back(i);
+    }
+    return groups;
+}
 
 unsigned
 CellExecutor::retryMax()

@@ -18,17 +18,19 @@
  *  - per-attempt timeline spans, phase totals, and progress-meter
  *    notes, exactly as the engine always emitted them.
  *
- * Callers differ only in scheduling and bookkeeping, which they attach
- * via the hook std::functions (journal for the checkpoint, the note*
- * accounting taps for pool telemetry). The hooks are invoked from
- * whatever thread runs the cell, concurrently across cells -- they must
- * be thread-safe (the engine's are: an atomic add, a lock-free
+ * It also owns how cells are grouped into fused jobs (fuseGroups), so
+ * a batch grid and a served session of the same grid run the same
+ * lane groups. Callers differ only in scheduling and bookkeeping, which
+ * they attach via the hook std::functions (journal for the checkpoint,
+ * the note* accounting taps for pool telemetry). The hooks are invoked
+ * from whatever thread runs the cell, concurrently across cells -- they
+ * must be thread-safe (the engine's are: an atomic add, a lock-free
  * histogram, a mutex-guarded journal append).
  *
  * Byte-identity contract: a CellOutput produced here depends only on
  * the request (stream bytes, predictor factory, walk config), never on
- * the caller, the thread, or the transport that delivered the stream --
- * which is what makes served artifacts byte-identical to batch ones.
+ * the caller or the thread -- which is what makes served artifacts
+ * byte-identical to batch ones.
  */
 
 #ifndef EV8_SIM_CELL_EXECUTOR_HH
@@ -110,6 +112,20 @@ struct CellRequest
     bool sessionFaults = false;
 };
 
+/**
+ * Groups @p cells (indexes into @p reqs) into the jobs runGroup takes.
+ * Cells sharing a benchmark and a walk/sink configuration (history
+ * mode, age, bank assignment, timing, events, metrics, kernel forcing)
+ * share a group, in @p cells order, and a group holding @p laneCap
+ * cells opens a fresh one; groups come back in order of their first
+ * cell. With @p fused false every cell is its own group (the per-cell
+ * path, EV8_FUSED=0).
+ */
+std::vector<std::vector<size_t>>
+fuseGroups(const std::vector<size_t> &cells,
+           const std::vector<CellRequest> &reqs, size_t laneCap,
+           bool fused);
+
 class CellExecutor
 {
   public:
@@ -169,7 +185,7 @@ class CellExecutor
      * tries the shared walk once and, if anything in it throws, falls
      * back to guarded per-cell execution. @p cells indexes into
      * @p reqs / @p outputs; all group members must share a benchmark
-     * and walk configuration (the caller's fuse key guarantees it).
+     * and walk configuration (fuseGroups guarantees it).
      */
     void runGroup(const std::vector<size_t> &cells,
                   const std::vector<CellRequest> &reqs,

@@ -4,10 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 #include "common/env.hh"
 #include "common/hash.hh"
@@ -454,54 +452,22 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
     }
     progress.beginBatch(todo.size());
 
-    if (!fusedEnabled()) {
-        parallelFor(todo.size(), [&](size_t t) {
-            executor.runGuarded(todo[t], requests[todo[t]],
-                                outputs[todo[t]]);
-        });
-    } else {
-        // Group cells sharing (benchmark, walk config) into fused jobs,
-        // preserving submission order within each group, chunked at the
-        // lane cap. Everything in the key must be identical for the
-        // lanes to legally share one history walk / one kernel shape.
-        using FuseKey = std::tuple<size_t, int, unsigned, bool, bool,
-                                   bool, bool, bool>;
-        std::vector<std::vector<size_t>> groups;
-        {
-            ScopedSpan grouping(SpanPhase::GridSetup,
-                                "grid.setup:fuse");
-            grouping.arg("cells", static_cast<uint64_t>(todo.size()));
-            const size_t cap = fusedLaneCap();
-            std::map<FuseKey, size_t> open; //!< key -> unfilled group
-            for (const size_t i : todo) {
-                const SimConfig &c = rows[i / nbench].config;
-                const FuseKey key{i % nbench,
-                                  static_cast<int>(c.history),
-                                  c.historyAge, c.assignBanks,
-                                  c.profileTiming, c.events != nullptr,
-                                  c.metrics != nullptr,
-                                  c.forceGenericKernel};
-                auto [it, inserted] =
-                    open.try_emplace(key, groups.size());
-                if (inserted) {
-                    groups.emplace_back();
-                } else if (groups[it->second].size() >= cap) {
-                    it->second = groups.size();
-                    groups.emplace_back();
-                }
-                groups[it->second].push_back(i);
-            }
-            for (const auto &cells : groups) {
-                if (cells.size() > 1) {
-                    ++fusedJobs_;
-                    fusedLaneCells_ += cells.size();
-                }
-            }
-        }
-        parallelFor(groups.size(), [&](size_t g) {
-            executor.runGroup(groups[g], requests, outputs);
-        });
+    std::vector<std::vector<size_t>> groups;
+    {
+        ScopedSpan grouping(SpanPhase::GridSetup, "grid.setup:fuse");
+        grouping.arg("cells", static_cast<uint64_t>(todo.size()));
+        groups = fuseGroups(todo, requests, fusedLaneCap(),
+                            fusedEnabled());
     }
+    for (const auto &cells : groups) {
+        if (cells.size() > 1) {
+            ++fusedJobs_;
+            fusedLaneCells_ += cells.size();
+        }
+    }
+    parallelFor(groups.size(), [&](size_t g) {
+        executor.runGroup(groups[g], requests, outputs);
+    });
 
     // Deterministic merge, strictly in submission order (row-major over
     // the grid): byte-identical shared-sink contents for any pool width,

@@ -50,11 +50,12 @@
  * seams to test all of the above.
  *
  * The per-cell execution core (isolated sinks, retry/backoff, fault
- * hooks, spans) lives in sim/cell_executor.hh; the engine contributes
- * scheduling (the pool, fused grouping), checkpoint restore, and the
- * deterministic merge. Served sessions (serve/server.hh) reuse the same
- * CellExecutor, which is what keeps served artifacts byte-identical to
- * batch ones.
+ * hooks, spans) and the fused grouping live in sim/cell_executor.hh;
+ * the engine contributes scheduling (the pool), checkpoint restore, and
+ * the deterministic merge. Served sessions (serve/server.hh) group and
+ * run their cells through the same fuseGroups() and CellExecutor, over
+ * the same cached BlockStreams, which is what keeps served artifacts
+ * byte-identical to batch ones.
  */
 
 #ifndef EV8_SIM_EXPERIMENT_HH

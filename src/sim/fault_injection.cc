@@ -17,9 +17,8 @@ const char *const kPointNames[] = {
     "job",          "die",          "cache_read",
     "cache_write",  "cache_rename", "cache_short_write",
     "ckpt_read",    "ckpt_write",   "ckpt_corrupt",
-    "session_drop", "ring_stall",   "sidecar_read",
-    "sidecar_write", "conn_drop",   "slow_peer",
-    "partial_write", "garbage_frame",
+    "session_drop", "sidecar_read", "sidecar_write",
+    "conn_drop",    "slow_peer",
 };
 
 constexpr size_t kNumPoints = sizeof(kPointNames) / sizeof(kPointNames[0]);

@@ -21,10 +21,9 @@
  *     point          := job | die | cache_read | cache_write
  *                     | cache_rename | cache_short_write
  *                     | ckpt_read | ckpt_write | ckpt_corrupt
- *                     | session_drop | ring_stall
+ *                     | session_drop
  *                     | sidecar_read | sidecar_write
  *                     | conn_drop | slow_peer
- *                     | partial_write | garbage_frame
  *
  *  - keysub selects which keys the entry applies to: a substring match
  *    against the site's key (a grid cell key like "g0/r2/gcc", or a
@@ -69,15 +68,10 @@
  *  - ckpt_read:         GridCheckpoint fails loading its journal
  *  - ckpt_write:        GridCheckpoint fails appending a record
  *  - ckpt_corrupt:      GridCheckpoint writes a torn (half) record
- *  - session_drop:      a served ClientSession's cell body throws
+ *  - session_drop:      a served session's cell body throws
  *                       (consulted only for served cells, so batch
- *                       grids never burn its occurrences); keys are the
- *                       same "g<batch>/r<row>/<bench>" cell keys
- *  - ring_stall:        the serve transport's producer stalls for a
- *                       deterministic pause before pushing the matched
- *                       packet -- a timing-only fault (artifacts are
- *                       unchanged; backpressure/latency paths get
- *                       exercised); keys are "<session>/p<packet#>"
+ *                       grids never burn its occurrences); keys are
+ *                       "<session>/g0/r<row>/<bench>"
  *  - sidecar_read:      TraceCache fails an attempted phase-map sidecar
  *                       read (the map is rebuilt from the stream)
  *  - sidecar_write:     TraceCache fails a phase-map sidecar write (the
@@ -91,18 +85,6 @@
  *                       pause before writing the matched reply -- a
  *                       glacial network, timing-only; same keys as
  *                       conn_drop
- *  - partial_write:     the serve transport producer truncates the
- *                       matched frame's payload to half before pushing
- *                       it (a torn frame; StreamAssembler detects the
- *                       truncation); keys are "<session>/p<packet#>"
- *  - garbage_frame:     the serve transport producer corrupts the
- *                       matched frame, type-dependently so every
- *                       assembler defense is reachable: a Hello frame
- *                       gets byte garbage (parse failure), a Blocks
- *                       frame is dropped with later seqs rewritten (a
- *                       totals mismatch at End), an End frame gets a
- *                       perturbed seq (reorder detection); keys are
- *                       "<session>/p<packet#>"
  *
  * Note that the engine's fused path consumes one occurrence per armed
  * key at the fused attempt and more during the per-cell fallback and
@@ -145,13 +127,10 @@ enum class FaultPoint
     CkptWrite,       //!< checkpoint record append
     CkptCorrupt,     //!< checkpoint record torn mid-write
     SessionDrop,     //!< served session cell body (serve/server.hh)
-    RingStall,       //!< serve transport producer pause (timing only)
     SidecarRead,     //!< phase-map sidecar file read (trace cache)
     SidecarWrite,    //!< phase-map sidecar file write (trace cache)
     ConnDrop,        //!< serve daemon drops the client connection
     SlowPeer,        //!< serve daemon delays one reply (timing only)
-    PartialWrite,    //!< serve transport frame truncated (torn frame)
-    GarbageFrame,    //!< serve transport frame corrupted
 };
 
 class FaultInjector

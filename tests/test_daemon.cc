@@ -35,42 +35,15 @@
 #include "serve/transport.hh"
 #include "sim/checkpoint.hh"
 
+#include "scoped_env.hh"
+#include "temp_path.hh"
+
 namespace ev8
 {
 namespace
 {
 
 constexpr const char *kTinyScale = "3000";
-
-/** Sets an environment variable for one scope, restoring on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name))
-            saved_ = old;
-        else
-            hadValue_ = false;
-        if (value)
-            ::setenv(name, value, /*overwrite=*/1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadValue_)
-            ::setenv(name_.c_str(), saved_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string saved_;
-    bool hadValue_ = true;
-};
 
 /** A ServeDaemon running on a test-unique AF_UNIX socket. */
 class LiveDaemon
@@ -80,8 +53,7 @@ class LiveDaemon
                         const volatile std::sig_atomic_t *stop = nullptr)
         : server_(limits, /*jobs=*/2)
     {
-        path_ = ::testing::TempDir() + "ev8_daemon_"
-            + std::to_string(++instance_) + ".sock";
+        path_ = uniqueTempPath("ev8_daemon", ".sock");
         DaemonOptions opts;
         opts.unixPath = path_;
         opts.drainMs = drain_ms;
@@ -114,14 +86,11 @@ class LiveDaemon
     }
 
   private:
-    static int instance_;
     PredictionServer server_;
     std::string path_;
     std::unique_ptr<ServeDaemon> daemon_;
     std::thread runner_;
 };
-
-int LiveDaemon::instance_ = 0;
 
 /** One protocol client connection over the daemon's socket. */
 class Client

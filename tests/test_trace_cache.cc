@@ -22,6 +22,9 @@
 #include "trace/trace_io.hh"
 #include "workloads/suite.hh"
 
+#include "scoped_env.hh"
+#include "temp_path.hh"
+
 namespace ev8
 {
 namespace
@@ -40,7 +43,7 @@ class ScratchDir
 {
   public:
     explicit ScratchDir(const std::string &leaf)
-        : path_(std::filesystem::path(::testing::TempDir()) / leaf)
+        : path_(uniqueTempPath(leaf, ""))
     {
         std::filesystem::remove_all(path_);
         std::filesystem::create_directories(path_);
@@ -284,36 +287,6 @@ TEST(TraceCache, CorruptCacheFileIsRegenerated)
     // The regeneration also healed the on-disk copy.
     EXPECT_EQ(serialize(readTraceFile(path)), expected);
 }
-
-/** Sets an environment variable for one scope, restoring on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name))
-            saved_ = old;
-        else
-            hadValue_ = false;
-        if (value)
-            ::setenv(name, value, /*overwrite=*/1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadValue_)
-            ::setenv(name_.c_str(), saved_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string saved_;
-    bool hadValue_ = true;
-};
 
 TEST(TraceCacheFaults, UnusableDirectoryDegradesToMemoryOperation)
 {

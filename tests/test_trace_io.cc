@@ -11,6 +11,8 @@
 #include "common/random.hh"
 #include "trace/trace_io.hh"
 
+#include "temp_path.hh"
+
 namespace ev8
 {
 namespace
@@ -87,7 +89,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, TraceIoRoundtrip,
 TEST(TraceIo, FileRoundtrip)
 {
     const Trace t = makeRandomTrace(99, 500);
-    const std::string path = ::testing::TempDir() + "/ev8_trace_test.evt";
+    const std::string path = uniqueTempPath("ev8_trace_test", ".evt");
     writeTraceFile(path, t);
     const Trace back = readTraceFile(path);
     EXPECT_EQ(back.size(), t.size());

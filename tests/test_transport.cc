@@ -23,6 +23,8 @@
 
 #include "serve/transport.hh"
 
+#include "temp_path.hh"
+
 namespace ev8
 {
 namespace
@@ -228,8 +230,7 @@ TEST(Transport, TcpListenerBindsEphemeralPortAndServesALine)
 
 TEST(Transport, UnixListenerRoundTripsOverThePathSocket)
 {
-    const std::string path =
-        ::testing::TempDir() + "ev8_transport_test.sock";
+    const std::string path = uniqueTempPath("ev8_transport_test", ".sock");
     std::string err;
     const int listenFd = serveio::listenUnix(path, err);
     ASSERT_GE(listenFd, 0) << err;
