@@ -378,7 +378,7 @@ int
 BenchContext::finish()
 {
     // Cache/scheduling counters legitimately differ between cold and
-    // warm cache runs and between EV8_FUSED modes, so exporting them
+    // warm cache runs and between fused lane caps, so exporting them
     // by default would break the byte-identity guarantees the test
     // suite and CI gates rely on. Opt in with EV8_CACHE_METRICS=1
     // (strictly parsed: anything else is a usage error, exit 2).

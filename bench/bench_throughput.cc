@@ -127,8 +127,9 @@ BM_Perceptron(benchmark::State &state)
 BENCHMARK(BM_Perceptron)->Apply(applyDefaults);
 
 /**
- * The virtual-fallback kernel on the same scheme as BM_TwoBcGskew512K:
- * the spread between the two is what devirtualization buys.
+ * The oracle (the one-lane virtual walk) on the same scheme as
+ * BM_TwoBcGskew512K: the spread between the two is what the production
+ * walk buys.
  */
 void
 BM_TwoBcGskew512KGenericKernel(benchmark::State &state)
@@ -286,7 +287,7 @@ BM_FusedSweep2BcGskewScalarSteppers(benchmark::State &state)
 }
 BENCHMARK(BM_FusedSweep2BcGskewScalarSteppers)->Apply(applyDefaults);
 
-/** The same six-lane sweep as six independent walks (EV8_FUSED=0). */
+/** The same six-lane sweep as six one-lane walks (EV8_FUSED_LANES=1). */
 void
 BM_PerCellSweepGshare(benchmark::State &state)
 {

@@ -2,8 +2,9 @@
 """CI guard: fused simulation must stay meaningfully faster than per-cell.
 
 Times bench_fig6_history_length (the sweep the lane-fused kernel was
-built for) in both execution modes -- EV8_FUSED=0 (one stream walk per
-grid cell) and EV8_FUSED=1 (one walk per fused lane group) -- and fails
+built for) in both execution modes -- EV8_FUSED_LANES=1 (one one-lane
+stream walk per grid cell) and the default lane cap (one walk per fused
+lane group) -- and fails
 if the wall-clock speedup falls below the committed baseline minus its
 tolerance. The fused mode also runs once with EV8_SIMD=0 (the scalar
 steppers) for an informational vector-vs-scalar A/B, and every mode's
@@ -50,13 +51,17 @@ from strip_telemetry import mask_timing_dependent  # noqa: E402
 def run_once(bench, branches, jobs, fused, workdir, tag, simd=None):
     """One timed bench run; returns (seconds, json_path, csv_path).
 
-    simd=None inherits the caller's EV8_SIMD (so a scalar-forced CI job
-    applies to every run); a string forces that backend for this run.
+    fused "1" runs the default lane cap, "0" one lane per cell
+    (EV8_FUSED_LANES=1). simd=None inherits the caller's EV8_SIMD (so a
+    scalar-forced CI job applies to every run); a string forces that
+    backend for this run.
     """
     json_path = os.path.join(workdir, f"{tag}.json")
     csv_path = os.path.join(workdir, f"{tag}.csv")
     env = dict(os.environ)
-    env["EV8_FUSED"] = fused
+    env.pop("EV8_FUSED_LANES", None)
+    if fused == "0":
+        env["EV8_FUSED_LANES"] = "1"
     if simd is not None:
         env["EV8_SIMD"] = simd
     env["EV8_TRACE_CACHE_DIR"] = os.path.join(workdir, "trace_cache")
@@ -158,14 +163,15 @@ def main():
                 f"run{i}_fused{mode}")
             times[mode].append(secs)
             artifacts[mode] = (json_path, csv_path)
-            print(f"run {i}: EV8_FUSED={mode}  {secs:.3f}s")
+            label = "one lane per cell" if mode == "0" else "fused"
+            print(f"run {i}: {label}  {secs:.3f}s")
 
         # One fused run on the scalar steppers: the dispatch-invariance
         # gate (byte-identical artifacts) plus the vector-vs-scalar A/B.
         simd0_secs, simd0_json, simd0_csv = run_once(
             args.bench, branches, jobs, "1", workdir, "fused_simd0",
             simd="0")
-        print(f"A/B: EV8_FUSED=1 EV8_SIMD=0  {simd0_secs:.3f}s")
+        print(f"A/B: fused EV8_SIMD=0  {simd0_secs:.3f}s")
 
         report["simd"] = artifact_simd(artifacts["1"][0])
         report["percell_s"] = times["0"]

@@ -76,5 +76,12 @@ activeBackend()
     std::exit(2);
 }
 
+Backend
+groupBackend(size_t nlanes)
+{
+    const Backend backend = activeBackend();
+    return nlanes > 1 ? backend : Backend::Off;
+}
+
 } // namespace simd
 } // namespace ev8

@@ -69,6 +69,15 @@ bool cpuHasAvx2();
  */
 Backend activeBackend();
 
+/**
+ * The backend a fused group stepper of @p nlanes lanes runs. The vector
+ * paths pack lanes four to a vector, so a one-lane group would pay for
+ * three padding lanes with nothing to share them with: it steps scalar
+ * (Off) under any EV8_SIMD value. Wider groups take activeBackend().
+ * Both choices compute the same bits, so this is a speed choice only.
+ */
+Backend groupBackend(size_t nlanes);
+
 /** Stable lowercase name for reports: "off" / "scalar" / "avx2". */
 const char *backendName(Backend backend);
 

@@ -32,7 +32,7 @@ BimodalPredictor::FusedGroup::FusedGroup(BimodalPredictor *const *preds,
                                          size_t nlanes)
 {
     lanes_.assign(preds, preds + nlanes);
-    backend_ = simd::activeBackend();
+    backend_ = simd::groupBackend(nlanes);
     if (backend_ == simd::Backend::Off)
         return;
     constexpr size_t kW = simd::U64x4::kLanes;

@@ -203,7 +203,7 @@ TwoBcGskewPredictor::FusedGroup::FusedGroup(
                          static_cast<uint8_t>(geo.histLen));
         }
     }
-    backend_ = simd::activeBackend();
+    backend_ = simd::groupBackend(nlanes);
     if (backend_ != simd::Backend::Off)
         buildVectorState();
 }

@@ -216,8 +216,9 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
         uint64_t pathZ_ = 0, pathY_ = 0, pathX_ = 0;
         uint64_t bimFold_ = 0, gskewFold_ = 0;
 
-        //! Per-walk backend choice (EV8_SIMD / cpuid), made once in
-        //! the constructor so in-process env overrides take effect.
+        //! Per-walk backend choice (simd::groupBackend: EV8_SIMD /
+        //! cpuid, scalar for one lane), made once in the constructor
+        //! so in-process env overrides take effect.
         simd::Backend backend_ = simd::Backend::Off;
 
         // ---- vector-path SoA staging (built when backend_ != Off),

@@ -73,7 +73,7 @@ struct ServeRequest
     bool wantEvents = false;   //!< "events": buffer misprediction events
     bool wantMetrics = true;   //!< "metrics": per-cell metric registries
     bool timing = true;        //!< "timing": SimConfig::profileTiming
-    bool forceGeneric = false; //!< "generic": force the generic kernel
+    bool forceGeneric = false; //!< "generic": run the oracle walk
 };
 
 /** Serializes @p req as one request line (no trailing newline). */

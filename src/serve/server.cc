@@ -333,7 +333,6 @@ class PredictionServer::Session
     runCells()
     {
         CellExecutor executor;
-        const bool fused = ExperimentEngine::fusedEnabled();
         const size_t laneCap = ExperimentEngine::fusedLaneCap();
         for (size_t b = 0; b < nbench_; ++b) {
             // A force-expiry lands between benchmarks: every cell not
@@ -349,7 +348,7 @@ class PredictionServer::Session
             for (size_t r = 0; r < rows_.size(); ++r)
                 bench_cells.push_back(r * nbench_ + b);
             for (const auto &group :
-                 fuseGroups(bench_cells, requests_, laneCap, fused))
+                 fuseGroups(bench_cells, requests_, laneCap))
                 executor.runGroup(group, requests_, outputs_);
             for (const size_t i : bench_cells) {
                 if (outputs_[i].failed)

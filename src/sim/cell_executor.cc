@@ -25,15 +25,9 @@ constexpr uint64_t kMaxBackoffMs = 1000;
 
 std::vector<std::vector<size_t>>
 fuseGroups(const std::vector<size_t> &cells,
-           const std::vector<CellRequest> &reqs, size_t laneCap,
-           bool fused)
+           const std::vector<CellRequest> &reqs, size_t laneCap)
 {
     std::vector<std::vector<size_t>> groups;
-    if (!fused) {
-        for (const size_t i : cells)
-            groups.push_back({i});
-        return groups;
-    }
     // Everything in the key must be identical for the lanes to legally
     // share one history walk / one kernel shape.
     using FuseKey = std::tuple<const WorkloadProfile *, int, unsigned,
@@ -89,40 +83,6 @@ CellExecutor::backoff(unsigned attempt) const
 }
 
 void
-CellExecutor::runCell(const CellRequest &req, CellOutput &out) const
-{
-    out.result.bench = req.profile->name;
-
-    // The pre-decoded stream, not the trace: decode happens once per
-    // benchmark (and not at all with a warm on-disk stream cache),
-    // however many cells revisit it.
-    const BlockStream &stream = req.stream();
-    PredictorPtr predictor = req.factory();
-
-    // Isolate the observability sinks: the caller's shared sinks are
-    // merge *targets*, never touched by executing cells.
-    SimConfig config = req.config;
-    BufferedEventSink buffer;
-    config.events = req.wantEvents ? &buffer : nullptr;
-    config.metrics = req.wantMetrics ? &out.metrics : nullptr;
-    if (req.wantEvents) {
-        out.classes = SyntheticProgram(*req.profile)
-                          .condBranchClasses();
-    }
-
-    const SamplePlan *plan = req.plan ? req.plan() : nullptr;
-    out.result.sim = plan
-        ? simulateStreamSampled(stream, *predictor, config, *plan)
-        : simulateStream(stream, *predictor, config);
-
-    if (config.metrics) {
-        predictor->publishMetrics(out.metrics,
-                                  "pred." + predictor->name());
-    }
-    out.events = buffer.take();
-}
-
-void
 CellExecutor::recordCellSpan(const CellRequest &req, unsigned attempt,
                              size_t lanes, bool attempt_failed,
                              uint64_t start_ns, uint64_t dur_ns) const
@@ -142,9 +102,12 @@ CellExecutor::recordCellSpan(const CellRequest &req, unsigned attempt,
 }
 
 void
-CellExecutor::runGuarded(size_t index, const CellRequest &req,
-                         CellOutput &out) const
+CellExecutor::runGuarded(size_t index,
+                         const std::vector<CellRequest> &reqs,
+                         std::vector<CellOutput> &outputs) const
 {
+    const CellRequest &req = reqs[index];
+    CellOutput &out = outputs[index];
     SpanTracer &tracer = SpanTracer::global();
     ProgressMeter &progress = ProgressMeter::global();
     FaultInjector &faults = FaultInjector::global();
@@ -160,7 +123,7 @@ CellExecutor::runGuarded(size_t index, const CellRequest &req,
             if (req.sessionFaults) {
                 faults.maybeThrow(FaultPoint::SessionDrop, req.key);
             }
-            runCell(req, out);
+            runLanes({index}, reqs, outputs);
             if (journal)
                 journal(index, out);
             ok = true;
@@ -203,7 +166,7 @@ CellExecutor::runGuarded(size_t index, const CellRequest &req,
 }
 
 void
-CellExecutor::runFused(const std::vector<size_t> &cells,
+CellExecutor::runLanes(const std::vector<size_t> &cells,
                        const std::vector<CellRequest> &reqs,
                        std::vector<CellOutput> &outputs) const
 {
@@ -213,8 +176,7 @@ CellExecutor::runFused(const std::vector<size_t> &cells,
     const bool want_metrics = lead.wantMetrics;
 
     // The pc -> behaviour-class map is a function of the benchmark
-    // alone: build it once per fused job, copy per event-carrying cell
-    // (the per-cell path builds one per cell).
+    // alone: build it once per group, copy per event-carrying cell.
     BranchClassMap classes;
     if (want_events)
         classes = SyntheticProgram(*lead.profile).condBranchClasses();
@@ -235,14 +197,10 @@ CellExecutor::runFused(const std::vector<size_t> &cells,
             out.classes = classes;
     }
 
-    SimConfig config = lead.config;
-    config.metrics = nullptr; // sinks are per lane
-    config.events = nullptr;
-
-    const SamplePlan *plan = lead.plan ? lead.plan() : nullptr;
-    std::vector<SimResult> sims = plan
-        ? simulateStreamFusedSampled(stream, lanes, config, *plan)
-        : simulateStreamFused(stream, lanes, config);
+    // The caller's shared sinks in the config are merge targets, never
+    // touched by executing cells: each lane writes its own.
+    std::vector<SimResult> sims = simulateStreamFused(
+        stream, lanes, lead.config, lead.plan ? lead.plan() : nullptr);
 
     for (size_t k = 0; k < cells.size(); ++k) {
         CellOutput &out = outputs[cells[k]];
@@ -261,8 +219,7 @@ CellExecutor::runGroup(const std::vector<size_t> &cells,
                        std::vector<CellOutput> &outputs) const
 {
     if (cells.size() == 1) {
-        runGuarded(cells.front(), reqs[cells.front()],
-                   outputs[cells.front()]);
+        runGuarded(cells.front(), reqs, outputs);
         return;
     }
     SpanTracer &tracer = SpanTracer::global();
@@ -282,7 +239,7 @@ CellExecutor::runGroup(const std::vector<size_t> &cells,
             if (reqs[i].sessionFaults)
                 faults.maybeThrow(FaultPoint::SessionDrop, reqs[i].key);
         }
-        runFused(cells, reqs, outputs);
+        runLanes(cells, reqs, outputs);
     } catch (...) {
         fused_ok = false;
     }
@@ -330,7 +287,7 @@ CellExecutor::runGroup(const std::vector<size_t> &cells,
     }
     for (const size_t i : cells) {
         outputs[i] = CellOutput{}; // drop the torn fused attempt
-        runGuarded(i, reqs[i], outputs[i]);
+        runGuarded(i, reqs, outputs);
     }
 }
 

@@ -118,13 +118,11 @@ struct CellRequest
  * mode, age, bank assignment, timing, events, metrics, kernel forcing)
  * share a group, in @p cells order, and a group holding @p laneCap
  * cells opens a fresh one; groups come back in order of their first
- * cell. With @p fused false every cell is its own group (the per-cell
- * path, EV8_FUSED=0).
+ * cell. With @p laneCap 1 every cell is its own group, a one-lane walk.
  */
 std::vector<std::vector<size_t>>
 fuseGroups(const std::vector<size_t> &cells,
-           const std::vector<CellRequest> &reqs, size_t laneCap,
-           bool fused);
+           const std::vector<CellRequest> &reqs, size_t laneCap);
 
 class CellExecutor
 {
@@ -166,19 +164,13 @@ class CellExecutor
     /// @}
 
     /**
-     * The bare cell body: build the predictor, simulate the stream with
-     * isolated sinks, publish predictor metrics, buffer events. Throws
-     * on simulation failure; @p out may be torn then (callers discard).
+     * One cell under the failure-isolation contract: retry with
+     * backoff, journal on success, and convert an exhausted budget into
+     * out.failed instead of an escaping exception. @p index indexes
+     * into @p reqs / @p outputs.
      */
-    void runCell(const CellRequest &req, CellOutput &out) const;
-
-    /**
-     * runCell under the failure-isolation contract: retry with backoff,
-     * journal on success, and convert an exhausted budget into
-     * out.failed instead of an escaping exception.
-     */
-    void runGuarded(size_t index, const CellRequest &req,
-                    CellOutput &out) const;
+    void runGuarded(size_t index, const std::vector<CellRequest> &reqs,
+                    std::vector<CellOutput> &outputs) const;
 
     /**
      * One scheduled group: a single cell runs guarded; a fused group
@@ -192,7 +184,14 @@ class CellExecutor
                   std::vector<CellOutput> &outputs) const;
 
   private:
-    void runFused(const std::vector<size_t> &cells,
+    /**
+     * The bare body of one group (a single cell is a one-lane group):
+     * build the predictors, walk the stream once with isolated per-lane
+     * sinks, publish predictor metrics, buffer events. Throws on
+     * simulation failure; the outputs may be torn then (callers
+     * discard).
+     */
+    void runLanes(const std::vector<size_t> &cells,
                   const std::vector<CellRequest> &reqs,
                   std::vector<CellOutput> &outputs) const;
 

@@ -142,12 +142,6 @@ ExperimentEngine::defaultJobs()
     return hw >= 1 ? hw : 1;
 }
 
-bool
-ExperimentEngine::fusedEnabled()
-{
-    return strictEnvBool("EV8_FUSED", true);
-}
-
 unsigned
 ExperimentEngine::retryMax()
 {
@@ -456,8 +450,7 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
     {
         ScopedSpan grouping(SpanPhase::GridSetup, "grid.setup:fuse");
         grouping.arg("cells", static_cast<uint64_t>(todo.size()));
-        groups = fuseGroups(todo, requests, fusedLaneCap(),
-                            fusedEnabled());
+        groups = fuseGroups(todo, requests, fusedLaneCap());
     }
     for (const auto &cells : groups) {
         if (cells.size() > 1) {

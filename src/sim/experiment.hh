@@ -31,9 +31,9 @@
  * the benchmark's BlockStream once for all of them via
  * simulateStreamFused(), instead of once per cell. Grouping follows
  * submission order, per-cell outputs stay private until the same
- * deterministic merge, and artifacts are byte-identical to the
- * per-cell path for any lane width and any worker count. EV8_FUSED=0
- * forces the per-cell path; EV8_FUSED_LANES caps lanes per fused job.
+ * deterministic merge, and artifacts are byte-identical for any lane
+ * width and any worker count. EV8_FUSED_LANES caps lanes per fused job
+ * (EV8_FUSED_LANES=1: one one-lane walk per cell).
  *
  * Fault tolerance: a failing cell no longer poisons its batch. Each
  * cell runs under a retry loop (EV8_RETRY_MAX attempts with bounded
@@ -100,15 +100,6 @@ class ExperimentEngine
     static unsigned parseJobs(const std::string &text);
 
     /**
-     * Whether runGrid() fuses compatible grid cells into shared-walk
-     * jobs. On by default; EV8_FUSED=0 forces the per-cell A/B escape
-     * hatch (both paths are byte-identical by construction and by CI
-     * gate). Strictly parsed: anything other than "0" or "1" is a hard
-     * usage error (stderr + exit 2), matching EV8_JOBS.
-     */
-    static bool fusedEnabled();
-
-    /**
      * Max lanes per fused job: EV8_FUSED_LANES (strictly parsed,
      * clamped to kMaxFusedLanes) or kMaxFusedLanes. Any value yields
      * identical artifacts; smaller caps trade walk sharing for more
@@ -171,7 +162,7 @@ class ExperimentEngine
      * that exhausted retries), "<prefix>.cells_retried" (individual
      * re-attempts) and "<prefix>.cells_resumed" (cells restored from
      * checkpoint journals) -- the scheduling / fault-tolerance view of
-     * grid execution. Values differ between EV8_FUSED modes (and
+     * grid execution. Values differ between lane caps (and
      * between faulty and clean runs) by design, so the bench harness
      * only exports them on request (EV8_CACHE_METRICS) to keep default
      * artifacts byte-identical.

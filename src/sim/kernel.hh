@@ -1,44 +1,42 @@
 /**
  * @file
- * The devirtualized simulation kernel.
+ * The simulation kernel: one walk of a pre-decoded BlockStream drives
+ * N predictor lanes under the paper's method (Section 8.1.1: immediate
+ * update, one information vector per fetch block).
  *
- * One template instantiation per (concrete predictor type, history
- * mode, timing, event sink) combination, so that in the hot loop:
+ *  - runFusedStreamKernelRange is the production walk over one block
+ *    range, one instantiation per (concrete predictor type, history
+ *    mode, timing, event sink), so predict()/update() are direct calls
+ *    and the `if (timed)` / `if (events)` decisions compile out of the
+ *    per-branch path;
+ *  - runWindows is the windowed driver: an exact run is one window
+ *    [0, blocks()) with no warmup, a sampled run is a plan's windows,
+ *    each primed by its warmup range;
+ *  - dispatchFusedKernel resolves the runtime flags to the matching
+ *    production instantiation;
+ *  - runOracleRange is the reference: one predictor behind the virtual
+ *    base class, plain runtime `if`s for timing and events. It runs
+ *    only when SimConfig::forceGenericKernel / EV8_GENERIC_KERNEL=1 is
+ *    set, so the byte-identity gates compare it with production.
  *
- *  - predict()/update() are direct calls into the final predictor
- *    class, inlinable by the compiler, instead of two virtual
- *    dispatches per dynamic branch;
- *  - the `if (timed)` / `if (events)` decisions are made once at
- *    dispatch time and compile out of the per-branch path entirely
- *    (the duplicated runtime-`if (timed)` blocks of the old
- *    simulator.cc collapse into `if constexpr`).
- *
- * The kernel consumes a BlockStream (pre-decoded, cache-linear fetch
- * blocks) and is the single definition of the simulation semantics:
- * the virtual fallback path is the same template instantiated with
- * Predictor = ConditionalBranchPredictor, so specialized and generic
- * runs cannot drift apart. simulator.cc owns the dispatch; nothing
- * else should include this header.
- *
- * The fused kernel (runFusedStreamKernel) is the multi-configuration
- * sibling: one walk of the stream drives N predictor lanes that share
- * the history machinery. That sharing is sound because every register
- * the simulator maintains -- ghist, lghist, the delayed view, the path
- * registers and the bank recurrence -- evolves from trace outcomes
- * only, never from predictor output: lanes with the same (history
- * mode, history age, assignBanks) triple observe bit-identical
- * BranchSnapshots, and a lane consuming fewer history bits simply
- * masks the shared register down (a shorter history is a prefix of a
- * longer one). Per-lane work is laid out struct-of-arrays: a dense
- * predictor-pointer array and a dense mispredict-tally array, with the
- * per-branch snapshot built once per branch instead of once per cell.
+ * A single cell is a one-lane walk. Lanes may share the walk because
+ * every register the simulator maintains -- ghist, lghist, the delayed
+ * view, the path registers and the bank recurrence -- evolves from
+ * trace outcomes only, never from predictor output: lanes with the
+ * same (history mode, history age, assignBanks) triple observe
+ * bit-identical BranchSnapshots, and a lane consuming fewer history
+ * bits simply masks the shared register down. Per-lane work is laid
+ * out struct-of-arrays: a dense predictor-pointer array and a dense
+ * mispredict-tally array, with the per-branch snapshot built once per
+ * branch instead of once per lane. simulator.cc owns the dispatch;
+ * nothing else should include this header.
  */
 
 #ifndef EV8_SIM_KERNEL_HH
 #define EV8_SIM_KERNEL_HH
 
+#include <algorithm>
 #include <array>
-#include <cassert>
 #include <concepts>
 #include <cstddef>
 #include <stdexcept>
@@ -61,13 +59,11 @@ namespace detail
 
 /**
  * The shared history machinery of one stream walk, lifted out of the
- * kernels so a walk can span multiple [begin, end) block ranges: the
- * sampled-simulation layer runs a warmup range and a measured range
- * (or several contiguous windows) over one evolving state. The exact
- * path constructs a fresh state and walks [0, blocks()) -- bit-for-bit
- * the old single-call behaviour. The kernels copy the members into
- * locals at entry and write them back at exit, so the hot-loop codegen
- * is unchanged.
+ * range walks so a walk can span multiple [begin, end) block ranges: a
+ * sampled run walks a warmup range and a measured range (or several
+ * contiguous windows) over one evolving state. The production walk
+ * copies the members into locals at entry and writes them back at
+ * exit, so the hot-loop codegen keeps them in registers.
  */
 struct KernelWalkState
 {
@@ -116,265 +112,6 @@ makeMispredictEvent(uint64_t branch_seq, const BranchSnapshot &snap,
 }
 
 /**
- * The simulation inner loop over a pre-decoded block stream.
- *
- * @tparam Predictor   concrete (final) predictor class, or
- *                     ConditionalBranchPredictor for the virtual
- *                     fallback path
- * @tparam LghistMode  config.history != HistoryMode::Ghist
- * @tparam Timed       config.profileTiming
- * @tparam HasEvents   config.events != nullptr
- *
- * Semantics are bit-for-bit those of the original per-trace loop:
- * immediate update, per-branch ghist, per-block (aged) lghist, the
- * last-three-blocks path registers, and the bank-number recurrence.
- */
-template <class Predictor, bool LghistMode, bool Timed, bool HasEvents>
-void
-runStreamKernelRange(const BlockStream &stream, Predictor &predictor,
-                     const SimConfig &config, BankScheduler &bank_sched,
-                     size_t begin_block, size_t end_block,
-                     KernelWalkState &walk, uint64_t branch_seq_base,
-                     SimResult &result)
-{
-    const bool assign_banks = config.assignBanks;
-
-    // Walk state lives in locals for the duration of the range (the
-    // compiler keeps them in registers exactly as when they were
-    // declared here) and is written back at exit so a later range
-    // continues where this one stopped.
-    HistoryRegister ghist = walk.ghist;
-    LghistTracker lghist = walk.lghist;
-    DelayedHistory delayed = walk.delayed;
-    uint64_t path_z = walk.pathZ, path_y = walk.pathY,
-             path_x = walk.pathX;
-
-    // Event records carry the branch's absolute sequence number in the
-    // whole stream; for the exact walk the base is 0 and this equals
-    // the running condBranches tally.
-    uint64_t branch_seq = branch_seq_base;
-
-    BranchSnapshot snap;
-    const size_t nblocks = end_block;
-    for (size_t b = begin_block; b < nblocks; ++b) {
-        ++result.fetchBlocks;
-        const uint32_t first = stream.branchBegin(b);
-        const uint32_t last = stream.branchBegin(b + 1);
-        const unsigned nbr = last - first;
-        ++result.branchesPerBlock[nbr < result.branchesPerBlock.size()
-                                      ? nbr
-                                      : result.branchesPerBlock.size()
-                                            - 1];
-
-        const uint64_t block_addr = stream.blockAddr(b);
-        snap.blockAddr = block_addr;
-        snap.hist.pathZ = path_z;
-        snap.hist.pathY = path_y;
-        snap.hist.pathX = path_x;
-        if (assign_banks)
-            snap.bank =
-                static_cast<uint8_t>(bank_sched.assign(block_addr));
-
-        // The index history for every branch of this block: the aged
-        // lghist view, or per-branch ghist filled in below.
-        const uint64_t block_hist = delayed.view();
-
-        for (uint32_t j = first; j < last; ++j) {
-            const uint8_t raw = stream.branchRaw(j);
-            const bool br_taken = (raw & 1) != 0;
-            snap.pc = block_addr + uint64_t(raw >> 1) * kInstrBytes;
-            snap.hist.ghist = ghist.raw();
-            snap.hist.indexHist = LghistMode ? block_hist : ghist.raw();
-
-            bool predicted;
-            if constexpr (Timed) {
-                ScopedTimer t(result.timing.lookup, SpanPhase::SimLookup);
-                predicted = predictor.predict(snap);
-            } else {
-                predicted = predictor.predict(snap);
-            }
-            result.stats.record(predicted, br_taken);
-
-            if constexpr (HasEvents) {
-                if (predicted != br_taken) {
-                    config.events->onMispredict(makeMispredictEvent(
-                        branch_seq, snap, br_taken, predicted,
-                        predictor.lastVotes()));
-                }
-            }
-
-            if constexpr (Timed) {
-                ScopedTimer t(result.timing.update, SpanPhase::SimUpdate);
-                predictor.update(snap, br_taken, predicted);
-            } else {
-                predictor.update(snap, br_taken, predicted);
-            }
-
-            ghist.push(br_taken);
-            ++branch_seq;
-            ++result.condBranches;
-        }
-
-        const auto advance_history = [&] {
-            if (nbr > 0) {
-                const uint8_t raw = stream.branchRaw(last - 1);
-                lghist.onBranchBlock(
-                    block_addr + uint64_t(raw >> 1) * kInstrBytes,
-                    (raw & 1) != 0);
-                ++result.lghistBits;
-            }
-            delayed.advance(lghist.value());
-        };
-        if constexpr (Timed) {
-            ScopedTimer t(result.timing.history, SpanPhase::SimHistory);
-            advance_history();
-        } else {
-            advance_history();
-        }
-
-        path_x = path_y;
-        path_y = path_z;
-        path_z = block_addr;
-    }
-
-    walk.ghist = ghist;
-    walk.lghist = lghist;
-    walk.delayed = delayed;
-    walk.pathZ = path_z;
-    walk.pathY = path_y;
-    walk.pathX = path_x;
-}
-
-/** The exact (whole-stream) walk: fresh state, every block. */
-template <class Predictor, bool LghistMode, bool Timed, bool HasEvents>
-SimResult
-runStreamKernel(const BlockStream &stream, Predictor &predictor,
-                const SimConfig &config, BankScheduler &bank_sched)
-{
-    SimResult result;
-    result.stats.setInstructions(stream.instructions());
-    KernelWalkState walk(config.history == HistoryMode::LghistPath,
-                         config.historyAge);
-    runStreamKernelRange<Predictor, LghistMode, Timed, HasEvents>(
-        stream, predictor, config, bank_sched, 0, stream.blocks(), walk,
-        0, result);
-    return result;
-}
-
-/**
- * The sampled walk: the plan's windows in stream order, each primed by
- * a warmup range (stats gated off, events and timers disabled) when
- * the walk is not already contiguous with the previous window. The
- * predictor is never reset between windows -- its table state carries
- * over, a second warming layer on top of the explicit prefix -- while
- * the shared history state resets at each discontinuity and is primed
- * by the warmup range. Per-window measured tallies land in @p tallies
- * for the stratified extrapolation.
- */
-template <class Predictor, bool LghistMode, bool Timed, bool HasEvents>
-SimResult
-runSampledStreamKernel(const BlockStream &stream, Predictor &predictor,
-                       const SimConfig &config,
-                       BankScheduler &bank_sched, const SamplePlan &plan,
-                       std::vector<SampledWindowTally> &tallies)
-{
-    const bool lghist_path = config.history == HistoryMode::LghistPath;
-    const bool want_stats = config.metrics != nullptr;
-
-    SimResult result;
-    SimResult warm_sink;
-    KernelWalkState walk(lghist_path, config.historyAge);
-    uint64_t next_block = ~uint64_t{0};
-    for (const SampledWindow &w : plan.windows) {
-        if (w.blockBegin != next_block) {
-            walk = KernelWalkState(lghist_path, config.historyAge);
-            bank_sched = BankScheduler();
-            if (w.warmupBlockBegin < w.blockBegin) {
-                predictor.enableStats(false);
-                runStreamKernelRange<Predictor, LghistMode, false,
-                                     false>(
-                    stream, predictor, config, bank_sched,
-                    static_cast<size_t>(w.warmupBlockBegin),
-                    static_cast<size_t>(w.blockBegin), walk, 0,
-                    warm_sink);
-                predictor.enableStats(want_stats);
-            }
-        }
-        const uint64_t misp0 = result.stats.mispredictions();
-        runStreamKernelRange<Predictor, LghistMode, Timed, HasEvents>(
-            stream, predictor, config, bank_sched,
-            static_cast<size_t>(w.blockBegin),
-            static_cast<size_t>(w.blockEnd), walk, w.branchSeqBase,
-            result);
-        tallies.push_back(
-            {w.phaseId, w.branches, w.instrs,
-             result.stats.mispredictions() - misp0});
-        next_block = w.blockEnd;
-    }
-    return result;
-}
-
-/** Resolves the runtime flags to the matching kernel instantiation. */
-template <class Predictor>
-SimResult
-dispatchStreamKernel(const BlockStream &stream, Predictor &predictor,
-                     const SimConfig &config, BankScheduler &bank_sched)
-{
-    const bool lg = config.history != HistoryMode::Ghist;
-    const bool timed = config.profileTiming;
-    const bool events = config.events != nullptr;
-
-    auto run = [&](auto lg_c, auto timed_c, auto events_c) {
-        return runStreamKernel<Predictor, decltype(lg_c)::value,
-                               decltype(timed_c)::value,
-                               decltype(events_c)::value>(
-            stream, predictor, config, bank_sched);
-    };
-    using F = std::false_type;
-    using T = std::true_type;
-    if (lg) {
-        if (timed)
-            return events ? run(T{}, T{}, T{}) : run(T{}, T{}, F{});
-        return events ? run(T{}, F{}, T{}) : run(T{}, F{}, F{});
-    }
-    if (timed)
-        return events ? run(F{}, T{}, T{}) : run(F{}, T{}, F{});
-    return events ? run(F{}, F{}, T{}) : run(F{}, F{}, F{});
-}
-
-/** Resolves the runtime flags for the sampled per-cell walk. */
-template <class Predictor>
-SimResult
-dispatchSampledStreamKernel(const BlockStream &stream,
-                            Predictor &predictor,
-                            const SimConfig &config,
-                            BankScheduler &bank_sched,
-                            const SamplePlan &plan,
-                            std::vector<SampledWindowTally> &tallies)
-{
-    const bool lg = config.history != HistoryMode::Ghist;
-    const bool timed = config.profileTiming;
-    const bool events = config.events != nullptr;
-
-    auto run = [&](auto lg_c, auto timed_c, auto events_c) {
-        return runSampledStreamKernel<Predictor, decltype(lg_c)::value,
-                                      decltype(timed_c)::value,
-                                      decltype(events_c)::value>(
-            stream, predictor, config, bank_sched, plan, tallies);
-    };
-    using F = std::false_type;
-    using T = std::true_type;
-    if (lg) {
-        if (timed)
-            return events ? run(T{}, T{}, T{}) : run(T{}, T{}, F{});
-        return events ? run(T{}, F{}, T{}) : run(T{}, F{}, F{});
-    }
-    if (timed)
-        return events ? run(F{}, T{}, T{}) : run(F{}, T{}, F{});
-    return events ? run(F{}, F{}, T{}) : run(F{}, F{}, F{});
-}
-
-/**
  * Two-phase lane entry point: the predictor exposes its (pure) table
  * index computation separately from the read-modify-write, so the
  * fused loop can compute every lane's index back-to-back (unrolled,
@@ -414,7 +151,7 @@ concept FusedGroupStepped = requires(typename P::FusedGroup &group,
     { group.step(snap, true, misp) } -> std::same_as<void>;
 };
 
-/** One lane of a fused run: where its results and events go. */
+/** One lane of a walk: its predictor and where its outputs go. */
 template <class Predictor>
 struct FusedLaneState
 {
@@ -422,34 +159,19 @@ struct FusedLaneState
     SimResult *result = nullptr;
     MispredictSink *events = nullptr; //!< may be null per lane
 
-    /**
-     * Whether this lane's predictor wants internal stats on (metrics
-     * attached). Only the sampled walk consults it -- it must gate
-     * stats off during warmup ranges and back on per lane afterwards;
-     * the exact walk sets stats once up front in simulateStreamFused.
-     */
+    /** Whether the predictor's internal stats are on (metrics attached);
+     *  runWindows gates them off during warmup and restores this. */
     bool statsWanted = false;
+
+    /** Measured tallies, one per window, for the sampled estimate;
+     *  null for an exact run, which has nothing to extrapolate. */
+    std::vector<SampledWindowTally> *tallies = nullptr;
 };
 
 /**
- * The fused inner loop: one pass over @p stream drives @p nlanes
- * predictor lanes under one shared history configuration.
- *
- * Template parameters mirror runStreamKernel. HasEvents means "some
- * lane has an event sink"; lanes with a null sink inside an events
- * instantiation just skip emission. Each lane's SimResult ends up
- * bit-identical to what a per-cell runStreamKernel call would have
- * produced for that (predictor, config) pair: the walk tallies
- * (fetchBlocks, condBranches, lghistBits, branchesPerBlock) are
- * computed once and copied into every lane, per-lane mispredictions
- * are tallied SoA in the fast path, and the per-block history advance
- * is timed once and merged into every lane with the same call count a
- * per-cell run would record.
- */
-/**
- * Throwing lane-set validation shared by the fused entry points: a
- * malformed lane set must be a recoverable cell failure (caught,
- * retried, reported) in release builds too, not silent UB.
+ * Throwing lane-set validation: a malformed lane set must be a
+ * recoverable cell failure (caught, retried, reported) in release
+ * builds too, not silent UB.
  */
 template <class Predictor>
 void
@@ -470,6 +192,24 @@ checkFusedLanes(const FusedLaneState<Predictor> *lanes, size_t nlanes)
     }
 }
 
+/**
+ * The production walk: one pass over blocks [begin_block, end_block)
+ * drives @p nlanes predictor lanes under one shared history
+ * configuration, continuing from (and updating) @p walk.
+ *
+ * @tparam Predictor   concrete (final) predictor class, or
+ *                     ConditionalBranchPredictor for types without one
+ * @tparam LghistMode  config.history != HistoryMode::Ghist
+ * @tparam Timed       config.profileTiming
+ * @tparam HasEvents   some lane has an event sink (lanes with a null
+ *                     sink just skip emission)
+ *
+ * The walk tallies (fetchBlocks, condBranches, lghistBits,
+ * branchesPerBlock) are computed once and added into every lane;
+ * per-lane mispredictions are tallied SoA in the fast path, and the
+ * per-block history advance is timed once and merged into every lane
+ * with the same call count a one-lane walk would record.
+ */
 template <class Predictor, bool LghistMode, bool Timed, bool HasEvents>
 void
 runFusedStreamKernelRange(const BlockStream &stream,
@@ -504,7 +244,9 @@ runFusedStreamKernelRange(const BlockStream &stream,
     uint64_t path_z = walk.pathZ, path_y = walk.pathY,
              path_x = walk.pathX;
 
-    // Walk tallies, computed once and fanned out to every lane.
+    // Walk tallies, computed once and fanned out to every lane. Event
+    // records carry the branch's absolute sequence number in the whole
+    // stream.
     uint64_t fetch_blocks = 0, cond_branches = 0, lghist_bits = 0;
     uint64_t branch_seq = branch_seq_base;
     std::array<uint64_t, 9> per_block{};
@@ -528,6 +270,8 @@ runFusedStreamKernelRange(const BlockStream &stream,
             snap.bank =
                 static_cast<uint8_t>(bank_sched.assign(block_addr));
 
+        // The index history for every branch of this block: the aged
+        // lghist view, or per-branch ghist filled in below.
         const uint64_t block_hist = delayed.view();
 
         for (uint32_t j = first; j < last; ++j) {
@@ -539,8 +283,8 @@ runFusedStreamKernelRange(const BlockStream &stream,
 
             if constexpr (Timed || HasEvents) {
                 // Observed path: per-lane timers / event emission need
-                // the split predict()/update() calls of the per-cell
-                // kernel, with identical call counts per lane.
+                // split predict()/update() calls, with identical call
+                // counts per lane.
                 for (size_t l = 0; l < nlanes; ++l) {
                     bool predicted;
                     if constexpr (Timed) {
@@ -561,7 +305,7 @@ runFusedStreamKernelRange(const BlockStream &stream,
                     }
                     if constexpr (Timed) {
                         ScopedTimer t(lanes[l].result->timing.update,
-                                  SpanPhase::SimUpdate);
+                                      SpanPhase::SimUpdate);
                         preds[l]->update(snap, br_taken, predicted);
                     } else {
                         preds[l]->update(snap, br_taken, predicted);
@@ -607,8 +351,8 @@ runFusedStreamKernelRange(const BlockStream &stream,
         };
         if constexpr (Timed) {
             // Timed once per block; merged per lane below so every
-            // lane reports the same history call count as a per-cell
-            // run (the shared advance serves all lanes at once).
+            // lane reports the same history call count as a one-lane
+            // walk (the shared advance serves all lanes at once).
             ScopedTimer t(hist_time, SpanPhase::SimHistory);
             advance_history();
         } else {
@@ -627,9 +371,7 @@ runFusedStreamKernelRange(const BlockStream &stream,
     walk.pathY = path_y;
     walk.pathX = path_x;
 
-    // Accumulating fan-out: a whole-stream walk starts from zeroed
-    // results (so += here equals the old overwrite), and the sampled
-    // walk adds each measured window into the same lane results.
+    // Accumulating fan-out: each range adds into the lane results.
     for (size_t l = 0; l < nlanes; ++l) {
         SimResult &r = *lanes[l].result;
         if constexpr (!(Timed || HasEvents))
@@ -644,46 +386,110 @@ runFusedStreamKernelRange(const BlockStream &stream,
     }
 }
 
-/** The exact (whole-stream) fused walk: fresh state, every block. */
-template <class Predictor, bool LghistMode, bool Timed, bool HasEvents>
-void
-runFusedStreamKernel(const BlockStream &stream,
-                     FusedLaneState<Predictor> *lanes, size_t nlanes,
-                     const SimConfig &config, BankScheduler &bank_sched)
+/**
+ * The oracle: the readable reference walk of one predictor over blocks
+ * [begin_block, end_block), through the virtual interface, with plain
+ * runtime checks for timing and events. Same contract as
+ * runFusedStreamKernelRange with one lane, and slower by design.
+ */
+inline void
+runOracleRange(const BlockStream &stream,
+               const FusedLaneState<ConditionalBranchPredictor> &lane,
+               const SimConfig &config, bool timed,
+               BankScheduler &bank_sched, size_t begin_block,
+               size_t end_block, KernelWalkState &walk,
+               uint64_t branch_seq)
 {
-    checkFusedLanes(lanes, nlanes);
-    for (size_t l = 0; l < nlanes; ++l)
-        lanes[l].result->stats.setInstructions(stream.instructions());
-    KernelWalkState walk(config.history == HistoryMode::LghistPath,
-                         config.historyAge);
-    runFusedStreamKernelRange<Predictor, LghistMode, Timed, HasEvents>(
-        stream, lanes, nlanes, config, bank_sched, 0, stream.blocks(),
-        walk, 0);
+    ConditionalBranchPredictor &predictor = *lane.predictor;
+    SimResult &r = *lane.result;
+    const bool lghist_mode = config.history != HistoryMode::Ghist;
+    const auto maybe_timed = [timed](TimingStat &stat, SpanPhase phase,
+                                     auto &&call) {
+        if (!timed)
+            return call();
+        ScopedTimer t(stat, phase);
+        return call();
+    };
+
+    BranchSnapshot snap;
+    for (size_t b = begin_block; b < end_block; ++b) {
+        const uint64_t block_addr = stream.blockAddr(b);
+        const uint32_t first = stream.branchBegin(b);
+        const uint32_t last = stream.branchBegin(b + 1);
+        ++r.fetchBlocks;
+        ++r.branchesPerBlock[std::min<size_t>(
+            last - first, r.branchesPerBlock.size() - 1)];
+
+        snap.blockAddr = block_addr;
+        snap.hist.pathZ = walk.pathZ;
+        snap.hist.pathY = walk.pathY;
+        snap.hist.pathX = walk.pathX;
+        if (config.assignBanks)
+            snap.bank =
+                static_cast<uint8_t>(bank_sched.assign(block_addr));
+        const uint64_t block_hist = walk.delayed.view();
+
+        for (uint32_t j = first; j < last; ++j, ++branch_seq) {
+            const uint8_t raw = stream.branchRaw(j);
+            const bool taken = (raw & 1) != 0;
+            snap.pc = block_addr + uint64_t(raw >> 1) * kInstrBytes;
+            snap.hist.ghist = walk.ghist.raw();
+            snap.hist.indexHist =
+                lghist_mode ? block_hist : walk.ghist.raw();
+
+            const bool predicted =
+                maybe_timed(r.timing.lookup, SpanPhase::SimLookup,
+                            [&] { return predictor.predict(snap); });
+            r.stats.record(predicted, taken);
+            if (lane.events && predicted != taken) {
+                lane.events->onMispredict(makeMispredictEvent(
+                    branch_seq, snap, taken, predicted,
+                    predictor.lastVotes()));
+            }
+            maybe_timed(r.timing.update, SpanPhase::SimUpdate, [&] {
+                predictor.update(snap, taken, predicted);
+            });
+            walk.ghist.push(taken);
+            ++r.condBranches;
+        }
+
+        maybe_timed(r.timing.history, SpanPhase::SimHistory, [&] {
+            if (last > first) {
+                const uint8_t raw = stream.branchRaw(last - 1);
+                walk.lghist.onBranchBlock(
+                    block_addr + uint64_t(raw >> 1) * kInstrBytes,
+                    (raw & 1) != 0);
+                ++r.lghistBits;
+            }
+            walk.delayed.advance(walk.lghist.value());
+        });
+        walk.pathX = walk.pathY;
+        walk.pathY = walk.pathZ;
+        walk.pathZ = block_addr;
+    }
 }
 
 /**
- * The sampled fused walk: the plan's windows in stream order over one
- * shared walk state, all lanes stepped together. Warmup ranges run on
- * the untimed, event-free instantiation into throwaway results with
- * per-lane stats gated off, so the fused group steppers (and the SIMD
- * lane stepping under them) serve warmup and measurement unchanged.
- * Per-window, per-lane measured tallies land in @p tallies
- * (tallies[lane][window]) for the stratified extrapolation.
+ * The windowed driver, shared by the production walk and the oracle:
+ * @p windows in stream order over one evolving walk state. Each window
+ * not contiguous with the previous one resets the history state and
+ * the bank recurrence and is primed by its warmup range, which runs
+ * into throwaway results with every lane's stats gated off and no
+ * timers or events. Predictor tables are never reset between windows.
+ * Each lane with tallies gets its measured mispredictions per window.
+ *
+ * @p range(lanes, walk, begin, end, branch_seq_base, measured) walks
+ * one block range for every lane.
  */
-template <class Predictor, bool LghistMode, bool Timed, bool HasEvents>
+template <class Predictor, class Range>
 void
-runSampledFusedKernel(
-    const BlockStream &stream, FusedLaneState<Predictor> *lanes,
-    size_t nlanes, const SimConfig &config, BankScheduler &bank_sched,
-    const SamplePlan &plan,
-    std::vector<std::vector<SampledWindowTally>> &tallies)
+runWindows(FusedLaneState<Predictor> *lanes, size_t nlanes,
+           const SimConfig &config, BankScheduler &bank_sched,
+           const std::vector<SampledWindow> &windows, Range &&range)
 {
     checkFusedLanes(lanes, nlanes);
-    tallies.assign(nlanes, {});
-
     const bool lghist_path = config.history == HistoryMode::LghistPath;
 
-    // Warmup lanes: same predictors, throwaway results, no events.
     std::vector<SimResult> warm_sinks(nlanes);
     std::vector<FusedLaneState<Predictor>> warm_lanes(nlanes);
     for (size_t l = 0; l < nlanes; ++l) {
@@ -693,19 +499,17 @@ runSampledFusedKernel(
 
     KernelWalkState walk(lghist_path, config.historyAge);
     uint64_t next_block = ~uint64_t{0};
-    for (const SampledWindow &w : plan.windows) {
+    for (const SampledWindow &w : windows) {
         if (w.blockBegin != next_block) {
             walk = KernelWalkState(lghist_path, config.historyAge);
             bank_sched = BankScheduler();
             if (w.warmupBlockBegin < w.blockBegin) {
                 for (size_t l = 0; l < nlanes; ++l)
                     lanes[l].predictor->enableStats(false);
-                runFusedStreamKernelRange<Predictor, LghistMode, false,
-                                          false>(
-                    stream, warm_lanes.data(), nlanes, config,
-                    bank_sched,
-                    static_cast<size_t>(w.warmupBlockBegin),
-                    static_cast<size_t>(w.blockBegin), walk, 0);
+                range(warm_lanes.data(), walk,
+                      static_cast<size_t>(w.warmupBlockBegin),
+                      static_cast<size_t>(w.blockBegin), uint64_t{0},
+                      false);
                 for (size_t l = 0; l < nlanes; ++l)
                     lanes[l].predictor->enableStats(
                         lanes[l].statsWanted);
@@ -714,26 +518,31 @@ runSampledFusedKernel(
         uint64_t misp0[kMaxFusedLanes];
         for (size_t l = 0; l < nlanes; ++l)
             misp0[l] = lanes[l].result->stats.mispredictions();
-        runFusedStreamKernelRange<Predictor, LghistMode, Timed,
-                                  HasEvents>(
-            stream, lanes, nlanes, config, bank_sched,
-            static_cast<size_t>(w.blockBegin),
-            static_cast<size_t>(w.blockEnd), walk, w.branchSeqBase);
+        range(lanes, walk, static_cast<size_t>(w.blockBegin),
+              static_cast<size_t>(w.blockEnd), w.branchSeqBase, true);
         for (size_t l = 0; l < nlanes; ++l) {
-            tallies[l].push_back(
-                {w.phaseId, w.branches, w.instrs,
-                 lanes[l].result->stats.mispredictions() - misp0[l]});
+            if (lanes[l].tallies) {
+                lanes[l].tallies->push_back(
+                    {w.phaseId, w.branches, w.instrs,
+                     lanes[l].result->stats.mispredictions() - misp0[l]});
+            }
         }
         next_block = w.blockEnd;
     }
 }
 
-/** Resolves the runtime flags to the matching fused instantiation. */
+/**
+ * Resolves the runtime flags to the matching production instantiation
+ * and walks @p windows with it; warmup ranges take the untimed,
+ * event-free instantiation, so the group steppers (and the SIMD lane
+ * stepping under them) serve warmup and measurement alike.
+ */
 template <class Predictor>
 void
 dispatchFusedKernel(const BlockStream &stream,
                     FusedLaneState<Predictor> *lanes, size_t nlanes,
-                    const SimConfig &config, BankScheduler &bank_sched)
+                    const SimConfig &config, BankScheduler &bank_sched,
+                    const std::vector<SampledWindow> &windows)
 {
     const bool lg = config.history != HistoryMode::Ghist;
     const bool timed = config.profileTiming;
@@ -742,43 +551,24 @@ dispatchFusedKernel(const BlockStream &stream,
         events |= lanes[l].events != nullptr;
 
     auto run = [&](auto lg_c, auto timed_c, auto events_c) {
-        runFusedStreamKernel<Predictor, decltype(lg_c)::value,
-                             decltype(timed_c)::value,
-                             decltype(events_c)::value>(
-            stream, lanes, nlanes, config, bank_sched);
-    };
-    using F = std::false_type;
-    using T = std::true_type;
-    if (lg) {
-        if (timed)
-            return events ? run(T{}, T{}, T{}) : run(T{}, T{}, F{});
-        return events ? run(T{}, F{}, T{}) : run(T{}, F{}, F{});
-    }
-    if (timed)
-        return events ? run(F{}, T{}, T{}) : run(F{}, T{}, F{});
-    return events ? run(F{}, F{}, T{}) : run(F{}, F{}, F{});
-}
-
-/** Resolves the runtime flags for the sampled fused walk. */
-template <class Predictor>
-void
-dispatchSampledFusedKernel(
-    const BlockStream &stream, FusedLaneState<Predictor> *lanes,
-    size_t nlanes, const SimConfig &config, BankScheduler &bank_sched,
-    const SamplePlan &plan,
-    std::vector<std::vector<SampledWindowTally>> &tallies)
-{
-    const bool lg = config.history != HistoryMode::Ghist;
-    const bool timed = config.profileTiming;
-    bool events = false;
-    for (size_t l = 0; l < nlanes; ++l)
-        events |= lanes[l].events != nullptr;
-
-    auto run = [&](auto lg_c, auto timed_c, auto events_c) {
-        runSampledFusedKernel<Predictor, decltype(lg_c)::value,
-                              decltype(timed_c)::value,
-                              decltype(events_c)::value>(
-            stream, lanes, nlanes, config, bank_sched, plan, tallies);
+        constexpr bool Lg = decltype(lg_c)::value;
+        runWindows(
+            lanes, nlanes, config, bank_sched, windows,
+            [&](FusedLaneState<Predictor> *ls, KernelWalkState &walk,
+                size_t begin, size_t end, uint64_t seq, bool measured) {
+                if (measured) {
+                    runFusedStreamKernelRange<Predictor, Lg,
+                                              decltype(timed_c)::value,
+                                              decltype(events_c)::value>(
+                        stream, ls, nlanes, config, bank_sched, begin,
+                        end, walk, seq);
+                } else {
+                    runFusedStreamKernelRange<Predictor, Lg, false,
+                                              false>(
+                        stream, ls, nlanes, config, bank_sched, begin,
+                        end, walk, seq);
+                }
+            });
     };
     using F = std::false_type;
     using T = std::true_type;

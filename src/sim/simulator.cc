@@ -59,8 +59,8 @@ publishSimMetrics(MetricRegistry &registry, const SimResult &result,
 }
 
 /**
- * Escape hatch for A/B-testing the devirtualized kernel against the
- * generic instantiation (the determinism gate in CI sets this).
+ * Runs the oracle instead of the production walk, so the byte-identity
+ * gates can compare the two (the determinism gate in CI sets this).
  * Strictly parsed: only "0"/"1" are accepted (exit 2 otherwise).
  */
 bool
@@ -161,51 +161,125 @@ finalizeSampledResult(SimResult &result, const SamplePlan &plan,
 
 } // namespace
 
-SimResult
-simulateStream(const BlockStream &stream,
-               ConditionalBranchPredictor &predictor,
-               const SimConfig &config)
+std::vector<SimResult>
+simulateStreamFused(const BlockStream &stream,
+                    const std::vector<FusedLane> &lanes,
+                    const SimConfig &config, const SamplePlan *plan)
 {
+    const size_t n = lanes.size();
+    std::vector<SimResult> results(n);
+    std::vector<std::vector<detail::SampledWindowTally>> tallies(n);
+
+    // An exact run is one window over the whole stream, no warmup.
+    SampledWindow whole;
+    whole.blockEnd = stream.blocks();
+    const std::vector<SampledWindow> exact{whole};
+    const std::vector<SampledWindow> &windows =
+        plan ? plan->windows : exact;
+
     // Internal predictor tallies only matter when they will be
     // published; leave them off otherwise so uninstrumented runs pay
     // nothing on the per-branch path.
-    predictor.enableStats(config.metrics != nullptr);
+    for (size_t i = 0; i < n; ++i) {
+        lanes[i].predictor->enableStats(lanes[i].metrics != nullptr);
+        if (!plan)
+            results[i].stats.setInstructions(stream.instructions());
+    }
+    auto lane_state = [&]<class P>(std::type_identity<P>, size_t i) {
+        detail::FusedLaneState<P> s;
+        s.predictor = static_cast<P *>(lanes[i].predictor);
+        s.result = &results[i];
+        s.events = lanes[i].events;
+        s.statsWanted = lanes[i].metrics != nullptr;
+        s.tallies = plan ? &tallies[i] : nullptr;
+        return s;
+    };
 
-    BankScheduler bank_sched;
-    SimResult result;
+    // Bank assignment is a pure function of the block-address sequence,
+    // so every walk reproduces the same scheduler state; any walk's copy
+    // serves all lanes' metrics.
+    BankScheduler metrics_sched;
 
-    // Devirtualize for the predictor classes that dominate the paper's
-    // experiment grids. Every other type (and forced-generic runs)
-    // takes the same kernel template through the virtual base class.
-    const bool generic =
-        config.forceGenericKernel || genericKernelForced();
-    if (generic) {
-        result = detail::dispatchStreamKernel(stream, predictor, config,
-                                              bank_sched);
-    } else if (auto *p = dynamic_cast<TwoBcGskewPredictor *>(&predictor)) {
-        result =
-            detail::dispatchStreamKernel(stream, *p, config, bank_sched);
-    } else if (auto *p = dynamic_cast<GsharePredictor *>(&predictor)) {
-        result =
-            detail::dispatchStreamKernel(stream, *p, config, bank_sched);
-    } else if (auto *p = dynamic_cast<Ev8Predictor *>(&predictor)) {
-        result =
-            detail::dispatchStreamKernel(stream, *p, config, bank_sched);
-    } else if (auto *p = dynamic_cast<EgskewPredictor *>(&predictor)) {
-        result =
-            detail::dispatchStreamKernel(stream, *p, config, bank_sched);
-    } else if (auto *p = dynamic_cast<BimodalPredictor *>(&predictor)) {
-        result =
-            detail::dispatchStreamKernel(stream, *p, config, bank_sched);
+    if (config.forceGenericKernel || genericKernelForced()) {
+        // The oracle: every lane walks alone through the virtual
+        // interface.
+        for (size_t i = 0; i < n; ++i) {
+            auto lane = lane_state(
+                std::type_identity<ConditionalBranchPredictor>{}, i);
+            BankScheduler sched;
+            detail::runWindows(
+                &lane, 1, config, sched, windows,
+                [&](auto *ls, detail::KernelWalkState &walk, size_t begin,
+                    size_t end, uint64_t seq, bool measured) {
+                    detail::runOracleRange(
+                        stream, *ls, config,
+                        measured && config.profileTiming, sched, begin,
+                        end, walk, seq);
+                });
+            metrics_sched = sched;
+        }
     } else {
-        result = detail::dispatchStreamKernel(stream, predictor, config,
-                                              bank_sched);
+        // Production: lanes partitioned by concrete type, so each
+        // partition's walk is devirtualized; claimed[] keeps a lane in
+        // exactly one partition, and the ConditionalBranchPredictor
+        // bucket takes whatever no concrete bucket claims.
+        std::vector<char> claimed(n, 0);
+        auto run_bucket = [&]<class P>(std::type_identity<P>) {
+            std::vector<size_t> members;
+            for (size_t i = 0; i < n; ++i) {
+                if (!claimed[i]
+                    && (std::is_same_v<P, ConditionalBranchPredictor>
+                        || dynamic_cast<P *>(lanes[i].predictor))) {
+                    members.push_back(i);
+                    claimed[i] = 1;
+                }
+            }
+            // Chunk oversized partitions: each chunk is one extra
+            // stream walk, still never more walks than lanes.
+            for (size_t beg = 0; beg < members.size();
+                 beg += kMaxFusedLanes) {
+                const size_t cnt =
+                    std::min(kMaxFusedLanes, members.size() - beg);
+                std::array<detail::FusedLaneState<P>, kMaxFusedLanes>
+                    state;
+                for (size_t k = 0; k < cnt; ++k)
+                    state[k] = lane_state(std::type_identity<P>{},
+                                          members[beg + k]);
+                BankScheduler sched;
+                detail::dispatchFusedKernel<P>(stream, state.data(), cnt,
+                                               config, sched, windows);
+                metrics_sched = sched;
+            }
+        };
+        run_bucket(std::type_identity<TwoBcGskewPredictor>{});
+        run_bucket(std::type_identity<GsharePredictor>{});
+        run_bucket(std::type_identity<Ev8Predictor>{});
+        run_bucket(std::type_identity<EgskewPredictor>{});
+        run_bucket(std::type_identity<BimodalPredictor>{});
+        run_bucket(std::type_identity<YagsPredictor>{});
+        run_bucket(std::type_identity<BimodePredictor>{});
+        run_bucket(std::type_identity<ConditionalBranchPredictor>{});
     }
 
-    if (config.metrics)
-        publishSimMetrics(*config.metrics, result, config, bank_sched);
+    for (size_t i = 0; i < n; ++i) {
+        if (plan)
+            finalizeSampledResult(results[i], *plan, tallies[i]);
+        if (lanes[i].metrics) {
+            publishSimMetrics(*lanes[i].metrics, results[i], config,
+                              metrics_sched);
+        }
+    }
+    return results;
+}
 
-    return result;
+SimResult
+simulateStream(const BlockStream &stream,
+               ConditionalBranchPredictor &predictor,
+               const SimConfig &config, const SamplePlan *plan)
+{
+    return simulateStreamFused(
+        stream, {{&predictor, config.metrics, config.events}}, config,
+        plan)[0];
 }
 
 SimResult
@@ -213,223 +287,6 @@ simulateTrace(const Trace &trace, ConditionalBranchPredictor &predictor,
               const SimConfig &config)
 {
     return simulateStream(decodeBlockStream(trace), predictor, config);
-}
-
-std::vector<SimResult>
-simulateStreamFused(const BlockStream &stream,
-                    const std::vector<FusedLane> &lanes,
-                    const SimConfig &config)
-{
-    const size_t n = lanes.size();
-    std::vector<SimResult> results(n);
-    if (n == 0)
-        return results;
-
-    for (const FusedLane &lane : lanes)
-        lane.predictor->enableStats(lane.metrics != nullptr);
-
-    // Partition the lanes by concrete type so each partition runs the
-    // kernel devirtualized. claimed[] keeps a lane in exactly one
-    // partition; whatever no bucket claims takes the generic walk.
-    std::vector<char> claimed(n, 0);
-
-    // Bank assignment is a pure function of the block-address sequence,
-    // so every partition's walk reproduces the same scheduler state;
-    // the first finished walk's copy serves all lanes' metrics.
-    BankScheduler metrics_sched;
-    bool have_sched = false;
-
-    auto run_bucket = [&]<class P>(std::type_identity<P>) {
-        std::vector<size_t> members;
-        for (size_t i = 0; i < n; ++i) {
-            if (claimed[i])
-                continue;
-            if constexpr (std::is_same_v<P, ConditionalBranchPredictor>) {
-                members.push_back(i);
-                claimed[i] = 1;
-            } else if (dynamic_cast<P *>(lanes[i].predictor)) {
-                members.push_back(i);
-                claimed[i] = 1;
-            }
-        }
-        // Chunk oversized partitions: each chunk is one extra stream
-        // walk, still never more walks than lanes.
-        for (size_t beg = 0; beg < members.size();
-             beg += kMaxFusedLanes) {
-            const size_t cnt =
-                std::min(kMaxFusedLanes, members.size() - beg);
-            std::array<detail::FusedLaneState<P>, kMaxFusedLanes> state;
-            for (size_t k = 0; k < cnt; ++k) {
-                const size_t i = members[beg + k];
-                state[k].predictor =
-                    static_cast<P *>(lanes[i].predictor);
-                state[k].result = &results[i];
-                state[k].events = lanes[i].events;
-            }
-            BankScheduler sched;
-            detail::dispatchFusedKernel<P>(stream, state.data(), cnt,
-                                           config, sched);
-            if (!have_sched) {
-                metrics_sched = sched;
-                have_sched = true;
-            }
-        }
-    };
-
-    const bool generic =
-        config.forceGenericKernel || genericKernelForced();
-    if (!generic) {
-        run_bucket(std::type_identity<TwoBcGskewPredictor>{});
-        run_bucket(std::type_identity<GsharePredictor>{});
-        run_bucket(std::type_identity<Ev8Predictor>{});
-        run_bucket(std::type_identity<EgskewPredictor>{});
-        run_bucket(std::type_identity<BimodalPredictor>{});
-        run_bucket(std::type_identity<YagsPredictor>{});
-        run_bucket(std::type_identity<BimodePredictor>{});
-    }
-    run_bucket(std::type_identity<ConditionalBranchPredictor>{});
-
-    for (size_t i = 0; i < n; ++i) {
-        if (lanes[i].metrics) {
-            publishSimMetrics(*lanes[i].metrics, results[i], config,
-                              metrics_sched);
-        }
-    }
-    return results;
-}
-
-SimResult
-simulateStreamSampled(const BlockStream &stream,
-                      ConditionalBranchPredictor &predictor,
-                      const SimConfig &config, const SamplePlan &plan)
-{
-    predictor.enableStats(config.metrics != nullptr);
-
-    BankScheduler bank_sched;
-    std::vector<detail::SampledWindowTally> tallies;
-    SimResult result;
-
-    // Same devirtualization ladder as simulateStream(): the sampled
-    // walk reuses the exact kernel's range core, so every predictor
-    // class that has a specialized exact walk has a specialized
-    // sampled one too.
-    const bool generic =
-        config.forceGenericKernel || genericKernelForced();
-    if (generic) {
-        result = detail::dispatchSampledStreamKernel(
-            stream, predictor, config, bank_sched, plan, tallies);
-    } else if (auto *p = dynamic_cast<TwoBcGskewPredictor *>(&predictor)) {
-        result = detail::dispatchSampledStreamKernel(
-            stream, *p, config, bank_sched, plan, tallies);
-    } else if (auto *p = dynamic_cast<GsharePredictor *>(&predictor)) {
-        result = detail::dispatchSampledStreamKernel(
-            stream, *p, config, bank_sched, plan, tallies);
-    } else if (auto *p = dynamic_cast<Ev8Predictor *>(&predictor)) {
-        result = detail::dispatchSampledStreamKernel(
-            stream, *p, config, bank_sched, plan, tallies);
-    } else if (auto *p = dynamic_cast<EgskewPredictor *>(&predictor)) {
-        result = detail::dispatchSampledStreamKernel(
-            stream, *p, config, bank_sched, plan, tallies);
-    } else if (auto *p = dynamic_cast<BimodalPredictor *>(&predictor)) {
-        result = detail::dispatchSampledStreamKernel(
-            stream, *p, config, bank_sched, plan, tallies);
-    } else {
-        result = detail::dispatchSampledStreamKernel(
-            stream, predictor, config, bank_sched, plan, tallies);
-    }
-
-    finalizeSampledResult(result, plan, tallies);
-
-    if (config.metrics)
-        publishSimMetrics(*config.metrics, result, config, bank_sched);
-
-    return result;
-}
-
-std::vector<SimResult>
-simulateStreamFusedSampled(const BlockStream &stream,
-                           const std::vector<FusedLane> &lanes,
-                           const SimConfig &config,
-                           const SamplePlan &plan)
-{
-    const size_t n = lanes.size();
-    std::vector<SimResult> results(n);
-    if (n == 0)
-        return results;
-
-    for (const FusedLane &lane : lanes)
-        lane.predictor->enableStats(lane.metrics != nullptr);
-
-    std::vector<char> claimed(n, 0);
-
-    BankScheduler metrics_sched;
-    bool have_sched = false;
-
-    auto run_bucket = [&]<class P>(std::type_identity<P>) {
-        std::vector<size_t> members;
-        for (size_t i = 0; i < n; ++i) {
-            if (claimed[i])
-                continue;
-            if constexpr (std::is_same_v<P, ConditionalBranchPredictor>) {
-                members.push_back(i);
-                claimed[i] = 1;
-            } else if (dynamic_cast<P *>(lanes[i].predictor)) {
-                members.push_back(i);
-                claimed[i] = 1;
-            }
-        }
-        for (size_t beg = 0; beg < members.size();
-             beg += kMaxFusedLanes) {
-            const size_t cnt =
-                std::min(kMaxFusedLanes, members.size() - beg);
-            std::array<detail::FusedLaneState<P>, kMaxFusedLanes> state;
-            for (size_t k = 0; k < cnt; ++k) {
-                const size_t i = members[beg + k];
-                state[k].predictor =
-                    static_cast<P *>(lanes[i].predictor);
-                state[k].result = &results[i];
-                state[k].events = lanes[i].events;
-                // The sampled walk toggles stats off for warmup
-                // ranges and back to this after.
-                state[k].statsWanted = lanes[i].metrics != nullptr;
-            }
-            BankScheduler sched;
-            std::vector<std::vector<detail::SampledWindowTally>>
-                tallies;
-            detail::dispatchSampledFusedKernel<P>(
-                stream, state.data(), cnt, config, sched, plan,
-                tallies);
-            for (size_t k = 0; k < cnt; ++k) {
-                finalizeSampledResult(results[members[beg + k]], plan,
-                                      tallies[k]);
-            }
-            if (!have_sched) {
-                metrics_sched = sched;
-                have_sched = true;
-            }
-        }
-    };
-
-    const bool generic =
-        config.forceGenericKernel || genericKernelForced();
-    if (!generic) {
-        run_bucket(std::type_identity<TwoBcGskewPredictor>{});
-        run_bucket(std::type_identity<GsharePredictor>{});
-        run_bucket(std::type_identity<Ev8Predictor>{});
-        run_bucket(std::type_identity<EgskewPredictor>{});
-        run_bucket(std::type_identity<BimodalPredictor>{});
-        run_bucket(std::type_identity<YagsPredictor>{});
-        run_bucket(std::type_identity<BimodePredictor>{});
-    }
-    run_bucket(std::type_identity<ConditionalBranchPredictor>{});
-
-    for (size_t i = 0; i < n; ++i) {
-        if (lanes[i].metrics) {
-            publishSimMetrics(*lanes[i].metrics, results[i], config,
-                              metrics_sched);
-        }
-    }
-    return results;
 }
 
 } // namespace ev8

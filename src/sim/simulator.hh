@@ -68,12 +68,11 @@ struct SimConfig
     bool profileTiming = false;        //!< fill SimResult::timing
 
     /**
-     * Skip the devirtualized kernel specializations and run the
-     * generic (virtual-dispatch) instantiation even for known
-     * predictor types. The specialized and generic paths share one
-     * kernel template and must produce identical results; this flag
-     * (or the EV8_GENERIC_KERNEL environment variable) exists so tests
-     * and CI can prove it byte-for-byte.
+     * Run the oracle -- the readable one-lane walk through the virtual
+     * predictor interface -- instead of the production walk. The two
+     * must produce identical results; this flag (or the
+     * EV8_GENERIC_KERNEL environment variable) exists so tests and CI
+     * can prove it byte-for-byte.
      */
     bool forceGenericKernel = false;
 
@@ -155,19 +154,6 @@ SimResult simulateTrace(const Trace &trace,
                         ConditionalBranchPredictor &predictor,
                         const SimConfig &config);
 
-/**
- * Runs @p predictor over a pre-decoded block stream -- the hot path of
- * the experiment engine. Known predictor types are dispatched to a
- * kernel specialized on the concrete class and on the config's static
- * flags (history mode, timing, event sink); everything else takes the
- * same kernel instantiated with virtual dispatch. Results, metrics and
- * emitted events are identical on both paths, and identical to
- * simulateTrace() over the trace the stream was decoded from.
- */
-SimResult simulateStream(const BlockStream &stream,
-                         ConditionalBranchPredictor &predictor,
-                         const SimConfig &config);
-
 /** Most lanes one fused kernel walk will drive (SoA array bound). */
 constexpr size_t kMaxFusedLanes = 64;
 
@@ -190,37 +176,36 @@ struct FusedLane
  * work. All lanes observe the history configuration of @p config
  * (whose metrics/events members are ignored -- sinks are per lane).
  *
- * Lanes are internally partitioned by concrete predictor type so each
- * partition runs the kernel devirtualized on that type (a mixed-type
- * lane set costs one stream walk per distinct type, never more than
- * the per-cell path's one walk per lane); unknown types share one
- * virtual-dispatch walk. Every lane's SimResult, published metrics and
- * emitted events are bit-identical to a simulateStream() call for that
- * (predictor, config) pair.
+ * Without @p plan the walk is exact: one window over the whole stream.
+ * With one, it walks only the plan's windows (each primed by its
+ * warmup prefix, stats gated off during warmup) and extrapolates
+ * whole-trace stats per phase, with a stratified 95% confidence
+ * interval in SimResult::sampled.
+ *
+ * Lanes are partitioned by concrete predictor type so each partition
+ * runs the walk devirtualized on that type (a mixed-type lane set
+ * costs one stream walk per distinct type); types without a partition
+ * share one walk through the virtual interface. With
+ * SimConfig::forceGenericKernel or EV8_GENERIC_KERNEL=1 every lane
+ * instead takes the oracle, a one-lane virtual walk that is the
+ * readable reference. Every lane's SimResult, published metrics and
+ * emitted events are bit-identical on both, and independent of which
+ * lanes share the call.
  */
 std::vector<SimResult> simulateStreamFused(
     const BlockStream &stream, const std::vector<FusedLane> &lanes,
-    const SimConfig &config);
+    const SimConfig &config, const SamplePlan *plan = nullptr);
 
 /**
- * Sampled sibling of simulateStream(): runs only @p plan's windows
- * (each primed by its warmup prefix, stats gated off during warmup)
- * and extrapolates whole-trace stats per phase, with a stratified 95%
- * confidence interval in SimResult::sampled. Same devirtualized
- * dispatch as the exact path.
+ * One-lane simulateStreamFused(), the lane's sinks taken from
+ * @p config: runs @p predictor over a pre-decoded block stream, exact
+ * or (with @p plan) sampled. Identical to simulateTrace() over the
+ * trace the stream was decoded from.
  */
-SimResult simulateStreamSampled(const BlockStream &stream,
-                                ConditionalBranchPredictor &predictor,
-                                const SimConfig &config,
-                                const SamplePlan &plan);
-
-/**
- * Sampled sibling of simulateStreamFused(): one windowed walk drives
- * every lane, group steppers and SIMD lane stepping unchanged.
- */
-std::vector<SimResult> simulateStreamFusedSampled(
-    const BlockStream &stream, const std::vector<FusedLane> &lanes,
-    const SimConfig &config, const SamplePlan &plan);
+SimResult simulateStream(const BlockStream &stream,
+                         ConditionalBranchPredictor &predictor,
+                         const SimConfig &config,
+                         const SamplePlan *plan = nullptr);
 
 } // namespace ev8
 

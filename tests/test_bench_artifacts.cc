@@ -180,9 +180,9 @@ TEST(BenchArtifacts, GenericKernelIsByteIdenticalToDevirtualized)
     if (!std::ifstream(binary).good())
         GTEST_SKIP() << "bench binary not built: " << binary;
 
-    // The devirtualized kernel specializations must be a pure speed
-    // change: forcing the virtual-dispatch instantiation through
-    // EV8_GENERIC_KERNEL has to reproduce every artifact byte.
+    // The production walk must be a pure speed change: forcing the
+    // oracle through EV8_GENERIC_KERNEL has to reproduce every
+    // artifact byte.
     const std::string dir = ::testing::TempDir();
     auto artifacts = [&](const std::string &tag, const char *env) {
         const std::string base = dir + "ev8_fig6_kern_" + tag;
@@ -222,8 +222,8 @@ TEST(BenchArtifacts, FusedRunsAreByteIdenticalToPerCell)
     if (!std::ifstream(binary).good())
         GTEST_SKIP() << "bench binary not built: " << binary;
 
-    // Grid fusion is a pure speed change: EV8_FUSED=0 (one walk per
-    // cell) and EV8_FUSED=1 (one walk per fused lane group) must emit
+    // Grid fusion is a pure speed change: EV8_FUSED_LANES=1 (one walk
+    // per cell) and the default (one walk per fused lane group) must emit
     // identical artifact bytes at any worker count.
     const std::string dir = ::testing::TempDir();
     auto artifacts = [&](const std::string &tag, const char *env,
@@ -243,11 +243,10 @@ TEST(BenchArtifacts, FusedRunsAreByteIdenticalToPerCell)
                                           slurp(base + ".jsonl")};
     };
 
-    auto percell = artifacts("percell_j1", "EV8_FUSED=0 ", 1);
-    auto fused_j1 = artifacts("fused_j1", "EV8_FUSED=1 ", 1);
-    auto fused_j4 = artifacts("fused_j4", "EV8_FUSED=1 ", 4);
-    auto narrow =
-        artifacts("fused_l2", "EV8_FUSED=1 EV8_FUSED_LANES=2 ", 1);
+    auto percell = artifacts("percell_j1", "EV8_FUSED_LANES=1 ", 1);
+    auto fused_j1 = artifacts("fused_j1", "EV8_FUSED_LANES=64 ", 1);
+    auto fused_j4 = artifacts("fused_j4", "EV8_FUSED_LANES=64 ", 4);
+    auto narrow = artifacts("fused_l2", "EV8_FUSED_LANES=2 ", 1);
     ASSERT_FALSE(percell[0].empty());
     ASSERT_FALSE(percell[2].empty()) << "no events sampled";
     for (auto *run : {&percell, &fused_j1, &fused_j4, &narrow})

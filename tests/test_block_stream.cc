@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for pre-decoded block streams and the devirtualized simulation
- * kernel built on them: decode equivalence against FetchBlockBuilder,
- * serialization round-trips with hostile-input rejection, and the
- * load-bearing property of the whole hot-path overhaul -- stream
- * simulation (specialized or generic kernel) is bit-for-bit the same
- * simulation as the original per-trace loop.
+ * Tests for pre-decoded block streams and the simulation walk built on
+ * them: decode equivalence against FetchBlockBuilder, serialization
+ * round-trips with hostile-input rejection, and the load-bearing
+ * property of the whole hot-path overhaul -- stream simulation (the
+ * production walk or the oracle) is bit-for-bit the same simulation as
+ * the per-trace loop.
  */
 
 #include <gtest/gtest.h>
@@ -203,6 +203,25 @@ TEST(StreamKernel, TimingFlagDoesNotChangeResults)
     EXPECT_EQ(ra.stats.mispredictions(), rb.stats.mispredictions());
     EXPECT_EQ(ra.condBranches, rb.condBranches);
     EXPECT_EQ(rb.timing.lookup.calls, rb.condBranches);
+}
+
+TEST(StreamKernel, OracleTimesTheSameCallsAsProduction)
+{
+    SimConfig timed = SimConfig::ev8();
+    timed.profileTiming = true;
+    SimConfig oracle = timed;
+    oracle.forceGenericKernel = true;
+
+    const BlockStream stream = decodeBlockStream(testTrace());
+    PredictorPtr a = make2BcGskew512K();
+    PredictorPtr b = make2BcGskew512K();
+    const SimResult ra = simulateStream(stream, *a, timed);
+    const SimResult rb = simulateStream(stream, *b, oracle);
+    EXPECT_EQ(ra.stats.mispredictions(), rb.stats.mispredictions());
+    EXPECT_EQ(ra.timing.lookup.calls, rb.timing.lookup.calls);
+    EXPECT_EQ(ra.timing.update.calls, rb.timing.update.calls);
+    EXPECT_EQ(ra.timing.history.calls, rb.timing.history.calls);
+    EXPECT_EQ(rb.timing.history.calls, rb.fetchBlocks);
 }
 
 } // namespace

@@ -22,6 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <signal.h>
+
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -44,6 +47,15 @@ namespace
 {
 
 constexpr const char *kTinyScale = "3000";
+
+/** The external stop flag; onStopSignal is its only writer. */
+volatile std::sig_atomic_t g_stopSignal = 0;
+
+void
+onStopSignal(int)
+{
+    g_stopSignal = 1;
+}
 
 /** A ServeDaemon running on a test-unique AF_UNIX socket. */
 class LiveDaemon
@@ -83,6 +95,16 @@ class LiveDaemon
     void join()
     {
         runner_.join();
+    }
+
+    /**
+     * Delivers @p signo to the thread running the daemon loop, as in
+     * bench_serve, whose main thread both runs the loop and takes the
+     * stop signals.
+     */
+    void signal(int signo)
+    {
+        EXPECT_EQ(::pthread_kill(runner_.native_handle(), signo), 0);
     }
 
   private:
@@ -344,16 +366,21 @@ TEST(Daemon, ExternalStopDrainsInFlightAndRefusesNewSessions)
     ScopedEnv noFault("EV8_FAULT_SPEC", nullptr);
     ScopedEnv noCkpt("EV8_CHECKPOINT_DIR", nullptr);
 
-    static volatile std::sig_atomic_t stop;
-    stop = 0;
-    LiveDaemon live(ServeLimits{}, /*drain_ms=*/30000, &stop);
+    // As in bench_serve, a signal handler is the flag's only writer.
+    g_stopSignal = 0;
+    struct sigaction handler = {};
+    struct sigaction saved = {};
+    handler.sa_handler = onStopSignal;
+    sigemptyset(&handler.sa_mask);
+    ASSERT_EQ(::sigaction(SIGUSR1, &handler, &saved), 0);
+    LiveDaemon live(ServeLimits{}, /*drain_ms=*/30000, &g_stopSignal);
 
     Client worker(live);
     worker.callOk(openLine("inflight"));
     worker.callOk(opLine("start", "inflight"));
 
     Client late(live); // connected before the stop, open comes after
-    stop = 1;
+    live.signal(SIGUSR1);
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
     // Admission is closed with a typed refusal...
@@ -368,6 +395,7 @@ TEST(Daemon, ExternalStopDrainsInFlightAndRefusesNewSessions)
 
     live.join();
     EXPECT_TRUE(live.daemon().drainedClean());
+    ::sigaction(SIGUSR1, &saved, nullptr);
 }
 
 } // namespace

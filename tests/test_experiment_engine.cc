@@ -24,42 +24,14 @@
 #include "sim/suite_runner.hh"
 #include "sim/sweep.hh"
 
+#include "scoped_env.hh"
+
 namespace ev8
 {
 namespace
 {
 
 constexpr uint64_t kTinyScale = 3000;
-
-/** Sets an environment variable for one scope, restoring on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name))
-            saved_ = old;
-        else
-            hadValue_ = false;
-        if (value)
-            ::setenv(name, value, /*overwrite=*/1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadValue_)
-            ::setenv(name_.c_str(), saved_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string saved_;
-    bool hadValue_ = true;
-};
 
 TEST(ExperimentEngine, DefaultJobsHonoursEnvVariable)
 {

@@ -16,40 +16,12 @@
 
 #include "sim/fault_injection.hh"
 
+#include "scoped_env.hh"
+
 namespace ev8
 {
 namespace
 {
-
-/** Sets an environment variable for one scope, restoring on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name))
-            saved_ = old;
-        else
-            hadValue_ = false;
-        if (value)
-            ::setenv(name, value, /*overwrite=*/1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadValue_)
-            ::setenv(name_.c_str(), saved_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string saved_;
-    bool hadValue_ = true;
-};
 
 TEST(FaultInjector, DefaultConstructedInjectsNothing)
 {

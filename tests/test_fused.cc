@@ -2,9 +2,11 @@
  * @file
  * Tests for fused multi-configuration simulation: the guarantee that a
  * fused walk -- one stream pass driving N predictor lanes -- produces
- * *exactly* what N independent simulateStream() calls produce, for any
- * lane mix, any lane cap and either EV8_FUSED mode, down to the bytes
- * of the merged metric registry and the sampled event stream.
+ * *exactly* what N independent oracle runs (forceGenericKernel, the
+ * one-lane virtual walk) produce, for any lane mix and any lane cap
+ * (EV8_FUSED_LANES=1: one one-lane walk per cell), exact or
+ * phase-sampled, down to the bytes of
+ * the merged metric registry and the sampled event stream.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include "predictors/factory.hh"
 #include "sim/block_stream.hh"
 #include "sim/experiment.hh"
+#include "sim/phase/sample_plan.hh"
 #include "sim/simulator.hh"
 #include "sim/suite_runner.hh"
 #include "workloads/suite.hh"
@@ -40,13 +43,13 @@ std::vector<std::string>
 laneSpecs()
 {
     return {
-        "gshare:12:8",             // FusedLaneIndexed, shared walk
+        "gshare:12:8",             // FusedGroupStepped, shared walk
         "gshare:12:12",            // second lane of the same bucket
-        "bimodal:10",              // FusedLaneIndexed, history-free
-        "2bcgskew:12:0:13:14:15",  // FusedSteppable
+        "bimodal:10",              // FusedGroupStepped, history-free
+        "2bcgskew:12:0:13:14:15",  // FusedGroupStepped
         "egskew:12:10",            // FusedSteppable
-        "yags:10:10:10",           // devirtualized predict/update
-        "bimode:10:10:10",         // devirtualized predict/update
+        "yags:10:10:10",           // FusedSteppable
+        "bimode:10:10:10",         // FusedSteppable
         "perceptron:10:16",        // generic (virtual) bucket
     };
 }
@@ -64,6 +67,15 @@ expectSameResult(const SimResult &fused, const SimResult &ref,
     EXPECT_EQ(fused.lghistBits, ref.lghistBits) << label;
     EXPECT_EQ(fused.condBranches, ref.condBranches) << label;
     EXPECT_EQ(fused.branchesPerBlock, ref.branchesPerBlock) << label;
+    EXPECT_EQ(fused.sampled, ref.sampled) << label;
+}
+
+/** @p config with the oracle forced: the reference for every check. */
+SimConfig
+oracle(SimConfig config)
+{
+    config.forceGenericKernel = true;
+    return config;
 }
 
 class FusedKernelTest : public ::testing::TestWithParam<SimConfig>
@@ -72,8 +84,8 @@ class FusedKernelTest : public ::testing::TestWithParam<SimConfig>
 
 /**
  * The core contract, checked at the simulateStreamFused() level: a
- * heterogeneous lane set over one stream equals lane-by-lane
- * simulateStream(), for the paper's history configurations.
+ * heterogeneous lane set over one stream equals lane-by-lane oracle
+ * runs, for the paper's history configurations.
  */
 TEST_P(FusedKernelTest, MatchesPerLaneSimulation)
 {
@@ -94,7 +106,7 @@ TEST_P(FusedKernelTest, MatchesPerLaneSimulation)
     ASSERT_EQ(fused.size(), lanes.size());
     for (size_t i = 0; i < lanes.size(); ++i) {
         const SimResult ref =
-            simulateStream(stream, *ref_preds[i], config);
+            simulateStream(stream, *ref_preds[i], oracle(config));
         expectSameResult(fused[i], ref, laneSpecs()[i]);
     }
 }
@@ -107,7 +119,10 @@ INSTANTIATE_TEST_SUITE_P(
                                                         : "ev8";
     });
 
-/** A single-lane fused call is the degenerate case; it must also match. */
+/**
+ * A single cell is the degenerate one-lane walk: simulateStream() and a
+ * one-lane simulateStreamFused() must both match the oracle.
+ */
 TEST(FusedKernel, SingleLaneMatchesSimulateStream)
 {
     const Trace trace =
@@ -115,17 +130,21 @@ TEST(FusedKernel, SingleLaneMatchesSimulateStream)
     const BlockStream stream = decodeBlockStream(trace);
 
     auto fused_pred = makePredictor("gshare:12:10");
+    auto cell_pred = makePredictor("gshare:12:10");
     auto ref_pred = makePredictor("gshare:12:10");
     const auto fused = simulateStreamFused(
         stream, {{fused_pred.get(), nullptr, nullptr}},
         SimConfig::ghist());
+    const SimResult cell =
+        simulateStream(stream, *cell_pred, SimConfig::ghist());
     const SimResult ref =
-        simulateStream(stream, *ref_pred, SimConfig::ghist());
+        simulateStream(stream, *ref_pred, oracle(SimConfig::ghist()));
     ASSERT_EQ(fused.size(), 1u);
-    expectSameResult(fused[0], ref, "gshare:12:10");
+    expectSameResult(fused[0], ref, "gshare:12:10 fused");
+    expectSameResult(cell, ref, "gshare:12:10 simulateStream");
 }
 
-/** Per-lane metric sinks match what simulateStream publishes. */
+/** Per-lane metric sinks match what an oracle run publishes. */
 TEST(FusedKernel, PerLaneMetricsMatchPerCellMetrics)
 {
     const Trace trace =
@@ -148,7 +167,7 @@ TEST(FusedKernel, PerLaneMetricsMatchPerCellMetrics)
         auto ref_pred = makePredictor(
             i == 0 ? "2bcgskew:12:0:13:14:15" : "gshare:12:12");
         MetricRegistry ref_reg;
-        SimConfig ref_config = config;
+        SimConfig ref_config = oracle(config);
         ref_config.metrics = &ref_reg;
         simulateStream(stream, *ref_pred, ref_config);
 
@@ -159,18 +178,43 @@ TEST(FusedKernel, PerLaneMetricsMatchPerCellMetrics)
     }
 }
 
-/** One full observed grid run: merged metrics JSON + events JSONL. */
+/**
+ * One full observed grid run: merged metrics JSON, events JSONL and,
+ * when sampled, the artifact's per-cell "sampling" rows.
+ */
 struct ObservedGrid
 {
     std::vector<std::vector<BenchResult>> results;
     std::string metricsJson;
     std::string eventsJsonl;
+    std::vector<SuiteRunner::SampledCell> sampling;
 };
 
-ObservedGrid
-observedGrid(unsigned jobs)
+/**
+ * A fixed phase-sampling spec small enough for test traces: several
+ * phases and windows per benchmark, each with a warmup prefix.
+ */
+SampleSpec
+testSampleSpec()
 {
-    SuiteRunner runner(kTinyScale, jobs);
+    SampleSpec spec;
+    spec.active = true;
+    spec.budget = 8192;
+    spec.windowBranches = 512;
+    spec.warmupBranches = 512;
+    spec.seed = 3;
+    spec.maxPhases = 8;
+    return spec;
+}
+
+constexpr uint64_t kSampledScale = 40000;
+
+ObservedGrid
+observedGrid(unsigned jobs, const SampleSpec *spec = nullptr)
+{
+    SuiteRunner runner(spec ? kSampledScale : kTinyScale, jobs);
+    if (spec)
+        runner.setSampleSpec(*spec);
     MetricRegistry metrics;
     std::ostringstream events;
     EventTraceSink sink(events, 8);
@@ -190,6 +234,7 @@ observedGrid(unsigned jobs)
     writeRegistryJson(metrics_json, metrics);
     run.metricsJson = metrics_json.str();
     run.eventsJsonl = events.str();
+    run.sampling = runner.sampledCells();
     EXPECT_GT(sink.emitted(), 0u);
     return run;
 }
@@ -208,23 +253,30 @@ expectSameGrid(const ObservedGrid &a, const ObservedGrid &b)
     }
     EXPECT_EQ(a.metricsJson, b.metricsJson);
     EXPECT_EQ(a.eventsJsonl, b.eventsJsonl);
+    ASSERT_EQ(a.sampling.size(), b.sampling.size());
+    for (size_t i = 0; i < a.sampling.size(); ++i) {
+        EXPECT_EQ(a.sampling[i].rowLabel, b.sampling[i].rowLabel);
+        EXPECT_EQ(a.sampling[i].bench, b.sampling[i].bench);
+        EXPECT_EQ(a.sampling[i].info, b.sampling[i].info)
+            << a.sampling[i].bench;
+    }
 }
 
 /**
- * The engine-level guarantee: EV8_FUSED=1 and EV8_FUSED=0 produce
- * byte-identical merged registries and event streams, serial and
- * parallel.
+ * The engine-level guarantee: fused lane groups and one one-lane walk
+ * per cell (EV8_FUSED_LANES=1) produce byte-identical merged registries
+ * and event streams, serial and parallel.
  */
 TEST(FusedEngine, FusedGridIsByteIdenticalToPerCellGrid)
 {
     ObservedGrid fused_j1, fused_j4, percell_j1, percell_j4;
     {
-        ScopedEnv env("EV8_FUSED", "1");
+        ScopedEnv env("EV8_FUSED_LANES", nullptr);
         fused_j1 = observedGrid(1);
         fused_j4 = observedGrid(4);
     }
     {
-        ScopedEnv env("EV8_FUSED", "0");
+        ScopedEnv env("EV8_FUSED_LANES", "1");
         percell_j1 = observedGrid(1);
         percell_j4 = observedGrid(4);
     }
@@ -236,7 +288,6 @@ TEST(FusedEngine, FusedGridIsByteIdenticalToPerCellGrid)
 /** And the lane cap is invisible: 1, 2 or 8 lanes per fused job. */
 TEST(FusedEngine, LaneWidthDoesNotChangeAnyByte)
 {
-    ScopedEnv fused("EV8_FUSED", "1");
     ObservedGrid reference;
     {
         ScopedEnv lanes("EV8_FUSED_LANES", nullptr);
@@ -258,7 +309,6 @@ TEST(FusedEngine, LaneWidthDoesNotChangeAnyByte)
  */
 TEST(FusedEngine, SimdBackendLaneCapJobsDoNotChangeAnyByte)
 {
-    ScopedEnv fused("EV8_FUSED", "1");
     ObservedGrid reference;
     {
         ScopedEnv simd_env("EV8_SIMD", "0");
@@ -280,14 +330,49 @@ TEST(FusedEngine, SimdBackendLaneCapJobsDoNotChangeAnyByte)
     }
 }
 
-/** The forced-generic kernel path fuses identically too. */
+/** The oracle (EV8_GENERIC_KERNEL=1) reproduces the production grid. */
 TEST(FusedEngine, GenericKernelGridMatchesDevirtualizedGrid)
 {
-    ScopedEnv fused("EV8_FUSED", "1");
     const ObservedGrid devirt = observedGrid(1);
     ScopedEnv generic("EV8_GENERIC_KERNEL", "1");
     const ObservedGrid forced = observedGrid(1);
     expectSameGrid(forced, devirt);
+}
+
+/**
+ * Exact and sampled runs share one windowed walk, so the sampled grid
+ * must hold the same contract: the oracle and the production walk,
+ * fused or one lane per cell, serial or parallel, agree on every byte
+ * -- including the extrapolated estimates and confidence intervals of
+ * the "sampling" rows, compared unmasked.
+ */
+TEST(FusedEngine, SampledGridIsByteIdenticalAcrossKernelsAndFusion)
+{
+    const SampleSpec spec = testSampleSpec();
+    ObservedGrid reference;
+    {
+        ScopedEnv generic("EV8_GENERIC_KERNEL", "1");
+        ScopedEnv lanes("EV8_FUSED_LANES", "1");
+        reference = observedGrid(1, &spec);
+    }
+    ASSERT_FALSE(reference.sampling.empty());
+    for (const auto &cell : reference.sampling) {
+        ASSERT_TRUE(cell.info.active);
+        EXPECT_LT(cell.info.windowsSimulated, cell.info.windowsTotal)
+            << cell.bench;
+    }
+    for (const char *generic : {"0", "1"}) {
+        ScopedEnv generic_env("EV8_GENERIC_KERNEL", generic);
+        for (const char *cap : {"1", "64"}) {
+            ScopedEnv lanes("EV8_FUSED_LANES", cap);
+            for (const unsigned jobs : {1u, 4u}) {
+                SCOPED_TRACE(std::string("generic=") + generic
+                             + " lanes=" + cap
+                             + " jobs=" + std::to_string(jobs));
+                expectSameGrid(observedGrid(jobs, &spec), reference);
+            }
+        }
+    }
 }
 
 } // namespace

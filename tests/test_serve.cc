@@ -562,6 +562,17 @@ TEST(Serve, LeaseExpiryReclaimsAbandonedSessions)
     callOk(server, sessionReq("start", "ran"));
     callOk(server, openReq("stillborn"));
 
+    // Pings renew "ran"'s lease until it is done, however slow the
+    // build, so its lease lapses only after a clean finish.
+    bool done = false;
+    for (int i = 0; i < 3000 && !done; ++i) {
+        done = callOk(server, sessionReq("ping", "ran")).at("state").text
+            == "done";
+        if (!done)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_TRUE(done);
+
     JsonValue stats;
     bool reclaimed = false;
     for (int i = 0; i < 400 && !reclaimed; ++i) {

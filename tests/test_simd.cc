@@ -343,7 +343,10 @@ TEST(SimdVector, EmulationOpSemantics)
     EXPECT_FALSE(U64x4(1).allZero());
 }
 
-/** The strict EV8_SIMD parse: valid values and the cpuid default. */
+/**
+ * The strict EV8_SIMD parse: valid values and the cpuid default; a
+ * one-lane group steps scalar under any of them.
+ */
 TEST(SimdEnv, ActiveBackendParsesKnob)
 {
     {
@@ -353,6 +356,8 @@ TEST(SimdEnv, ActiveBackendParsesKnob)
     {
         ScopedEnv simd_env("EV8_SIMD", "scalar");
         EXPECT_EQ(simd::activeBackend(), simd::Backend::Scalar);
+        EXPECT_EQ(simd::groupBackend(1), simd::Backend::Off);
+        EXPECT_EQ(simd::groupBackend(2), simd::Backend::Scalar);
     }
     {
         ScopedEnv simd_env("EV8_SIMD", nullptr);
@@ -380,6 +385,8 @@ TEST(SimdEnvDeathTest, InvalidValueExitsWithUsageError)
 {
     ScopedEnv simd_env("EV8_SIMD", "bogus");
     EXPECT_EXIT(simd::activeBackend(), ::testing::ExitedWithCode(2),
+                "invalid value 'bogus'");
+    EXPECT_EXIT(simd::groupBackend(1), ::testing::ExitedWithCode(2),
                 "invalid value 'bogus'");
 }
 

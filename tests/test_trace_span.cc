@@ -27,6 +27,8 @@
 #include "predictors/factory.hh"
 #include "sim/suite_runner.hh"
 
+#include "scoped_env.hh"
+
 /** Allocation counter backing the disabled-path test (see file end). */
 static std::atomic<uint64_t> g_allocCount{0};
 
@@ -36,36 +38,6 @@ namespace
 {
 
 constexpr uint64_t kTinyScale = 3000;
-
-/** Sets an environment variable for one scope, restoring on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name))
-            saved_ = old;
-        else
-            hadValue_ = false;
-        if (value)
-            ::setenv(name, value, /*overwrite=*/1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadValue_)
-            ::setenv(name_.c_str(), saved_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string saved_;
-    bool hadValue_ = true;
-};
 
 /** Leaves the process-global tracer disabled and empty on exit. */
 class TracerGuard
