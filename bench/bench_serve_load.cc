@@ -6,11 +6,12 @@
  * Two modes:
  *
  *  - parity (default): open one session on a named grid, wait for the
- *    full result payload, and merge it through the exact batch merge
- *    loop -- metrics merged and events replayed in cell-index order,
- *    failures recorded as structured partial results. The --json/--csv
- *    /--events artifacts are byte-identical (telemetry masked) to the
- *    batch binary for the same grid; CI's serve gate compares them.
+ *    full result payload, decode it into cell outputs and fold them
+ *    through the batch merge (mergeGrid) -- metrics merged and events
+ *    replayed in cell-index order, failures recorded as structured
+ *    partial results. The --json/--csv/--events artifacts are
+ *    byte-identical (telemetry masked) to the batch binary for the
+ *    same grid; CI's serve gate compares them.
  *  - load (--sessions=<N>): open N sessions concurrently, poll
  *    snapshots while they run, and report aggregate throughput plus
  *    p50/p95/p99 RPC latency. The artifact rows carry the numbers.
@@ -44,7 +45,6 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,7 +59,6 @@
 #include "serve/transport.hh"
 #include "sim/cell_executor.hh"
 #include "sim/checkpoint.hh"
-#include "workloads/synthetic_program.hh"
 
 using namespace ev8;
 
@@ -303,15 +302,12 @@ u64Member(const JsonValue &obj, const char *name)
 }
 
 /**
- * Merges one wait reply into @p ctx exactly as the engine's merge loop
- * would have: restored cells in index order (metrics merge, then event
- * replay under the rebuilt pc->class map), wire failures as placeholder
- * results plus recordFailure, then one recordResults row per grid row.
- * Returns the per-row results (for the human table).
+ * Decodes one wait reply into the grid's cell outputs, in cell-index
+ * order, with each wire failure marked on its cell -- the input
+ * mergeGrid() takes on the batch side too.
  */
-std::vector<std::vector<BenchResult>>
-mergeResults(BenchContext &ctx, const GridSpec &grid,
-             const JsonValue &done)
+std::vector<CellOutput>
+decodeWaitReply(const GridSpec &grid, const JsonValue &done)
 {
     const auto &suite = specint95Suite();
     const size_t nbench = suite.size();
@@ -324,8 +320,14 @@ mergeResults(BenchContext &ctx, const GridSpec &grid,
     if (!failures.isArray())
         throw std::runtime_error("wait reply lacks a failures array");
 
-    std::vector<CellFailure> wireFailures;
-    std::set<size_t> failedCells;
+    std::vector<CellOutput> outputs(n);
+    for (const JsonValue &item : cells.items) {
+        if (!item.isString())
+            throw std::runtime_error("cell record is not a string");
+        CellOutput cell;
+        const size_t idx = decodeCellRecord(item.text, n, cell);
+        outputs[idx] = std::move(cell);
+    }
     for (const JsonValue &item : failures.items) {
         CellFailure f = readFailure(item);
         size_t b = 0;
@@ -334,68 +336,13 @@ mergeResults(BenchContext &ctx, const GridSpec &grid,
         if (f.row >= grid.rows.size() || b == nbench)
             throw std::runtime_error("failure record names an unknown "
                                      "cell");
-        failedCells.insert(f.row * nbench + b);
-        wireFailures.push_back(std::move(f));
+        CellOutput &out = outputs[f.row * nbench + b];
+        out.failed = true;
+        out.attempts = f.attempts;
+        out.error = std::move(f.error);
+        out.attemptNs = std::move(f.attemptNs);
     }
-
-    std::vector<GridCheckpoint::RestoredCell> restored(n);
-    for (const JsonValue &item : cells.items) {
-        if (!item.isString())
-            throw std::runtime_error("cell record is not a string");
-        GridCheckpoint::RestoredCell cell;
-        const size_t idx = decodeCellRecord(item.text, n, cell);
-        restored[idx] = std::move(cell);
-    }
-
-    // The pc -> class maps are a pure function of the benchmark and are
-    // not shipped; rebuild them once per benchmark for event replay.
-    std::vector<BranchClassMap> classCache(nbench);
-    std::vector<char> haveClass(nbench, 0);
-    MispredictSink *sink = ctx.eventSink();
-
-    std::vector<std::vector<BenchResult>> all(grid.rows.size());
-    for (auto &row : all)
-        row.reserve(nbench);
-    for (size_t i = 0; i < n; ++i) {
-        const size_t b = i % nbench;
-        if (failedCells.count(i)) {
-            BenchResult r;
-            r.bench = suite[b].profile.name;
-            r.failed = true;
-            all[i / nbench].push_back(std::move(r));
-            continue;
-        }
-        GridCheckpoint::RestoredCell &cell = restored[i];
-        ctx.metrics().merge(cell.metrics);
-        if (sink) {
-            if (!haveClass[b]) {
-                classCache[b] = SyntheticProgram(suite[b].profile)
-                                    .condBranchClasses();
-                haveClass[b] = 1;
-            }
-            sink->setBench(cell.result.bench);
-            sink->setClassifier(&classCache[b]);
-            for (const MispredictEvent &event : cell.events)
-                sink->onMispredict(event);
-            sink->setClassifier(nullptr);
-        }
-        all[i / nbench].push_back(std::move(cell.result));
-    }
-
-    for (const CellFailure &f : wireFailures) {
-        BenchFailureExport e;
-        e.rowLabel = f.rowLabel;
-        e.bench = f.bench;
-        e.attempts = f.attempts;
-        e.error = f.error;
-        e.attemptNs = f.attemptNs;
-        ctx.recordFailure(std::move(e));
-    }
-
-    const std::vector<uint64_t> storage = gridStorageBits(grid);
-    for (size_t r = 0; r < grid.rows.size(); ++r)
-        ctx.recordResults(grid.rows[r].label, storage[r], all[r]);
-    return all;
+    return outputs;
 }
 
 void
@@ -463,9 +410,27 @@ runParity(BenchContext &ctx, const GridSpec &grid, Rpc &rpc,
         std::fputc('\n', stderr);
     }
 
+    // The batch merge over the decoded reply, into this client's sinks.
     const JsonValue done = rpc.call(sessionOp("wait", session));
-    const auto all = mergeResults(ctx, grid, done);
-    printServedTable(grid, all);
+    const GridOutcome outcome =
+        mergeGrid(decodeWaitReply(grid, done),
+                  buildGridRows(grid, ctx.instrument(baseConfig(grid))),
+                  specint95Suite().size());
+    for (const CellFailure &f : outcome.failures) {
+        BenchFailureExport e;
+        e.rowLabel = f.rowLabel;
+        e.bench = f.bench;
+        e.attempts = f.attempts;
+        e.error = f.error;
+        e.attemptNs = f.attemptNs;
+        ctx.recordFailure(std::move(e));
+    }
+    const std::vector<uint64_t> storage = gridStorageBits(grid);
+    for (size_t r = 0; r < grid.rows.size(); ++r) {
+        ctx.recordResults(grid.rows[r].label, storage[r],
+                          outcome.results[r]);
+    }
+    printServedTable(grid, outcome.results);
     return ctx.finish();
 }
 
@@ -550,7 +515,7 @@ runLoad(BenchContext &ctx, const GridSpec &grid, size_t nsessions,
             const JsonValue &cells = done.at("cells");
             const size_t n = cells.items.size();
             for (const JsonValue &item : cells.items) {
-                GridCheckpoint::RestoredCell cell;
+                CellOutput cell;
                 decodeCellRecord(item.text, n, cell);
                 out.branches += cell.result.sim.condBranches;
             }

@@ -29,7 +29,7 @@ class BimodalPredictor final : public ConditionalBranchPredictor
     std::string name() const override;
     void reset() override;
 
-    /** Fused-kernel entry points; see GsharePredictor::laneIndex(). */
+    /** Scalar-stepper entry points; see GsharePredictor::laneIndex(). */
     size_t laneIndex(const BranchSnapshot &snap) const
     {
         return index(snap.pc);

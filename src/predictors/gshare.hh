@@ -40,7 +40,7 @@ class GsharePredictor final : public ConditionalBranchPredictor
     unsigned historyLength() const { return histLen; }
 
     /**
-     * Two-phase entry points for the fused multi-lane kernel: the pure
+     * Two-phase entry points for FusedGroup's scalar stepper: the pure
      * index computation (so N lanes' folds can be computed
      * back-to-back) and the combined counter read + train step (one
      * table-word access instead of the separate predict()/update()

@@ -155,25 +155,6 @@ TwoBcGskewPredictor::update(const BranchSnapshot &snap, bool taken, bool)
         gskewTotalUpdate(facade, last, taken);
 }
 
-bool
-TwoBcGskewPredictor::predictAndUpdate(const BranchSnapshot &snap,
-                                      bool taken)
-{
-    last = lookup(snap);
-#ifndef NDEBUG
-    lastPc = snap.pc;
-    lastIndexHist = snap.hist.indexHist;
-#endif
-    if (statsEnabled())
-        stats.note(last, taken);
-    BankFacade facade{banksStorage};
-    if (cfg.partialUpdate)
-        gskewPartialUpdate(facade, last, taken);
-    else
-        gskewTotalUpdate(facade, last, taken);
-    return last.overall;
-}
-
 TwoBcGskewPredictor::FusedGroup::FusedGroup(
     TwoBcGskewPredictor *const *preds, size_t nlanes)
 {
@@ -435,13 +416,13 @@ TwoBcGskewPredictor::FusedGroup::stepScalar(const BranchSnapshot &snap,
     }
 
     // Per-lane remainder: assemble the four indices from the shared
-    // terms, then vote, note and train exactly as predictAndUpdate().
+    // terms, then vote, note and train exactly as predict(); update().
     for (size_t l = 0; l < lanes_.size(); ++l) {
         TwoBcGskewPredictor &p = *lanes_[l];
         const std::array<uint16_t, kNumTables> &as = laneAddr_[l];
         const std::array<uint16_t, kNumTables> &hs = laneHist_[l];
-        // Filled in place: p.last is exactly the state predictAndUpdate
-        // would cache, and the in-place fill saves a per-lane copy.
+        // Filled in place: p.last is exactly the state predict() would
+        // cache, and the in-place fill saves a per-lane copy.
         GskewLookup &look = p.last;
         look.idx[BIM] = static_cast<size_t>(
             addrSlots_[as[BIM]].value ^ histSlots_[hs[BIM]].value);

@@ -97,15 +97,6 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
     void update(const BranchSnapshot &snap, bool taken,
                 bool predicted_taken) override;
 
-    /**
-     * Fused predict-and-train step for the multi-lane kernel: one
-     * lookup() serves both the returned prediction and the update
-     * policy, without round-tripping through the cached `last` state
-     * across two virtual calls. Identical table transitions to a
-     * predict(); update() pair for the same branch.
-     */
-    bool predictAndUpdate(const BranchSnapshot &snap, bool taken);
-
     uint64_t storageBits() const override;
     std::string name() const override;
     void reset() override;
@@ -133,8 +124,8 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
      * width, history length) history term once per branch, instead of
      * once per lane; in a history sweep the address side collapses from
      * 4*nlanes computations to 4. Table transitions, cached lookup
-     * state and statistics are exactly those of per-lane
-     * predictAndUpdate().
+     * state and statistics are exactly those of a per-lane
+     * predict(); update() pair.
      */
     class FusedGroup
     {

@@ -195,7 +195,7 @@ class PredictionServer::Session
         }
         if (failNow) {
             failFrom(0, reason);
-            sweepFailures();
+            failures_ = mergeGrid(outputs_, rows_, nbench_).failures;
             server_.noteSessionDone();
             {
                 std::lock_guard<std::mutex> lock(mutex_);
@@ -318,7 +318,9 @@ class PredictionServer::Session
         }
         server_.releaseRunSlot();
 
-        sweepFailures();
+        // The batch merge's failure records; the session's rows carry
+        // no sinks, so the merge touches nothing else.
+        failures_ = mergeGrid(outputs_, rows_, nbench_).failures;
         // Count the session done before waking its waiters, so a
         // client that sequences wait -> stats always sees itself.
         server_.noteSessionDone();
@@ -374,29 +376,6 @@ class PredictionServer::Session
             }
             cellsDone_.fetch_add(rows_.size(),
                                  std::memory_order_relaxed);
-        }
-    }
-
-    /**
-     * Row-major failure sweep, mirroring the batch merge loop's
-     * submission-order CellFailure construction. Called exactly once,
-     * by whichever path finishes the session (run() or expire()).
-     */
-    void
-    sweepFailures()
-    {
-        for (size_t i = 0; i < outputs_.size(); ++i) {
-            CellOutput &out = outputs_[i];
-            if (!out.failed)
-                continue;
-            CellFailure failure;
-            failure.row = i / nbench_;
-            failure.rowLabel = rows_[i / nbench_].label;
-            failure.bench = requests_[i].profile->name;
-            failure.attempts = out.attempts;
-            failure.error = out.error;
-            failure.attemptNs = out.attemptNs;
-            failures_.push_back(std::move(failure));
         }
     }
 

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <map>
+#include <optional>
 #include <thread>
 #include <tuple>
 
@@ -50,6 +51,57 @@ fuseGroups(const std::vector<size_t> &cells,
         groups[it->second].push_back(i);
     }
     return groups;
+}
+
+GridOutcome
+mergeGrid(const std::vector<CellOutput> &outputs,
+          const std::vector<GridRow> &rows, size_t nbench)
+{
+    const auto &suite = specint95Suite();
+    // The pc -> class map is a pure function of the benchmark, so it
+    // is never stored with a cell: built here on first use.
+    std::vector<std::optional<BranchClassMap>> classes(nbench);
+
+    GridOutcome outcome;
+    outcome.results.resize(rows.size());
+    for (auto &row_results : outcome.results)
+        row_results.reserve(nbench);
+    for (size_t i = 0; i < outputs.size(); ++i) {
+        const size_t r = i / nbench;
+        const size_t b = i % nbench;
+        const GridRow &row = rows[r];
+        const CellOutput &out = outputs[i];
+        if (out.failed) {
+            CellFailure failure;
+            failure.row = r;
+            failure.rowLabel = row.label;
+            failure.bench = suite[b].profile.name;
+            failure.attempts = out.attempts;
+            failure.error = out.error;
+            failure.attemptNs = out.attemptNs;
+            outcome.failures.push_back(std::move(failure));
+            BenchResult placeholder;
+            placeholder.bench = suite[b].profile.name;
+            placeholder.failed = true;
+            outcome.results[r].push_back(std::move(placeholder));
+            continue;
+        }
+        if (row.config.metrics)
+            row.config.metrics->merge(out.metrics);
+        if (MispredictSink *sink = row.config.events) {
+            if (!classes[b]) {
+                classes[b] =
+                    SyntheticProgram(suite[b].profile).condBranchClasses();
+            }
+            sink->setBench(out.result.bench);
+            sink->setClassifier(&*classes[b]);
+            for (const MispredictEvent &event : out.events)
+                sink->onMispredict(event);
+            sink->setClassifier(nullptr);
+        }
+        outcome.results[r].push_back(out.result);
+    }
+    return outcome;
 }
 
 unsigned
@@ -175,12 +227,6 @@ CellExecutor::runLanes(const std::vector<size_t> &cells,
     const bool want_events = lead.wantEvents;
     const bool want_metrics = lead.wantMetrics;
 
-    // The pc -> behaviour-class map is a function of the benchmark
-    // alone: build it once per group, copy per event-carrying cell.
-    BranchClassMap classes;
-    if (want_events)
-        classes = SyntheticProgram(*lead.profile).condBranchClasses();
-
     std::vector<PredictorPtr> predictors;
     predictors.reserve(cells.size());
     std::vector<BufferedEventSink> buffers(cells.size());
@@ -193,8 +239,6 @@ CellExecutor::runLanes(const std::vector<size_t> &cells,
         lanes[k].predictor = predictors.back().get();
         lanes[k].metrics = want_metrics ? &out.metrics : nullptr;
         lanes[k].events = want_events ? &buffers[k] : nullptr;
-        if (want_events)
-            out.classes = classes;
     }
 
     // The caller's shared sinks in the config are merge targets, never

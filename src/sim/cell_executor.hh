@@ -4,10 +4,10 @@
  * batch grids and served sessions run the SAME code path.
  *
  * A "cell" is one (benchmark, predictor configuration) simulation with
- * isolated observability: a private MetricRegistry, a private buffered
- * event sink, and a job-owned BranchClassMap. The executor owns
- * everything about running one cell (or one fused multi-lane group)
- * under the failure-isolation contract:
+ * isolated observability: a private MetricRegistry and a private
+ * buffered event sink. The executor owns everything about running one
+ * cell (or one fused multi-lane group) under the failure-isolation
+ * contract:
  *
  *  - per-attempt fault hooks (maybeKill + the "job" point, plus the
  *    "session_drop" point for served cells);
@@ -20,12 +20,15 @@
  *
  * It also owns how cells are grouped into fused jobs (fuseGroups), so
  * a batch grid and a served session of the same grid run the same
- * lane groups. Callers differ only in scheduling and bookkeeping, which
- * they attach via the hook std::functions (journal for the checkpoint,
- * the note* accounting taps for pool telemetry). The hooks are invoked
- * from whatever thread runs the cell, concurrently across cells -- they
- * must be thread-safe (the engine's are: an atomic add, a lock-free
- * histogram, a mutex-guarded journal append).
+ * lane groups, and how finished cells fold into a grid's results
+ * (mergeGrid), so batch runs, checkpoint resumes and served clients
+ * merge the same way. Callers differ only in scheduling and
+ * bookkeeping, which they attach via the hook std::functions (journal
+ * for the checkpoint, the note* accounting taps for pool telemetry).
+ * The hooks are invoked from whatever thread runs the cell,
+ * concurrently across cells -- they must be thread-safe (the engine's
+ * are: an atomic add, a lock-free histogram, a mutex-guarded journal
+ * append).
  *
  * Byte-identity contract: a CellOutput produced here depends only on
  * the request (stream bytes, predictor factory, walk config), never on
@@ -60,7 +63,6 @@ struct CellOutput
     BenchResult result;
     MetricRegistry metrics;
     std::vector<MispredictEvent> events;
-    BranchClassMap classes; //!< owned here: cannot dangle (cell-local)
     bool failed = false;    //!< exhausted its retry budget
     unsigned attempts = 0;
     std::string error;      //!< what() of the last failed attempt
@@ -123,6 +125,21 @@ struct CellRequest
 std::vector<std::vector<size_t>>
 fuseGroups(const std::vector<size_t> &cells,
            const std::vector<CellRequest> &reqs, size_t laneCap);
+
+/**
+ * Folds a grid's cell outputs (row-major: cell i is row i / @p nbench,
+ * suite benchmark i % @p nbench) into its per-row results, strictly in
+ * cell order, so the shared sinks get the same bytes whatever ran the
+ * cells: a pool of any width, a checkpoint journal, or a served
+ * session whose reply a client decoded. A failed cell becomes a
+ * placeholder BenchResult (bench set, failed) plus a CellFailure and
+ * feeds no sink. Every other cell merges its metrics into its row's
+ * metric registry and then replays its events into the row's event
+ * sink, labelled with the benchmark's pc -> behaviour-class map (built
+ * once per benchmark, and only when some row has an event sink).
+ */
+GridOutcome mergeGrid(const std::vector<CellOutput> &outputs,
+                      const std::vector<GridRow> &rows, size_t nbench);
 
 class CellExecutor
 {

@@ -196,8 +196,7 @@ encodeCellRecord(size_t cell, const BenchResult &result,
 }
 
 size_t
-decodeCellRecord(const std::string &line, size_t cells,
-                 GridCheckpoint::RestoredCell &out)
+decodeCellRecord(const std::string &line, size_t cells, CellOutput &out)
 {
     const JsonValue doc = parseJson(line);
     const size_t cell = parseU64(doc.at("cell"));
@@ -301,10 +300,10 @@ GridCheckpoint::GridCheckpoint(std::string dir, uint64_t grid_hash,
     }
 }
 
-std::map<size_t, GridCheckpoint::RestoredCell>
+std::map<size_t, CellOutput>
 GridCheckpoint::load()
 {
-    std::map<size_t, RestoredCell> restored;
+    std::map<size_t, CellOutput> restored;
     if (!enabled())
         return restored;
 
@@ -333,7 +332,7 @@ GridCheckpoint::load()
                 fresh = false;
                 while (std::getline(in, line)) {
                     try {
-                        RestoredCell cell;
+                        CellOutput cell;
                         const size_t i =
                             decodeCellRecord(line, cells_, cell);
                         // First record wins; duplicates (a resumed run

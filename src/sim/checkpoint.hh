@@ -47,6 +47,7 @@
 
 #include "obs/event_trace.hh"
 #include "obs/metrics.hh"
+#include "sim/cell_executor.hh"
 #include "sim/suite_runner.hh"
 
 namespace ev8
@@ -63,14 +64,6 @@ class GridCheckpoint
 
     /** EV8_CHECKPOINT_DIR, or "" (checkpointing disabled). */
     static std::string defaultDir();
-
-    /** One journaled cell, restored. */
-    struct RestoredCell
-    {
-        BenchResult result;
-        MetricRegistry metrics;
-        std::vector<MispredictEvent> events;
-    };
 
     /**
      * @param dir checkpoint directory; "" disables the journal (load()
@@ -89,14 +82,14 @@ class GridCheckpoint
 
     /**
      * Loads the journal (if any) and opens it for appending. Returns
-     * the restored cells keyed by cell index. A missing file starts a
-     * fresh journal; a header mismatch (foreign grid, older format) or
-     * an unreadable file discards the journal and starts fresh;
-     * unparseable record lines (torn appends, injected corruption) are
-     * skipped individually. Never throws: any journal problem degrades
+     * the restored cells (result, metrics, events) keyed by cell
+     * index. A missing file starts a fresh journal; a header mismatch
+     * (foreign grid, older format) or an unreadable file discards the
+     * journal and starts fresh; unparseable record lines (torn
+     * appends, injected corruption) are skipped individually. Never throws: any journal problem degrades
      * to "those cells re-run". Call once, before append().
      */
-    std::map<size_t, RestoredCell> load();
+    std::map<size_t, CellOutput> load();
 
     /**
      * Journals one completed cell: a single flushed JSONL record.
@@ -136,12 +129,12 @@ std::string encodeCellRecord(size_t cell, const BenchResult &result,
                              const std::vector<MispredictEvent> &events);
 
 /**
- * Parses one encodeCellRecord() line into @p out and returns the cell
- * index. Throws std::runtime_error on any malformation (including a
- * cell index >= @p cells).
+ * Parses one encodeCellRecord() line into @p out's result, metrics and
+ * events and returns the cell index. Throws std::runtime_error on any
+ * malformation (including a cell index >= @p cells).
  */
 size_t decodeCellRecord(const std::string &line, size_t cells,
-                        GridCheckpoint::RestoredCell &out);
+                        CellOutput &out);
 
 } // namespace ev8
 

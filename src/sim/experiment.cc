@@ -17,7 +17,6 @@
 #include "sim/cell_executor.hh"
 #include "sim/checkpoint.hh"
 #include "sim/fault_injection.hh"
-#include "workloads/synthetic_program.hh"
 
 namespace ev8
 {
@@ -140,18 +139,6 @@ ExperimentEngine::defaultJobs()
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1;
-}
-
-unsigned
-ExperimentEngine::retryMax()
-{
-    return CellExecutor::retryMax();
-}
-
-unsigned
-ExperimentEngine::retryBaseMs()
-{
-    return CellExecutor::retryBaseMs();
 }
 
 size_t
@@ -388,9 +375,7 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
     }
 
     // Resume: load any journal for this exact grid and mark its cells
-    // done before scheduling. The pc -> class maps are not journaled
-    // (they are a pure function of the benchmark), so rebuild them for
-    // restored event-carrying cells -- once per benchmark.
+    // done before scheduling.
     const std::string ckpt_dir = GridCheckpoint::defaultDir();
     GridCheckpoint checkpoint(
         ckpt_dir, ckpt_dir.empty() ? 0 : gridHash(runner, rows, batch),
@@ -400,24 +385,8 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
         ScopedSpan setup(SpanPhase::GridSetup, "grid.setup:restore");
         setup.arg("batch", batch);
         setup.arg("cells", static_cast<uint64_t>(n));
-        std::vector<BranchClassMap> classCache(nbench);
-        std::vector<char> haveClass(nbench, 0);
-        auto restoredCells = checkpoint.load();
-        for (auto &[i, cell] : restoredCells) {
-            CellOutput &out = outputs[i];
-            out.result = std::move(cell.result);
-            out.metrics = std::move(cell.metrics);
-            out.events = std::move(cell.events);
-            if (rows[i / nbench].config.events) {
-                const size_t b = i % nbench;
-                if (!haveClass[b]) {
-                    classCache[b] =
-                        SyntheticProgram(specint95Suite()[b].profile)
-                            .condBranchClasses();
-                    haveClass[b] = 1;
-                }
-                out.classes = classCache[b];
-            }
+        for (auto &[i, cell] : checkpoint.load()) {
+            outputs[i] = std::move(cell);
             restored[i] = 1;
             ++cellsResumed_;
         }
@@ -462,48 +431,13 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
         executor.runGroup(groups[g], requests, outputs);
     });
 
-    // Deterministic merge, strictly in submission order (row-major over
-    // the grid): byte-identical shared-sink contents for any pool width,
-    // whether a cell ran fresh, rode a fused walk, was retried, or was
-    // restored from a journal. Failed cells contribute nothing to the
-    // shared sinks; they surface as CellFailure records instead.
-    GridOutcome outcome;
-    outcome.results.resize(rows.size());
-    for (auto &row_results : outcome.results)
-        row_results.reserve(nbench);
+    // Deterministic merge in submission order (sim/cell_executor.hh):
+    // the same bytes whether a cell ran fresh, rode a fused walk, was
+    // retried, or was restored from a journal.
     ScopedSpan mergeSpan(SpanPhase::Merge);
     mergeSpan.arg("cells", static_cast<uint64_t>(n));
-    for (size_t i = 0; i < n; ++i) {
-        const GridRow &row = rows[i / nbench];
-        CellOutput &out = outputs[i];
-        if (restored[i])
-            ++outcome.resumedCells;
-        if (out.failed) {
-            CellFailure failure;
-            failure.row = i / nbench;
-            failure.rowLabel = row.label;
-            failure.bench = specint95Suite()[i % nbench].profile.name;
-            failure.attempts = out.attempts;
-            failure.error = out.error;
-            failure.attemptNs = std::move(out.attemptNs);
-            outcome.failures.push_back(std::move(failure));
-            out.result.bench = specint95Suite()[i % nbench].profile.name;
-            out.result.failed = true;
-            outcome.results[i / nbench].push_back(
-                std::move(out.result));
-            continue;
-        }
-        if (row.config.metrics)
-            row.config.metrics->merge(out.metrics);
-        if (MispredictSink *sink = row.config.events) {
-            sink->setBench(out.result.bench);
-            sink->setClassifier(&out.classes);
-            for (const MispredictEvent &event : out.events)
-                sink->onMispredict(event);
-            sink->setClassifier(nullptr);
-        }
-        outcome.results[i / nbench].push_back(std::move(out.result));
-    }
+    GridOutcome outcome = mergeGrid(outputs, rows, nbench);
+    outcome.resumedCells = n - todo.size();
     cellsFailed_ += outcome.failures.size();
     progress.endBatch();
     gridWallNs_ += tracer.nowNs() - gridStartNs;

@@ -13,13 +13,13 @@
  *    rows come back in submission order regardless of which worker
  *    finished first;
  *  - each job gets a private MetricRegistry and a BufferedEventSink;
- *    after the batch, the engine folds them into the caller's shared
- *    sinks in submission order -- counters add, gauges last-write-win
- *    in the same order a serial loop would have written them, and
- *    buffered misprediction events replay through the shared sampling
- *    sink so the emitted JSONL is byte-identical to a serial run;
- *  - each job owns its benchmark's BranchClassMap (the pc -> behaviour
- *    class labels), so no classifier ever outlives or escapes its job.
+ *    after the batch, mergeGrid() (sim/cell_executor.hh) folds them
+ *    into the caller's shared sinks in submission order -- counters
+ *    add, gauges last-write-win in the same order a serial loop would
+ *    have written them, and buffered misprediction events replay
+ *    through the shared sampling sink, labelled with each benchmark's
+ *    pc -> behaviour-class map, so the emitted JSONL is byte-identical
+ *    to a serial run.
  *
  * The pool is the calling thread plus (jobs - 1) workers; jobs = 1
  * degenerates to a plain serial loop with no threads, and any larger
@@ -50,12 +50,13 @@
  * seams to test all of the above.
  *
  * The per-cell execution core (isolated sinks, retry/backoff, fault
- * hooks, spans) and the fused grouping live in sim/cell_executor.hh;
- * the engine contributes scheduling (the pool), checkpoint restore, and
- * the deterministic merge. Served sessions (serve/server.hh) group and
+ * hooks, spans), the fused grouping and the merge live in
+ * sim/cell_executor.hh; the engine contributes scheduling (the pool)
+ * and checkpoint restore. Served sessions (serve/server.hh) group and
  * run their cells through the same fuseGroups() and CellExecutor, over
- * the same cached BlockStreams, which is what keeps served artifacts
- * byte-identical to batch ones.
+ * the same cached BlockStreams, and their clients merge the decoded
+ * reply through the same mergeGrid(), which is what keeps served
+ * artifacts byte-identical to batch ones.
  */
 
 #ifndef EV8_SIM_EXPERIMENT_HH
@@ -106,23 +107,6 @@ class ExperimentEngine
      * parallelism across jobs.
      */
     static size_t fusedLaneCap();
-
-    /**
-     * Attempts per grid cell before it is declared failed: the
-     * EV8_RETRY_MAX environment variable (strictly parsed, [1, 100]) or
-     * 3. A set-but-invalid value is a hard error (stderr + exit 2),
-     * matching EV8_JOBS.
-     */
-    static unsigned retryMax();
-
-    /**
-     * Backoff base in milliseconds between attempts of the same cell:
-     * EV8_RETRY_BASE_MS (strictly parsed, [0, 10000]) or 10. Attempt k
-     * sleeps base * 2^(k-1) ms, capped at 1000 ms; 0 disables sleeping
-     * (tests). A set-but-invalid value is a hard error (stderr +
-     * exit 2).
-     */
-    static unsigned retryBaseMs();
 
     /** @param jobs worker count; 0 resolves to defaultJobs(). */
     explicit ExperimentEngine(unsigned jobs = 0);

@@ -112,19 +112,6 @@ makeMispredictEvent(uint64_t branch_seq, const BranchSnapshot &snap,
 }
 
 /**
- * Two-phase lane entry point: the predictor exposes its (pure) table
- * index computation separately from the read-modify-write, so the
- * fused loop can compute every lane's index back-to-back (unrolled,
- * no intervening table traffic) and then stream the counter updates.
- */
-template <class P>
-concept FusedLaneIndexed = requires(P p, const P cp,
-                                    const BranchSnapshot &snap) {
-    { cp.laneIndex(snap) } -> std::convertible_to<size_t>;
-    { p.applyAt(size_t{}, true) } -> std::same_as<bool>;
-};
-
-/**
  * Single-call lane entry point: predict and train in one step, letting
  * the predictor reuse lookup state (indices, votes) it would otherwise
  * recompute or re-cache between the two virtual calls.
@@ -313,15 +300,6 @@ runFusedStreamKernelRange(const BlockStream &stream,
                 }
             } else if constexpr (FusedGroupStepped<Predictor>) {
                 group.step(snap, br_taken, misp);
-            } else if constexpr (FusedLaneIndexed<Predictor>) {
-                // Unrolled multi-lane index computation, then the
-                // read-modify-write sweep over the lane tables.
-                size_t idx[kMaxFusedLanes];
-                for (size_t l = 0; l < nlanes; ++l)
-                    idx[l] = preds[l]->laneIndex(snap);
-                for (size_t l = 0; l < nlanes; ++l)
-                    misp[l] +=
-                        preds[l]->applyAt(idx[l], br_taken) != br_taken;
             } else if constexpr (FusedSteppable<Predictor>) {
                 for (size_t l = 0; l < nlanes; ++l)
                     misp[l] += preds[l]->predictAndUpdate(snap, br_taken)

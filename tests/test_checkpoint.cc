@@ -129,7 +129,7 @@ registryJson(const MetricRegistry &metrics)
 }
 
 void
-expectSameCell(const GridCheckpoint::RestoredCell &restored,
+expectSameCell(const CellOutput &restored,
                const CellFixture &expected)
 {
     EXPECT_EQ(restored.result.bench, expected.result.bench);

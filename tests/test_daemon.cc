@@ -179,7 +179,7 @@ waitDigest(const JsonValue &done)
     EXPECT_FALSE(cells.items.empty());
     uint64_t digest = 0;
     for (const JsonValue &item : cells.items) {
-        GridCheckpoint::RestoredCell cell;
+        CellOutput cell;
         decodeCellRecord(item.text, cells.items.size(), cell);
         digest += cell.result.sim.stats.mispredictions();
     }

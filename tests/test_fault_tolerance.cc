@@ -32,6 +32,7 @@
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "predictors/factory.hh"
+#include "sim/cell_executor.hh"
 #include "sim/experiment.hh"
 #include "sim/suite_runner.hh"
 
@@ -245,14 +246,14 @@ TEST(FaultTolerance, RetryKnobsParseAndDefault)
     {
         ScopedEnv max("EV8_RETRY_MAX", nullptr);
         ScopedEnv base("EV8_RETRY_BASE_MS", nullptr);
-        EXPECT_EQ(ExperimentEngine::retryMax(), 3u);
-        EXPECT_EQ(ExperimentEngine::retryBaseMs(), 10u);
+        EXPECT_EQ(CellExecutor::retryMax(), 3u);
+        EXPECT_EQ(CellExecutor::retryBaseMs(), 10u);
     }
     {
         ScopedEnv max("EV8_RETRY_MAX", "5");
         ScopedEnv base("EV8_RETRY_BASE_MS", "0");
-        EXPECT_EQ(ExperimentEngine::retryMax(), 5u);
-        EXPECT_EQ(ExperimentEngine::retryBaseMs(), 0u);
+        EXPECT_EQ(CellExecutor::retryMax(), 5u);
+        EXPECT_EQ(CellExecutor::retryBaseMs(), 0u);
     }
 }
 
@@ -260,12 +261,12 @@ TEST(FaultToleranceDeathTest, InvalidRetryKnobsExitUsage)
 {
     {
         ScopedEnv max("EV8_RETRY_MAX", "0");
-        EXPECT_EXIT(ExperimentEngine::retryMax(),
+        EXPECT_EXIT(CellExecutor::retryMax(),
                     ::testing::ExitedWithCode(2), "EV8_RETRY_MAX");
     }
     {
         ScopedEnv base("EV8_RETRY_BASE_MS", "fast");
-        EXPECT_EXIT(ExperimentEngine::retryBaseMs(),
+        EXPECT_EXIT(CellExecutor::retryBaseMs(),
                     ::testing::ExitedWithCode(2), "EV8_RETRY_BASE_MS");
     }
 }

@@ -38,16 +38,21 @@ namespace
 
 constexpr uint64_t kTinyScale = 3000;
 
-/** A mixed-type lane set: every fused dispatch bucket is exercised. */
+/**
+ * A mixed-type lane set: every fused dispatch bucket is exercised. The
+ * group-stepped and predictAndUpdate buckets are the untimed,
+ * event-free walk's; with timing or events on, every lane takes the
+ * observed path's split predict()/update() calls.
+ */
 std::vector<std::string>
 laneSpecs()
 {
     return {
         "gshare:12:8",             // FusedGroupStepped, shared walk
-        "gshare:12:12",            // second lane of the same bucket
+        "gshare:12:12",            // second lane of the same group
         "bimodal:10",              // FusedGroupStepped, history-free
         "2bcgskew:12:0:13:14:15",  // FusedGroupStepped
-        "egskew:12:10",            // FusedSteppable
+        "egskew:12:10",            // FusedSteppable (predictAndUpdate)
         "yags:10:10:10",           // FusedSteppable
         "bimode:10:10:10",         // FusedSteppable
         "perceptron:10:16",        // generic (virtual) bucket
@@ -209,8 +214,15 @@ testSampleSpec()
 
 constexpr uint64_t kSampledScale = 40000;
 
+/**
+ * Runs the laneSpecs() grid with a metric registry attached and, when
+ * @p withEvents, an event sink too. Events push every lane onto the
+ * observed per-lane path, so only an events-off grid reaches the group
+ * steppers (and the SIMD backends).
+ */
 ObservedGrid
-observedGrid(unsigned jobs, const SampleSpec *spec = nullptr)
+observedGrid(unsigned jobs, const SampleSpec *spec = nullptr,
+             bool withEvents = true)
 {
     SuiteRunner runner(spec ? kSampledScale : kTinyScale, jobs);
     if (spec)
@@ -225,7 +237,7 @@ observedGrid(unsigned jobs, const SampleSpec *spec = nullptr)
         row.factory = [spec] { return makePredictor(spec); };
         row.config = SimConfig::ghist();
         row.config.metrics = &metrics;
-        row.config.events = &sink;
+        row.config.events = withEvents ? &sink : nullptr;
         rows.push_back(std::move(row));
     }
     ObservedGrid run;
@@ -235,7 +247,7 @@ observedGrid(unsigned jobs, const SampleSpec *spec = nullptr)
     run.metricsJson = metrics_json.str();
     run.eventsJsonl = events.str();
     run.sampling = runner.sampledCells();
-    EXPECT_GT(sink.emitted(), 0u);
+    EXPECT_EQ(sink.emitted() > 0, withEvents);
     return run;
 }
 
@@ -301,30 +313,38 @@ TEST(FusedEngine, LaneWidthDoesNotChangeAnyByte)
 }
 
 /**
- * The SIMD dispatch contract (ISSUE 8): sweeping the vector backend
- * (EV8_SIMD), the lane cap and the worker count changes no byte of the
- * grid results, the merged metric registry or the sampled event
- * stream. The reference is the scalar per-lane steppers at the default
- * lane width; "avx2" joins the sweep when the build and CPU allow it.
+ * The SIMD dispatch contract: sweeping the vector backend (EV8_SIMD),
+ * the lane cap and the worker count changes no byte of the grid
+ * results, the merged metric registry or the sampled event stream.
+ * The reference is the scalar steppers at the default lane width;
+ * "avx2" joins the sweep when the build and CPU allow it. The
+ * events-off leg is the one that runs the group steppers, hence the
+ * vector backends; the events-on leg covers the observed path.
  */
 TEST(FusedEngine, SimdBackendLaneCapJobsDoNotChangeAnyByte)
 {
-    ObservedGrid reference;
-    {
-        ScopedEnv simd_env("EV8_SIMD", "0");
-        ScopedEnv lanes("EV8_FUSED_LANES", nullptr);
-        reference = observedGrid(1);
-    }
     std::vector<const char *> backends{"0", "scalar"};
     if (simd::builtWithAvx2() && simd::cpuHasAvx2())
         backends.push_back("avx2");
-    for (const char *backend : backends) {
-        ScopedEnv simd_env("EV8_SIMD", backend);
-        for (const char *cap : {"1", "3", "8", "16", "64"}) {
-            ScopedEnv lanes("EV8_FUSED_LANES", cap);
-            for (const unsigned jobs : {1u, 4u}) {
-                const ObservedGrid run = observedGrid(jobs);
-                expectSameGrid(run, reference);
+    for (const bool events : {false, true}) {
+        ObservedGrid reference;
+        {
+            ScopedEnv simd_env("EV8_SIMD", "0");
+            ScopedEnv lanes("EV8_FUSED_LANES", nullptr);
+            reference = observedGrid(1, nullptr, events);
+        }
+        for (const char *backend : backends) {
+            ScopedEnv simd_env("EV8_SIMD", backend);
+            for (const char *cap : {"1", "3", "8", "16", "64"}) {
+                ScopedEnv lanes("EV8_FUSED_LANES", cap);
+                for (const unsigned jobs : {1u, 4u}) {
+                    SCOPED_TRACE(std::string("events=")
+                                 + (events ? "on" : "off") + " simd="
+                                 + backend + " lanes=" + cap + " jobs="
+                                 + std::to_string(jobs));
+                    expectSameGrid(observedGrid(jobs, nullptr, events),
+                                   reference);
+                }
             }
         }
     }

@@ -101,15 +101,15 @@ runSession(PredictionServer &server, const std::string &session)
 }
 
 /** Decodes a wait reply's cells into index order. */
-std::vector<GridCheckpoint::RestoredCell>
+std::vector<CellOutput>
 decodeCells(const JsonValue &done, size_t expect)
 {
     const JsonValue &cells = done.at("cells");
     EXPECT_TRUE(cells.isArray());
     EXPECT_EQ(cells.items.size(), expect);
-    std::vector<GridCheckpoint::RestoredCell> out(expect);
+    std::vector<CellOutput> out(expect);
     for (const JsonValue &item : cells.items) {
-        GridCheckpoint::RestoredCell cell;
+        CellOutput cell;
         const size_t idx = decodeCellRecord(item.text, expect, cell);
         out[idx] = std::move(cell);
     }
@@ -373,7 +373,7 @@ TEST(Serve, SessionDropFailsOnlyTheTargetedSession)
     ScopedEnv noCkpt("EV8_CHECKPOINT_DIR", nullptr);
 
     // Clean reference for the surviving session's cells.
-    std::vector<GridCheckpoint::RestoredCell> clean;
+    std::vector<CellOutput> clean;
     {
         ScopedEnv noFault("EV8_FAULT_SPEC", nullptr);
         PredictionServer server(ServeLimits{}, 2);

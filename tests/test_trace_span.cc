@@ -235,6 +235,22 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
+// The nothrow forms too (std::stable_sort's temporary buffer uses
+// them): left to the runtime, they would allocate with its allocator
+// and be freed by the delete below, an alloc-dealloc mismatch.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
 void
 operator delete(void *ptr) noexcept
 {
