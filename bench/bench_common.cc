@@ -37,7 +37,7 @@ printUsage(const char *prog)
         "\n"
         "options:\n"
         "  --json=<path>    write the ev8-bench-v1 JSON artifact\n"
-        "                   (results + metric registry + timing)\n"
+        "                   (results + metric registry + telemetry)\n"
         "  --csv=<path>     write the result rows as CSV\n"
         "  --events=<path>  write sampled misprediction events (JSONL)\n"
         "  --sample=<N>     event sampling period, every Nth\n"
@@ -54,7 +54,7 @@ printUsage(const char *prog)
         "  --jobs=<N>       simulation worker threads, 1..4096 (default:\n"
         "                   EV8_JOBS or hardware concurrency; results and\n"
         "                   artifacts are byte-identical for any N)\n"
-        "  --no-timing      skip the lookup/update/history timing split\n"
+        "  --no-timing      accepted for compatibility; no effect\n"
         "  --trace-out=<f>  write a Chrome trace_event timeline of the\n"
         "                   run (load in Perfetto / chrome://tracing;\n"
         "                   timing-dependent, excluded from byte-\n"
@@ -168,7 +168,7 @@ parseBenchArgs(int argc, char **argv, const BenchOptionHandler &extra,
                 std::exit(2);
             }
         } else if (std::strcmp(arg, "--no-timing") == 0) {
-            args.timing = false;
+            // No effect; kept because perfbench/run.py passes it.
         } else if (const char *v = optValue(arg, "--trace-out")) {
             args.traceOutPath = v;
         } else if (std::strcmp(arg, "--progress") == 0) {
@@ -265,7 +265,6 @@ BenchContext::instrument(SimConfig config)
 {
     config.metrics = &registry_;
     config.events = events.get();
-    config.profileTiming = args_.timing && args_.wantsArtifacts();
     return config;
 }
 
@@ -295,18 +294,10 @@ BenchContext::recordResults(const std::string &label,
         values.push_back(r.failed
                              ? std::numeric_limits<double>::quiet_NaN()
                              : r.sim.stats.mispKI());
-        if (!r.failed)
-            noteTiming(r.sim.timing);
     }
     columns.push_back("amean");
     values.push_back(SuiteRunner::averageMispKI(results));
     recordRow(label, storage_bits, std::move(columns), std::move(values));
-}
-
-void
-BenchContext::noteTiming(const SimTiming &timing)
-{
-    data_.timing.merge(timing);
 }
 
 void
@@ -486,15 +477,6 @@ BenchContext::finish()
                                   SpanTracer::global(), prog_))
             return kExitFatal;
         std::fprintf(stderr, "wrote %s\n", args_.traceOutPath.c_str());
-    }
-
-    if (args_.timing && args_.wantsArtifacts() && !args_.quiet
-        && data_.timing.lookup.calls > 0) {
-        std::printf("timing: lookup %.1f ns/call, update %.1f ns/call, "
-                    "history %.1f ns/block\n\n",
-                    data_.timing.lookup.nsPerCall(),
-                    data_.timing.update.nsPerCall(),
-                    data_.timing.history.nsPerCall());
     }
 
     if (!data_.failures.empty()) {

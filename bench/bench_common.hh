@@ -17,7 +17,7 @@
  *     --jobs=<N>       simulation worker threads (default EV8_JOBS or
  *                      hardware concurrency; artifacts are
  *                      byte-identical for any N)
- *     --no-timing      skip the lookup/update/history ScopedTimer split
+ *     --no-timing      accepted, no effect (perfbench/run.py passes it)
  *     --trace-out=<f>  Chrome trace_event timeline of the run
  *                      (Perfetto / chrome://tracing loadable)
  *     --progress       live cells-done/ETA line on stderr
@@ -85,7 +85,6 @@ struct BenchArgs
     std::string eventsPath;   //!< --events=<path>, empty = no trace
     uint64_t sampleEvery = 64; //!< --sample=<N>
     unsigned jobs = 0;         //!< --jobs=<N>, 0 = engine default
-    bool timing = true;        //!< cleared by --no-timing
     std::string traceOutPath;  //!< --trace-out=<path>, empty = no trace
     bool progress = false;     //!< --progress
     bool quiet = false;        //!< --quiet
@@ -169,9 +168,6 @@ class BenchContext
     /** Convenience: per-benchmark misp/KI columns plus "amean". */
     void recordResults(const std::string &label, uint64_t storage_bits,
                        const std::vector<BenchResult> &results);
-
-    /** Folds one run's timing split into the exported totals. */
-    void noteTiming(const SimTiming &timing);
 
     /**
      * Registers a cell failure received from outside the context's own

@@ -387,7 +387,6 @@ runParity(BenchContext &ctx, const GridSpec &grid, Rpc &rpc,
     open.grid = grid.id;
     open.wantEvents = ctx.eventSink() != nullptr;
     open.wantMetrics = true;
-    open.timing = ctx.args().timing && ctx.args().wantsArtifacts();
     callAdmitting(rpc, open);
     rpc.call(sessionOp("start", session));
 
@@ -492,7 +491,6 @@ runLoad(BenchContext &ctx, const GridSpec &grid, size_t nsessions,
             open.grid = grid.id;
             open.wantEvents = false;
             open.wantMetrics = true;
-            open.timing = false;
             {
                 const auto t0 = Clock::now();
                 callAdmitting(*rpc, open);

@@ -7,14 +7,16 @@
  * trace grows (Section 5.3).
  *
  * Lengths can be overridden: EV8_SWEEP_LENGTHS="4,8,12,16" (comma
- * separated).
+ * separated, each in [1, 64]; anything else exits 2).
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "bench_common.hh"
+#include "common/env.hh"
 #include "common/table.hh"
 #include "predictors/factory.hh"
 #include "predictors/twobcgskew.hh"
@@ -28,16 +30,26 @@ namespace
 std::vector<unsigned>
 sweepLengths()
 {
-    if (const char *env = std::getenv("EV8_SWEEP_LENGTHS")) {
-        std::vector<unsigned> lengths;
-        std::istringstream in(env);
-        std::string tok;
-        while (std::getline(in, tok, ','))
-            lengths.push_back(unsigned(std::stoul(tok)));
-        if (!lengths.empty())
-            return lengths;
+    const char *env = std::getenv("EV8_SWEEP_LENGTHS");
+    if (env == nullptr)
+        return {4, 8, 12, 16, 20, 24};
+    // Every comma-separated token must be a history length the 64-bit
+    // history register can hold; an empty token is an error too.
+    const std::string text = env;
+    std::vector<unsigned> lengths;
+    try {
+        for (size_t pos = 0;;) {
+            const size_t comma = text.find(',', pos);
+            lengths.push_back(static_cast<unsigned>(
+                parseStrictU64(text.substr(pos, comma - pos), 1, 64)));
+            if (comma == std::string::npos)
+                return lengths;
+            pos = comma + 1;
+        }
+    } catch (const std::invalid_argument &err) {
+        std::fprintf(stderr, "EV8_SWEEP_LENGTHS: %s\n", err.what());
+        std::exit(2);
     }
-    return {4, 8, 12, 16, 20, 24};
 }
 
 void
@@ -72,8 +84,8 @@ main(int argc, char **argv)
     BenchContext ctx(argc, argv,
                      "Methodology (Section 8)", "History-length sweeps");
 
-    SuiteRunner &runner = ctx.runner();
     const auto lengths = sweepLengths();
+    SuiteRunner &runner = ctx.runner();
     const SimConfig ghist = ctx.instrument(SimConfig::ghist());
 
     if (!benchQuiet())

@@ -42,7 +42,6 @@ main(int argc, char **argv)
         BimodalPredictor dummy(10); // the predictor is irrelevant here
         const SimResult r = simulateTrace(
             runner.trace(i), dummy, ctx.instrument(SimConfig::ev8()));
-        ctx.noteTiming(r.timing);
         table.row({runner.name(i), fmt(r.lghistRatio(), 2),
                    fmt(kPaperRatio[i], 2),
                    std::to_string(r.fetchBlocks),

@@ -20,9 +20,8 @@ Methodology, tuned for noisy shared runners:
  * Modes alternate 0,1,1,0,... and the minimum wall-clock per mode is
    compared: the fastest repetition is the one with the least
    interference, and alternation cancels slow drift.
- * Runs use --no-timing: per-call timing profiling forces the fused
-   kernel onto the per-lane observed path (every lane needs its own
-   timer), so a timed run measures the profiler, not the simulator.
+ * Runs pass --no-timing, which is accepted and has no effect: the
+   simulator's only timing is the per-walk telemetry spans.
 
 --report writes a JSON summary carrying the raw samples, the active
 SIMD backend and lane width (read from the artifact telemetry), and

@@ -28,8 +28,8 @@ Methodology notes, tuned for noisy shared runners:
    classification are not charged to whichever mode runs first.
  * The exact 16M run is long enough (minutes) that scheduler noise
    averages out; the short sampled runs take the min of `repeats`.
- * Runs use --no-timing for the same reason as the fused gate:
-   per-call profiling would measure the profiler, not the simulator.
+ * Runs pass --no-timing, which is accepted and has no effect (see
+   the fused gate).
 
 --report writes a JSON summary carrying the raw samples, the
 per-column worst error, and the verdict; CI uploads it with the run

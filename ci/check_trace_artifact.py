@@ -33,8 +33,7 @@ from strip_telemetry import mask_timing_dependent  # noqa: E402
 
 PHASE_NAMES = {
     "grid.setup", "cell", "fused.walk", "fused.demote", "decode",
-    "cache.load", "checkpoint", "merge", "sim.time.lookup",
-    "sim.time.update", "sim.time.history", "serve.accept",
+    "cache.load", "checkpoint", "merge", "serve.accept",
     "serve.session_run", "serve.snapshot",
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Machine-readable artifact export for the bench harness: every
  * table/figure reproduction can land as a JSON document (results +
- * metric registry + timing) and/or a CSV of its result rows, so the
+ * metric registry + telemetry) and/or a CSV of its result rows, so the
  * BENCH_* trajectory, CI and regression tooling can consume what the
  * human-facing text tables show.
  *
@@ -30,8 +30,8 @@
  *                   "gauges": {name: x, ...},
  *                   "histograms": {name: {"count": N, "sum": x,
  *                       "buckets": [{"le": b, "count": N}, ...]}}},
- *       "timing": {"lookup":  {"calls": N, "ns": N, "ns_per_call": x},
- *                  "update":  {...}, "history": {...}},
+ *       "timing": {"lookup":  {"calls": 0, "ns": 0, "ns_per_call": 0},
+ *                  "update":  {...}, "history": {...}},  (always zero)
  *       "telemetry": {"wall_ns": N, "cpu_user_ns": N, "cpu_sys_ns": N,
  *                     "peak_rss_bytes": N,
  *                     "phases": {"cell": {"count": N, "wall_ns": N},
@@ -66,7 +66,6 @@
 
 #include "obs/metrics.hh"
 #include "obs/telemetry.hh"
-#include "obs/timer.hh"
 
 namespace ev8
 {
@@ -145,7 +144,6 @@ struct BenchExport
     std::vector<BenchFailureExport> failures; //!< empty on a clean run
     SamplingExport sampling; //!< written only when sampling.active
     const MetricRegistry *metrics = nullptr;  //!< optional
-    SimTiming timing;                         //!< all-zero when unprofiled
 
     /**
      * Optional run telemetry (resource usage, phase times, pool

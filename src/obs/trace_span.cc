@@ -20,9 +20,6 @@ spanPhaseName(SpanPhase phase)
       case SpanPhase::CacheLoad: return "cache.load";
       case SpanPhase::Checkpoint: return "checkpoint";
       case SpanPhase::Merge: return "merge";
-      case SpanPhase::SimLookup: return "sim.time.lookup";
-      case SpanPhase::SimUpdate: return "sim.time.update";
-      case SpanPhase::SimHistory: return "sim.time.history";
       case SpanPhase::Accept: return "serve.accept";
       case SpanPhase::SessionRun: return "serve.session_run";
       case SpanPhase::Snapshot: return "serve.snapshot";

@@ -51,9 +51,6 @@ enum class SpanPhase : uint8_t
     CacheLoad,   //!< trace-cache disk probe/load (hit or miss)
     Checkpoint,  //!< checkpoint journal write / restore
     Merge,       //!< submission-order merge of per-job outputs
-    SimLookup,   //!< ScopedTimer sim.time.lookup routing
-    SimUpdate,   //!< ScopedTimer sim.time.update routing
-    SimHistory,  //!< ScopedTimer sim.time.history routing
     Accept,      //!< serve: accepting/admitting a client session
     SessionRun,  //!< serve: one session's cell grid, end to end
     Snapshot,    //!< serve: building a live session snapshot reply
@@ -62,7 +59,7 @@ enum class SpanPhase : uint8_t
 
 constexpr size_t kSpanPhaseCount = static_cast<size_t>(SpanPhase::None);
 
-/** Stable category/phase name ("cell", "sim.time.lookup", ...). */
+/** Stable category/phase name ("cell", "fused.walk", ...). */
 const char *spanPhaseName(SpanPhase phase);
 
 /** One completed span as stored in the per-thread buffers. */

@@ -307,7 +307,6 @@ buildGridRows(const GridSpec &grid, const SimConfig &config)
         SimConfig rowConfig = rowBaseConfig(grid, r);
         rowConfig.metrics = config.metrics;
         rowConfig.events = config.events;
-        rowConfig.profileTiming = config.profileTiming;
         rowConfig.forceGenericKernel = config.forceGenericKernel;
         rows.push_back(GridRow{
             [make = r.make, spec = r.spec] {

@@ -72,7 +72,7 @@ struct ServeRequest
     // served artifacts to be byte-identical.
     bool wantEvents = false;   //!< "events": buffer misprediction events
     bool wantMetrics = true;   //!< "metrics": per-cell metric registries
-    bool timing = true;        //!< "timing": SimConfig::profileTiming
+    bool timing = true;        //!< "timing": unused, set by perfbench/ledger.cc
     bool forceGeneric = false; //!< "generic": run the oracle walk
 };
 

@@ -31,7 +31,6 @@ class PredictionServer::Session
           name_(open_.session), nbench_(specint95Suite().size())
     {
         SimConfig config = baseConfig(grid_);
-        config.profileTiming = open_.timing;
         config.forceGenericKernel = open_.forceGeneric;
         rows_ = buildGridRows(grid_, config);
         outputs_.resize(cells());

@@ -32,15 +32,14 @@ fuseGroups(const std::vector<size_t> &cells,
     // Everything in the key must be identical for the lanes to legally
     // share one history walk / one kernel shape.
     using FuseKey = std::tuple<const WorkloadProfile *, int, unsigned,
-                               bool, bool, bool, bool, bool>;
+                               bool, bool, bool, bool>;
     std::map<FuseKey, size_t> open; //!< key -> unfilled group
     for (const size_t i : cells) {
         const CellRequest &req = reqs[i];
         const SimConfig &c = req.config;
         const FuseKey key{req.profile, static_cast<int>(c.history),
-                          c.historyAge, c.assignBanks, c.profileTiming,
-                          req.wantEvents, req.wantMetrics,
-                          c.forceGenericKernel};
+                          c.historyAge, c.assignBanks, req.wantEvents,
+                          req.wantMetrics, c.forceGenericKernel};
         auto [it, inserted] = open.try_emplace(key, groups.size());
         if (inserted) {
             groups.emplace_back();

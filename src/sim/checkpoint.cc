@@ -112,10 +112,9 @@ encodeCellRecord(size_t cell, const BenchResult &result,
     w.key("bpb");
     writeU64Array(w, {sim.branchesPerBlock.begin(),
                       sim.branchesPerBlock.end()});
+    // Always zero, pinned by perfbench/ref/served-cells.sha256.
     w.key("timing");
-    writeU64Array(w, {sim.timing.lookup.calls, sim.timing.lookup.ns,
-                      sim.timing.update.calls, sim.timing.update.ns,
-                      sim.timing.history.calls, sim.timing.history.ns});
+    writeU64Array(w, std::vector<uint64_t>(6, 0));
     // Written only for sampled cells so exact-mode journal bytes are
     // untouched by the sampling layer.
     if (sim.sampled.active) {
@@ -220,12 +219,6 @@ decodeCellRecord(const std::string &line, size_t cells, CellOutput &out)
     const JsonValue &timing = sim.at("timing");
     if (!timing.isArray() || timing.items.size() != 6)
         throw std::runtime_error("malformed timing array");
-    r.timing.lookup.calls = parseU64(timing.items[0]);
-    r.timing.lookup.ns = parseU64(timing.items[1]);
-    r.timing.update.calls = parseU64(timing.items[2]);
-    r.timing.update.ns = parseU64(timing.items[3]);
-    r.timing.history.calls = parseU64(timing.items[4]);
-    r.timing.history.ns = parseU64(timing.items[5]);
     if (const JsonValue *sampled = sim.find("sampled")) {
         if (!sampled->isArray() || sampled->items.size() != 5)
             throw std::runtime_error("malformed sampled array");

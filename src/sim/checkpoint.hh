@@ -60,7 +60,7 @@ class GridCheckpoint
      * Bump when the record encoding or the grid-hash recipe changes:
      * journals from older builds must be discarded, not misread.
      */
-    static constexpr unsigned kFormatVersion = 1;
+    static constexpr unsigned kFormatVersion = 2;
 
     /** EV8_CHECKPOINT_DIR, or "" (checkpointing disabled). */
     static std::string defaultDir();

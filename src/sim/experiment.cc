@@ -87,7 +87,6 @@ gridHash(SuiteRunner &runner, const std::vector<GridRow> &rows,
         h.u64(c.assignBanks ? 1 : 0);
         h.u64(c.events != nullptr ? 1 : 0);
         h.u64(c.metrics != nullptr ? 1 : 0);
-        h.u64(c.profileTiming ? 1 : 0);
         h.u64(c.forceGenericKernel ? 1 : 0);
     }
     return h.value();

@@ -6,16 +6,15 @@
  *
  *  - runFusedStreamKernelRange is the production walk over one block
  *    range, one instantiation per (concrete predictor type, history
- *    mode, timing, event sink), so predict()/update() are direct calls
- *    and the `if (timed)` / `if (events)` decisions compile out of the
- *    per-branch path;
+ *    mode, event sink), so predict()/update() are direct calls and the
+ *    `if (events)` decision compiles out of the per-branch path;
  *  - runWindows is the windowed driver: an exact run is one window
  *    [0, blocks()) with no warmup, a sampled run is a plan's windows,
  *    each primed by its warmup range;
  *  - dispatchFusedKernel resolves the runtime flags to the matching
  *    production instantiation;
  *  - runOracleRange is the reference: one predictor behind the virtual
- *    base class, plain runtime `if`s for timing and events. It runs
+ *    base class, a plain runtime `if` for events. It runs
  *    only when SimConfig::forceGenericKernel / EV8_GENERIC_KERNEL=1 is
  *    set, so the byte-identity gates compare it with production.
  *
@@ -47,7 +46,6 @@
 #include "frontend/bank_scheduler.hh"
 #include "frontend/lghist.hh"
 #include "obs/event_trace.hh"
-#include "obs/timer.hh"
 #include "sim/block_stream.hh"
 #include "sim/phase/sample_plan.hh"
 #include "sim/simulator.hh"
@@ -127,7 +125,7 @@ concept FusedSteppable = requires(P p, const BranchSnapshot &snap) {
  * of a fused job in one call, sharing cross-lane index arithmetic that
  * the per-lane entry points cannot see (all lanes of a group observe
  * the same BranchSnapshot). Constructed once per walk, checked before
- * the per-lane entry points on the untimed, event-free fast path.
+ * the per-lane entry points on the event-free fast path.
  */
 template <class P>
 concept FusedGroupStepped = requires(typename P::FusedGroup &group,
@@ -187,17 +185,14 @@ checkFusedLanes(const FusedLaneState<Predictor> *lanes, size_t nlanes)
  * @tparam Predictor   concrete (final) predictor class, or
  *                     ConditionalBranchPredictor for types without one
  * @tparam LghistMode  config.history != HistoryMode::Ghist
- * @tparam Timed       config.profileTiming
  * @tparam HasEvents   some lane has an event sink (lanes with a null
  *                     sink just skip emission)
  *
  * The walk tallies (fetchBlocks, condBranches, lghistBits,
  * branchesPerBlock) are computed once and added into every lane;
- * per-lane mispredictions are tallied SoA in the fast path, and the
- * per-block history advance is timed once and merged into every lane
- * with the same call count a one-lane walk would record.
+ * per-lane mispredictions are tallied SoA in the fast path.
  */
-template <class Predictor, bool LghistMode, bool Timed, bool HasEvents>
+template <class Predictor, bool LghistMode, bool HasEvents>
 void
 runFusedStreamKernelRange(const BlockStream &stream,
                           FusedLaneState<Predictor> *lanes,
@@ -212,11 +207,11 @@ runFusedStreamKernelRange(const BlockStream &stream,
     for (size_t l = 0; l < nlanes; ++l)
         preds[l] = lanes[l].predictor;
 
-    // Group stepper, built once per walk; only the untimed, event-free
+    // Group stepper, built once per walk; only the event-free
     // instantiations of group-steppable predictors ever use it (the
-    // observed paths need per-lane calls for timers and events).
+    // observed path needs per-lane calls for events).
     auto group = [&] {
-        if constexpr (!(Timed || HasEvents) && FusedGroupStepped<Predictor>)
+        if constexpr (!HasEvents && FusedGroupStepped<Predictor>)
             return typename Predictor::FusedGroup(preds, nlanes);
         else
             return 0;
@@ -237,7 +232,6 @@ runFusedStreamKernelRange(const BlockStream &stream,
     uint64_t fetch_blocks = 0, cond_branches = 0, lghist_bits = 0;
     uint64_t branch_seq = branch_seq_base;
     std::array<uint64_t, 9> per_block{};
-    TimingStat hist_time;
 
     BranchSnapshot snap;
     const size_t nblocks = end_block;
@@ -268,35 +262,18 @@ runFusedStreamKernelRange(const BlockStream &stream,
             snap.hist.ghist = ghist.raw();
             snap.hist.indexHist = LghistMode ? block_hist : ghist.raw();
 
-            if constexpr (Timed || HasEvents) {
-                // Observed path: per-lane timers / event emission need
-                // split predict()/update() calls, with identical call
-                // counts per lane.
+            if constexpr (HasEvents) {
+                // Observed path: event emission needs split
+                // predict()/update() calls and the predictor's votes.
                 for (size_t l = 0; l < nlanes; ++l) {
-                    bool predicted;
-                    if constexpr (Timed) {
-                        ScopedTimer t(lanes[l].result->timing.lookup,
-                                      SpanPhase::SimLookup);
-                        predicted = preds[l]->predict(snap);
-                    } else {
-                        predicted = preds[l]->predict(snap);
-                    }
+                    const bool predicted = preds[l]->predict(snap);
                     lanes[l].result->stats.record(predicted, br_taken);
-                    if constexpr (HasEvents) {
-                        if (predicted != br_taken && lanes[l].events) {
-                            lanes[l].events->onMispredict(
-                                makeMispredictEvent(
-                                    branch_seq, snap, br_taken,
-                                    predicted, preds[l]->lastVotes()));
-                        }
+                    if (predicted != br_taken && lanes[l].events) {
+                        lanes[l].events->onMispredict(makeMispredictEvent(
+                            branch_seq, snap, br_taken, predicted,
+                            preds[l]->lastVotes()));
                     }
-                    if constexpr (Timed) {
-                        ScopedTimer t(lanes[l].result->timing.update,
-                                      SpanPhase::SimUpdate);
-                        preds[l]->update(snap, br_taken, predicted);
-                    } else {
-                        preds[l]->update(snap, br_taken, predicted);
-                    }
+                    preds[l]->update(snap, br_taken, predicted);
                 }
             } else if constexpr (FusedGroupStepped<Predictor>) {
                 group.step(snap, br_taken, misp);
@@ -317,25 +294,14 @@ runFusedStreamKernelRange(const BlockStream &stream,
             ++cond_branches;
         }
 
-        const auto advance_history = [&] {
-            if (nbr > 0) {
-                const uint8_t raw = stream.branchRaw(last - 1);
-                lghist.onBranchBlock(
-                    block_addr + uint64_t(raw >> 1) * kInstrBytes,
-                    (raw & 1) != 0);
-                ++lghist_bits;
-            }
-            delayed.advance(lghist.value());
-        };
-        if constexpr (Timed) {
-            // Timed once per block; merged per lane below so every
-            // lane reports the same history call count as a one-lane
-            // walk (the shared advance serves all lanes at once).
-            ScopedTimer t(hist_time, SpanPhase::SimHistory);
-            advance_history();
-        } else {
-            advance_history();
+        if (nbr > 0) {
+            const uint8_t raw = stream.branchRaw(last - 1);
+            lghist.onBranchBlock(
+                block_addr + uint64_t(raw >> 1) * kInstrBytes,
+                (raw & 1) != 0);
+            ++lghist_bits;
         }
+        delayed.advance(lghist.value());
 
         path_x = path_y;
         path_y = path_z;
@@ -352,42 +318,32 @@ runFusedStreamKernelRange(const BlockStream &stream,
     // Accumulating fan-out: each range adds into the lane results.
     for (size_t l = 0; l < nlanes; ++l) {
         SimResult &r = *lanes[l].result;
-        if constexpr (!(Timed || HasEvents))
+        if constexpr (!HasEvents)
             r.stats.tally(cond_branches, misp[l]);
         r.fetchBlocks += fetch_blocks;
         r.condBranches += cond_branches;
         r.lghistBits += lghist_bits;
         for (size_t k = 0; k < per_block.size(); ++k)
             r.branchesPerBlock[k] += per_block[k];
-        if constexpr (Timed)
-            r.timing.history.merge(hist_time);
     }
 }
 
 /**
  * The oracle: the readable reference walk of one predictor over blocks
- * [begin_block, end_block), through the virtual interface, with plain
- * runtime checks for timing and events. Same contract as
+ * [begin_block, end_block), through the virtual interface, with a
+ * plain runtime check for events. Same contract as
  * runFusedStreamKernelRange with one lane, and slower by design.
  */
 inline void
 runOracleRange(const BlockStream &stream,
                const FusedLaneState<ConditionalBranchPredictor> &lane,
-               const SimConfig &config, bool timed,
-               BankScheduler &bank_sched, size_t begin_block,
-               size_t end_block, KernelWalkState &walk,
-               uint64_t branch_seq)
+               const SimConfig &config, BankScheduler &bank_sched,
+               size_t begin_block, size_t end_block,
+               KernelWalkState &walk, uint64_t branch_seq)
 {
     ConditionalBranchPredictor &predictor = *lane.predictor;
     SimResult &r = *lane.result;
     const bool lghist_mode = config.history != HistoryMode::Ghist;
-    const auto maybe_timed = [timed](TimingStat &stat, SpanPhase phase,
-                                     auto &&call) {
-        if (!timed)
-            return call();
-        ScopedTimer t(stat, phase);
-        return call();
-    };
 
     BranchSnapshot snap;
     for (size_t b = begin_block; b < end_block; ++b) {
@@ -415,32 +371,26 @@ runOracleRange(const BlockStream &stream,
             snap.hist.indexHist =
                 lghist_mode ? block_hist : walk.ghist.raw();
 
-            const bool predicted =
-                maybe_timed(r.timing.lookup, SpanPhase::SimLookup,
-                            [&] { return predictor.predict(snap); });
+            const bool predicted = predictor.predict(snap);
             r.stats.record(predicted, taken);
             if (lane.events && predicted != taken) {
                 lane.events->onMispredict(makeMispredictEvent(
                     branch_seq, snap, taken, predicted,
                     predictor.lastVotes()));
             }
-            maybe_timed(r.timing.update, SpanPhase::SimUpdate, [&] {
-                predictor.update(snap, taken, predicted);
-            });
+            predictor.update(snap, taken, predicted);
             walk.ghist.push(taken);
             ++r.condBranches;
         }
 
-        maybe_timed(r.timing.history, SpanPhase::SimHistory, [&] {
-            if (last > first) {
-                const uint8_t raw = stream.branchRaw(last - 1);
-                walk.lghist.onBranchBlock(
-                    block_addr + uint64_t(raw >> 1) * kInstrBytes,
-                    (raw & 1) != 0);
-                ++r.lghistBits;
-            }
-            walk.delayed.advance(walk.lghist.value());
-        });
+        if (last > first) {
+            const uint8_t raw = stream.branchRaw(last - 1);
+            walk.lghist.onBranchBlock(
+                block_addr + uint64_t(raw >> 1) * kInstrBytes,
+                (raw & 1) != 0);
+            ++r.lghistBits;
+        }
+        walk.delayed.advance(walk.lghist.value());
         walk.pathX = walk.pathY;
         walk.pathY = walk.pathZ;
         walk.pathZ = block_addr;
@@ -453,7 +403,7 @@ runOracleRange(const BlockStream &stream,
  * not contiguous with the previous one resets the history state and
  * the bank recurrence and is primed by its warmup range, which runs
  * into throwaway results with every lane's stats gated off and no
- * timers or events. Predictor tables are never reset between windows.
+ * events. Predictor tables are never reset between windows.
  * Each lane with tallies gets its measured mispredictions per window.
  *
  * @p range(lanes, walk, begin, end, branch_seq_base, measured) walks
@@ -511,8 +461,8 @@ runWindows(FusedLaneState<Predictor> *lanes, size_t nlanes,
 
 /**
  * Resolves the runtime flags to the matching production instantiation
- * and walks @p windows with it; warmup ranges take the untimed,
- * event-free instantiation, so the group steppers (and the SIMD lane
+ * and walks @p windows with it; warmup ranges take the event-free
+ * instantiation, so the group steppers (and the SIMD lane
  * stepping under them) serve warmup and measurement alike.
  */
 template <class Predictor>
@@ -523,12 +473,11 @@ dispatchFusedKernel(const BlockStream &stream,
                     const std::vector<SampledWindow> &windows)
 {
     const bool lg = config.history != HistoryMode::Ghist;
-    const bool timed = config.profileTiming;
     bool events = false;
     for (size_t l = 0; l < nlanes; ++l)
         events |= lanes[l].events != nullptr;
 
-    auto run = [&](auto lg_c, auto timed_c, auto events_c) {
+    auto run = [&](auto lg_c, auto events_c) {
         constexpr bool Lg = decltype(lg_c)::value;
         runWindows(
             lanes, nlanes, config, bank_sched, windows,
@@ -536,13 +485,11 @@ dispatchFusedKernel(const BlockStream &stream,
                 size_t begin, size_t end, uint64_t seq, bool measured) {
                 if (measured) {
                     runFusedStreamKernelRange<Predictor, Lg,
-                                              decltype(timed_c)::value,
                                               decltype(events_c)::value>(
                         stream, ls, nlanes, config, bank_sched, begin,
                         end, walk, seq);
                 } else {
-                    runFusedStreamKernelRange<Predictor, Lg, false,
-                                              false>(
+                    runFusedStreamKernelRange<Predictor, Lg, false>(
                         stream, ls, nlanes, config, bank_sched, begin,
                         end, walk, seq);
                 }
@@ -550,14 +497,9 @@ dispatchFusedKernel(const BlockStream &stream,
     };
     using F = std::false_type;
     using T = std::true_type;
-    if (lg) {
-        if (timed)
-            return events ? run(T{}, T{}, T{}) : run(T{}, T{}, F{});
-        return events ? run(T{}, F{}, T{}) : run(T{}, F{}, F{});
-    }
-    if (timed)
-        return events ? run(F{}, T{}, T{}) : run(F{}, T{}, F{});
-    return events ? run(F{}, F{}, T{}) : run(F{}, F{}, F{});
+    if (lg)
+        return events ? run(T{}, T{}) : run(T{}, F{});
+    return events ? run(F{}, T{}) : run(F{}, F{});
 }
 
 } // namespace detail

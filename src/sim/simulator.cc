@@ -44,18 +44,6 @@ publishSimMetrics(MetricRegistry &registry, const SimResult &result,
 
     if (config.assignBanks)
         banks.publishMetrics(registry, "frontend.banks");
-
-    if (config.profileTiming) {
-        auto publish = [&](const char *phase, const TimingStat &t) {
-            const std::string p = std::string("sim.time.") + phase;
-            registry.counter(p + ".calls").inc(t.calls);
-            registry.counter(p + ".ns").inc(t.ns);
-            registry.gauge(p + ".ns_per_call").set(t.nsPerCall());
-        };
-        publish("lookup", result.timing.lookup);
-        publish("update", result.timing.update);
-        publish("history", result.timing.history);
-    }
 }
 
 /**
@@ -210,11 +198,9 @@ simulateStreamFused(const BlockStream &stream,
             detail::runWindows(
                 &lane, 1, config, sched, windows,
                 [&](auto *ls, detail::KernelWalkState &walk, size_t begin,
-                    size_t end, uint64_t seq, bool measured) {
-                    detail::runOracleRange(
-                        stream, *ls, config,
-                        measured && config.profileTiming, sched, begin,
-                        end, walk, seq);
+                    size_t end, uint64_t seq, bool) {
+                    detail::runOracleRange(stream, *ls, config, sched,
+                                           begin, end, walk, seq);
                 });
             metrics_sched = sched;
         }

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "obs/timer.hh"
 #include "predictors/predictor.hh"
 #include "trace/trace.hh"
 
@@ -65,7 +64,6 @@ struct SimConfig
      */
     MetricRegistry *metrics = nullptr; //!< end-of-run counter dump
     MispredictSink *events = nullptr;  //!< sampled mispredict JSONL
-    bool profileTiming = false;        //!< fill SimResult::timing
 
     /**
      * Run the oracle -- the readable one-lane walk through the virtual
@@ -128,9 +126,6 @@ struct SimResult
 
     /** Fetch blocks holding exactly k conditional branches (k = 0..8). */
     std::array<uint64_t, 9> branchesPerBlock{};
-
-    /** Wall-clock split (populated only when SimConfig::profileTiming). */
-    SimTiming timing;
 
     /** Table 3: average branches summarized per lghist bit. */
     double

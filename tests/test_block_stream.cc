@@ -189,40 +189,5 @@ TEST(StreamKernel, DevirtualizedKernelEqualsGenericKernel)
     }
 }
 
-TEST(StreamKernel, TimingFlagDoesNotChangeResults)
-{
-    SimConfig plain = SimConfig::ev8();
-    SimConfig timed = plain;
-    timed.profileTiming = true;
-
-    const BlockStream stream = decodeBlockStream(testTrace());
-    PredictorPtr a = make2BcGskew512K();
-    PredictorPtr b = make2BcGskew512K();
-    const SimResult ra = simulateStream(stream, *a, plain);
-    const SimResult rb = simulateStream(stream, *b, timed);
-    EXPECT_EQ(ra.stats.mispredictions(), rb.stats.mispredictions());
-    EXPECT_EQ(ra.condBranches, rb.condBranches);
-    EXPECT_EQ(rb.timing.lookup.calls, rb.condBranches);
-}
-
-TEST(StreamKernel, OracleTimesTheSameCallsAsProduction)
-{
-    SimConfig timed = SimConfig::ev8();
-    timed.profileTiming = true;
-    SimConfig oracle = timed;
-    oracle.forceGenericKernel = true;
-
-    const BlockStream stream = decodeBlockStream(testTrace());
-    PredictorPtr a = make2BcGskew512K();
-    PredictorPtr b = make2BcGskew512K();
-    const SimResult ra = simulateStream(stream, *a, timed);
-    const SimResult rb = simulateStream(stream, *b, oracle);
-    EXPECT_EQ(ra.stats.mispredictions(), rb.stats.mispredictions());
-    EXPECT_EQ(ra.timing.lookup.calls, rb.timing.lookup.calls);
-    EXPECT_EQ(ra.timing.update.calls, rb.timing.update.calls);
-    EXPECT_EQ(ra.timing.history.calls, rb.timing.history.calls);
-    EXPECT_EQ(rb.timing.history.calls, rb.fetchBlocks);
-}
-
 } // namespace
 } // namespace ev8

@@ -87,17 +87,11 @@ struct CellFixture
         result.sim.condBranches = 999;
         for (size_t i = 0; i < result.sim.branchesPerBlock.size(); ++i)
             result.sim.branchesPerBlock[i] = i * i + 1;
-        result.sim.timing.lookup.calls = 10;
-        result.sim.timing.lookup.ns = 1111;
-        result.sim.timing.update.calls = 20;
-        result.sim.timing.update.ns = 2222;
-        result.sim.timing.history.calls = 30;
-        result.sim.timing.history.ns = 3333;
 
         metrics.counter("sim.fetch_blocks").inc(12345);
         // 0.1 has no exact binary representation; the bit-pattern
         // encoding must reproduce the stored double to the last bit.
-        metrics.gauge("sim.time.total_s").set(0.1);
+        metrics.gauge("pred.conf.mean").set(0.1);
         metrics.histogram("pred.conf", {1.0, 2.5, 10.0}).observe(0.1);
         metrics.histogram("pred.conf", {1.0, 2.5, 10.0}).observe(7.0, 3);
 
@@ -143,12 +137,6 @@ expectSameCell(const CellOutput &restored,
     EXPECT_EQ(a.lghistBits, b.lghistBits);
     EXPECT_EQ(a.condBranches, b.condBranches);
     EXPECT_EQ(a.branchesPerBlock, b.branchesPerBlock);
-    EXPECT_EQ(a.timing.lookup.calls, b.timing.lookup.calls);
-    EXPECT_EQ(a.timing.lookup.ns, b.timing.lookup.ns);
-    EXPECT_EQ(a.timing.update.calls, b.timing.update.calls);
-    EXPECT_EQ(a.timing.update.ns, b.timing.update.ns);
-    EXPECT_EQ(a.timing.history.calls, b.timing.history.calls);
-    EXPECT_EQ(a.timing.history.ns, b.timing.history.ns);
 
     // The restored registry serializes to the same bytes.
     EXPECT_EQ(registryJson(restored.metrics),
@@ -257,7 +245,9 @@ TEST(GridCheckpoint, MismatchedFormatHeaderStartsFresh)
     EXPECT_TRUE(reopened.load().empty());
     // And load() rewrote a valid header for the current format.
     const std::string fresh = slurp(path);
-    EXPECT_NE(fresh.find("\"format\":\"1\""), std::string::npos) << fresh;
+    const std::string format = "\"format\":\""
+        + std::to_string(GridCheckpoint::kFormatVersion) + "\"";
+    EXPECT_NE(fresh.find(format), std::string::npos) << fresh;
 }
 
 TEST(GridCheckpoint, WrongCellCountStartsFresh)
@@ -301,6 +291,18 @@ TEST(GridCheckpoint, CorruptAndTornLinesAreSkippedIndividually)
         std::ofstream out(path, std::ios::app);
         out << "not json at all\n";
         out << "{\"cell\":\"1\",\"bench\":\"go\"}\n"; // parses, wrong shape
+        // A whole record whose (always-zero) timing array lost an
+        // element: the decoder still checks its shape.
+        const std::string zeros = "\"timing\":[\"0\",\"0\",\"0\","
+                                  "\"0\",\"0\",\"0\"]";
+        std::string short_timing = record0;
+        const size_t at = short_timing.find(zeros);
+        ASSERT_NE(at, std::string::npos);
+        short_timing.replace(at, zeros.size(),
+                             "\"timing\":[\"0\",\"0\",\"0\",\"0\",\"0\"]");
+        short_timing.replace(short_timing.find("\"cell\":\"0\""), 11,
+                             "\"cell\":\"2\"");
+        out << short_timing << "\n";
         out << record0.substr(0, record0.size() / 2); // torn tail
     }
     GridCheckpoint reopened(dir.path(), 0x5555, 4);

@@ -198,7 +198,7 @@ TEST(TraceSpan, DisabledSpansDoNotAllocate)
 
     const uint64_t before = g_allocCount.load();
     for (unsigned i = 0; i < 1000; ++i) {
-        ScopedSpan span(SpanPhase::SimLookup);
+        ScopedSpan span(SpanPhase::Cell);
         span.rename("short-label");
         span.arg("i", uint64_t{i});
         span.arg("k", std::string("v"));
@@ -209,7 +209,7 @@ TEST(TraceSpan, DisabledSpansDoNotAllocate)
     // The coarse totals still accumulated (telemetry stays available
     // without a timeline), and nothing was buffered.
     const auto totals = SpanTracer::global().phaseTotals();
-    EXPECT_GE(totals[static_cast<size_t>(SpanPhase::SimLookup)].count,
+    EXPECT_GE(totals[static_cast<size_t>(SpanPhase::Cell)].count,
               1000u);
     EXPECT_TRUE(SpanTracer::global().collect().empty());
 }
