@@ -27,8 +27,8 @@ Methodology, tuned for noisy shared runners:
 SIMD backend and lane width (read from the artifact telemetry), and
 the verdict; CI uploads it with the run artifacts. --compare-only
 skips the timing floor but keeps the byte-compares -- the mode for the
-scalar-forced (EV8_SIMD=scalar) job, whose emulated vector path trades
-speed for portability by design.
+EV8_SIMD=0 CI job, which checks the scalar steppers' bytes and leaves
+the floor to the default (AVX2) job.
 
 The tolerance in the baseline file is deliberately wide (~30%): this
 gate exists to catch a change that erases the fusion win entirely, not
@@ -51,8 +51,8 @@ def run_once(bench, branches, jobs, fused, workdir, tag, simd=None):
     """One timed bench run; returns (seconds, json_path, csv_path).
 
     fused "1" runs the default lane cap, "0" one lane per cell
-    (EV8_FUSED_LANES=1). simd=None inherits the caller's EV8_SIMD (so a
-    scalar-forced CI job applies to every run); a string forces that
+    (EV8_FUSED_LANES=1). simd=None inherits the caller's EV8_SIMD (so
+    the EV8_SIMD=0 CI job applies to every run); a string forces that
     backend for this run.
     """
     json_path = os.path.join(workdir, f"{tag}.json")
@@ -114,7 +114,7 @@ def main():
                         help="write a JSON measurement report here")
     parser.add_argument("--compare-only", action="store_true",
                         help="run the byte-compare gates but skip the "
-                             "timing floor (scalar-forced CI job)")
+                             "timing floor (EV8_SIMD=0 CI job)")
     args = parser.parse_args()
 
     with open(args.baseline) as f:

@@ -34,7 +34,8 @@ Methodology notes, tuned for noisy shared runners:
 --report writes a JSON summary carrying the raw samples, the
 per-column worst error, and the verdict; CI uploads it with the run
 artifacts.  --compare-only keeps the accuracy and determinism gates
-but skips the 16M timing floor (quick local runs, scalar-forced CI).
+but skips the 16M timing floor (quick local runs, the EV8_SIMD=0 CI
+job).
 """
 
 import argparse

@@ -26,8 +26,6 @@ backendName(Backend backend)
     switch (backend) {
       case Backend::Off:
         return "off";
-      case Backend::Scalar:
-        return "scalar";
       case Backend::Avx2:
         return "avx2";
     }
@@ -37,7 +35,7 @@ backendName(Backend backend)
 unsigned
 backendLanes(Backend backend)
 {
-    return backend == Backend::Off ? 1u : 4u;
+    return backend == Backend::Off ? 1u : unsigned{kVectorLanes};
 }
 
 Backend
@@ -46,16 +44,13 @@ activeBackend()
     const char *env = std::getenv("EV8_SIMD");
     if (env == nullptr) {
         // cpuid default: the intrinsic path when both build and CPU
-        // can run it, otherwise the tuned scalar steppers. The
-        // emulated vector backend is never the default -- it exists
-        // for determinism checks and A/B runs, not for speed.
+        // can run it, otherwise the tuned scalar steppers.
         return builtWithAvx2() && cpuHasAvx2() ? Backend::Avx2
                                                : Backend::Off;
     }
-    if (std::strcmp(env, "0") == 0)
+    // "scalar" stays accepted as "0" because perfbench/ledger.cc sets it.
+    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "scalar") == 0)
         return Backend::Off;
-    if (std::strcmp(env, "scalar") == 0)
-        return Backend::Scalar;
     if (std::strcmp(env, "avx2") == 0) {
         if (!builtWithAvx2()) {
             std::fprintf(stderr, "EV8_SIMD: 'avx2' requested but this "
@@ -70,8 +65,7 @@ activeBackend()
         return Backend::Avx2;
     }
     std::fprintf(stderr,
-                 "EV8_SIMD: invalid value '%s'; expected 0, scalar or "
-                 "avx2\n",
+                 "EV8_SIMD: invalid value '%s'; expected 0 or avx2\n",
                  env);
     std::exit(2);
 }

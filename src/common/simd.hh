@@ -1,21 +1,21 @@
 /**
  * @file
- * Portable 4x64-bit vector wrapper for the fused simulation kernel.
+ * The 4x64-bit AVX2 vector type of the fused simulation kernel, and
+ * the runtime choice between the two group-stepper backends: Off (the
+ * scalar per-lane steppers) and Avx2 (the fused_vec.hh vector steppers
+ * on U64x4Avx2).
  *
- * Two interchangeable value types implement the same tiny API: U64x4,
- * a pure-scalar emulation that compiles everywhere, and U64x4Avx2, a
- * thin veneer over AVX2 intrinsics compiled only into the translation
- * unit built with -mavx2 (fused_vec_avx2.cc). Which one runs is a
- * per-walk runtime decision (activeBackend()): cpuid picks AVX2 when
- * both the build and the CPU support it, and the EV8_SIMD environment
- * knob overrides the choice for A/B runs and determinism tests.
+ * U64x4Avx2 is a thin veneer over AVX2 intrinsics, compiled only into
+ * the translation unit built with -mavx2 (fused_vec_avx2.cc). Which
+ * backend runs is a per-walk runtime decision (activeBackend()): cpuid
+ * picks AVX2 when both the build and the CPU support it, and the
+ * EV8_SIMD environment knob overrides the choice for A/B runs and
+ * determinism tests. Both backends compute bit-identical results; the
+ * byte-identity gates across EV8_SIMD check it end to end.
  *
- * The emulation is semantics-exact with AVX2 where the instruction
- * sets could differ: variable shifts (srlv/sllv) yield 0 for counts
- * >= 64, matching VPSRLVQ/VPSLLVQ, so the two backends compute
- * bit-identical results by construction, not by luck. Immediate-count
- * operator<</>> require counts < 64 (both backends; VPSLLQ would also
- * zero at >= 64 but no call site shifts that far).
+ * Variable shifts (srlv/sllv) yield 0 for counts >= 64 (VPSRLVQ /
+ * VPSLLVQ); the vector steppers rely on it for padding slots.
+ * Immediate-count operator<</>> require counts < 64.
  *
  * Every operation here is wait-free straight-line arithmetic; gather()
  * takes absolute byte addresses (as uint64_t lanes) rather than a
@@ -40,10 +40,12 @@ namespace simd
 /** The runtime-selected vector backend of the fused group steppers. */
 enum class Backend
 {
-    Off,    //!< scalar per-lane stepping (the pre-vector hot path)
-    Scalar, //!< vector path on the U64x4 emulation (any CPU)
-    Avx2,   //!< vector path on AVX2 intrinsics
+    Off,  //!< scalar per-lane stepping
+    Avx2, //!< vector path on AVX2 intrinsics
 };
+
+/** Lanes one vector op covers; vector staging pads to a multiple. */
+constexpr size_t kVectorLanes = 4;
 
 /** True when this build contains the -mavx2 translation unit. */
 constexpr bool
@@ -60,185 +62,36 @@ builtWithAvx2()
 bool cpuHasAvx2();
 
 /**
- * Resolves EV8_SIMD to the backend for this walk: "0" forces the
- * scalar steppers, "scalar" the emulated vector path, "avx2" the
- * intrinsic path (usage error, exit 2, when build or CPU lack it).
- * Unset picks AVX2 when available and otherwise falls back to the
- * tuned scalar steppers. Any other value is a usage error (exit 2),
- * matching the strict EV8_* parsing convention of common/env.hh.
+ * Resolves EV8_SIMD to the backend for this walk: "0" (or the alias
+ * "scalar") forces the scalar steppers, "avx2" the intrinsic path (usage error, exit 2,
+ * when build or CPU lack it). Unset picks AVX2 when available and
+ * otherwise the scalar steppers. Any other value is a usage error
+ * (exit 2), matching the strict EV8_* parsing convention of
+ * common/env.hh.
  */
 Backend activeBackend();
 
 /**
  * The backend a fused group stepper of @p nlanes lanes runs. The vector
- * paths pack lanes four to a vector, so a one-lane group would pay for
+ * path packs lanes four to a vector, so a one-lane group would pay for
  * three padding lanes with nothing to share them with: it steps scalar
  * (Off) under any EV8_SIMD value. Wider groups take activeBackend().
  * Both choices compute the same bits, so this is a speed choice only.
  */
 Backend groupBackend(size_t nlanes);
 
-/** Stable lowercase name for reports: "off" / "scalar" / "avx2". */
+/** Stable lowercase name for reports: "off" / "avx2". */
 const char *backendName(Backend backend);
 
-/** Lanes one vector op covers: 1 for Off, 4 for the vector paths. */
+/** Lanes one vector op covers: 1 for Off, kVectorLanes for Avx2. */
 unsigned backendLanes(Backend backend);
-
-/**
- * The portable emulation backend: four uint64_t lanes stepped by plain
- * scalar code. Exists so the vector group steppers have exactly one
- * template definition whose arithmetic can be byte-compared against
- * AVX2 on any machine.
- */
-struct U64x4
-{
-    static constexpr size_t kLanes = 4;
-
-    uint64_t l[kLanes];
-
-    U64x4() = default;
-    explicit U64x4(uint64_t v) : l{v, v, v, v} {}
-
-    static U64x4
-    zero()
-    {
-        return U64x4(0);
-    }
-
-    static U64x4
-    load(const uint64_t *p)
-    {
-        U64x4 r;
-        for (size_t i = 0; i < kLanes; ++i)
-            r.l[i] = p[i];
-        return r;
-    }
-
-    void
-    store(uint64_t *p) const
-    {
-        for (size_t i = 0; i < kLanes; ++i)
-            p[i] = l[i];
-    }
-
-    friend U64x4
-    operator&(const U64x4 &a, const U64x4 &b)
-    {
-        U64x4 r;
-        for (size_t i = 0; i < kLanes; ++i)
-            r.l[i] = a.l[i] & b.l[i];
-        return r;
-    }
-
-    friend U64x4
-    operator|(const U64x4 &a, const U64x4 &b)
-    {
-        U64x4 r;
-        for (size_t i = 0; i < kLanes; ++i)
-            r.l[i] = a.l[i] | b.l[i];
-        return r;
-    }
-
-    friend U64x4
-    operator^(const U64x4 &a, const U64x4 &b)
-    {
-        U64x4 r;
-        for (size_t i = 0; i < kLanes; ++i)
-            r.l[i] = a.l[i] ^ b.l[i];
-        return r;
-    }
-
-    U64x4
-    operator~() const
-    {
-        U64x4 r;
-        for (size_t i = 0; i < kLanes; ++i)
-            r.l[i] = ~l[i];
-        return r;
-    }
-
-    /** Immediate shifts; @p s must be < 64 (see file comment). */
-    U64x4
-    operator<<(unsigned s) const
-    {
-        U64x4 r;
-        for (size_t i = 0; i < kLanes; ++i)
-            r.l[i] = l[i] << s;
-        return r;
-    }
-
-    U64x4
-    operator>>(unsigned s) const
-    {
-        U64x4 r;
-        for (size_t i = 0; i < kLanes; ++i)
-            r.l[i] = l[i] >> s;
-        return r;
-    }
-
-    static U64x4
-    add(const U64x4 &a, const U64x4 &b)
-    {
-        U64x4 r;
-        for (size_t i = 0; i < kLanes; ++i)
-            r.l[i] = a.l[i] + b.l[i];
-        return r;
-    }
-
-    /** Per-lane variable right shift; counts >= 64 yield 0 (VPSRLVQ). */
-    static U64x4
-    srlv(const U64x4 &x, const U64x4 &n)
-    {
-        U64x4 r;
-        for (size_t i = 0; i < kLanes; ++i)
-            r.l[i] = n.l[i] >= 64 ? 0 : x.l[i] >> n.l[i];
-        return r;
-    }
-
-    /** Per-lane variable left shift; counts >= 64 yield 0 (VPSLLVQ). */
-    static U64x4
-    sllv(const U64x4 &x, const U64x4 &n)
-    {
-        U64x4 r;
-        for (size_t i = 0; i < kLanes; ++i)
-            r.l[i] = n.l[i] >= 64 ? 0 : x.l[i] << n.l[i];
-        return r;
-    }
-
-    /** Lanewise select: mask bit set -> yes, clear -> no. */
-    static U64x4
-    blend(const U64x4 &mask, const U64x4 &yes, const U64x4 &no)
-    {
-        U64x4 r;
-        for (size_t i = 0; i < kLanes; ++i)
-            r.l[i] = (yes.l[i] & mask.l[i]) | (no.l[i] & ~mask.l[i]);
-        return r;
-    }
-
-    /** Loads one uint64_t per lane from an absolute byte address. */
-    static U64x4
-    gather(const U64x4 &addr)
-    {
-        U64x4 r;
-        for (size_t i = 0; i < kLanes; ++i)
-            r.l[i] = *reinterpret_cast<const uint64_t *>(
-                static_cast<uintptr_t>(addr.l[i]));
-        return r;
-    }
-
-    bool
-    allZero() const
-    {
-        return (l[0] | l[1] | l[2] | l[3]) == 0;
-    }
-};
 
 #if defined(__AVX2__)
 
-/** The AVX2 backend; same API and semantics as U64x4. */
+/** The AVX2 backend: four uint64_t lanes per __m256i. */
 struct U64x4Avx2
 {
-    static constexpr size_t kLanes = 4;
+    static constexpr size_t kLanes = kVectorLanes;
 
     __m256i v;
 

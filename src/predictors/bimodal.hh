@@ -54,8 +54,6 @@ class BimodalPredictor final : public ConditionalBranchPredictor
         template <class Vec>
         void stepVec(const BranchSnapshot &snap, bool taken,
                      uint64_t *misp);
-        void stepVecScalar(const BranchSnapshot &snap, bool taken,
-                           uint64_t *misp);
         void stepVecAvx2(const BranchSnapshot &snap, bool taken,
                          uint64_t *misp);
 

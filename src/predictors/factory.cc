@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/env.hh"
 #include "predictors/agree.hh"
 #include "predictors/bimodal.hh"
 #include "predictors/bimode.hh"
@@ -86,22 +87,54 @@ splitSpec(const std::string &spec)
     return parts;
 }
 
-unsigned
-arg(const std::vector<std::string> &parts, size_t i, const char *what)
-{
-    if (i >= parts.size()) {
-        throw std::invalid_argument(
-            std::string("predictor spec missing argument: ") + what);
-    }
-    return static_cast<unsigned>(std::stoul(parts[i]));
-}
+/** Bounds of the numeric spec fields every constructor accepts. */
+constexpr unsigned kMinLog2 = 1, kMaxLog2 = 30, kMaxHistory = 63;
 
-unsigned
-argOr(const std::vector<std::string> &parts, size_t i, unsigned fallback)
+/** A spec's colon-separated fields, each parsed strictly on demand. */
+struct SpecFields
 {
-    return i < parts.size()
-        ? static_cast<unsigned>(std::stoul(parts[i])) : fallback;
-}
+    std::string spec;
+    std::vector<std::string> parts;
+
+    /**
+     * Field @p i, an integer in [lo, hi]; throws std::invalid_argument
+     * naming the field and the spec when it is missing or malformed.
+     */
+    unsigned
+    get(size_t i, const char *what, unsigned lo, unsigned hi) const
+    {
+        if (i >= parts.size()) {
+            throw std::invalid_argument("predictor spec '" + spec
+                                        + "' missing argument: " + what);
+        }
+        try {
+            return static_cast<unsigned>(parseStrictU64(parts[i], lo, hi));
+        } catch (const std::invalid_argument &err) {
+            throw std::invalid_argument("predictor spec '" + spec + "': "
+                                        + what + ": " + err.what());
+        }
+    }
+
+    unsigned
+    getOr(size_t i, const char *what, unsigned lo, unsigned hi,
+          unsigned fallback) const
+    {
+        return i < parts.size() ? get(i, what, lo, hi) : fallback;
+    }
+
+    /** A log2 table size; skew-indexed tables need @p lo = 2. */
+    unsigned
+    log2(size_t i, const char *what, unsigned lo = kMinLog2) const
+    {
+        return get(i, what, lo, kMaxLog2);
+    }
+
+    unsigned
+    history(size_t i, const char *what, unsigned hi = kMaxHistory) const
+    {
+        return get(i, what, 0, hi);
+    }
+};
 
 } // namespace
 
@@ -122,52 +155,58 @@ makePredictor(const std::string &spec)
     if (kind == "fig10-2bcgskew8M") return make2BcGskew4M();
     if (kind == "ev8size") return make2BcGskewEv8Size();
 
-    if (kind == "bimodal") {
-        return std::make_unique<BimodalPredictor>(
-            arg(parts, 1, "log2 entries"));
-    }
+    const SpecFields f{spec, parts};
+    if (kind == "bimodal")
+        return std::make_unique<BimodalPredictor>(f.log2(1, "log2 entries"));
     if (kind == "gshare") {
         return std::make_unique<GsharePredictor>(
-            arg(parts, 1, "log2 entries"), arg(parts, 2, "history"));
+            f.log2(1, "log2 entries"), f.history(2, "history"));
     }
     if (kind == "gas") {
-        return std::make_unique<GasPredictor>(
-            arg(parts, 1, "log2 entries"), arg(parts, 2, "history"));
+        // GAs concatenates history onto the index: it must fit.
+        const unsigned log2e = f.log2(1, "log2 entries");
+        return std::make_unique<GasPredictor>(log2e,
+                                              f.history(2, "history", log2e));
     }
     if (kind == "agree") {
-        const unsigned log2e = arg(parts, 1, "log2 entries");
+        const unsigned log2e = f.log2(1, "log2 entries");
         return std::make_unique<AgreePredictor>(
-            log2e, arg(parts, 2, "history"), argOr(parts, 3, log2e));
+            log2e, f.history(2, "history"),
+            f.getOr(3, "log2 bias entries", kMinLog2, kMaxLog2, log2e));
     }
     if (kind == "egskew") {
         return std::make_unique<EgskewPredictor>(
-            arg(parts, 1, "log2 entries"), arg(parts, 2, "history"));
+            f.log2(1, "log2 entries", 2), f.history(2, "history"));
     }
     if (kind == "bimode") {
         return std::make_unique<BimodePredictor>(
-            arg(parts, 1, "log2 direction"), arg(parts, 2, "log2 choice"),
-            arg(parts, 3, "history"));
+            f.log2(1, "log2 direction"), f.log2(2, "log2 choice"),
+            f.history(3, "history"));
     }
     if (kind == "yags") {
+        // Partial tags are stored in 16 bits.
         return std::make_unique<YagsPredictor>(
-            arg(parts, 1, "log2 choice"), arg(parts, 2, "log2 cache"),
-            arg(parts, 3, "history"), argOr(parts, 4, 6));
+            f.log2(1, "log2 choice"), f.log2(2, "log2 cache"),
+            f.history(3, "history"), f.getOr(4, "tag bits", 0, 16, 6));
     }
     if (kind == "2bcgskew") {
+        // Parsed first: the label below reads parts[1].
+        const unsigned log2e = f.log2(1, "log2 entries", 2);
         return std::make_unique<TwoBcGskewPredictor>(
             TwoBcGskewConfig::symmetric(
-                arg(parts, 1, "log2 entries"), arg(parts, 2, "BIM history"),
-                arg(parts, 3, "G0 history"), arg(parts, 4, "Meta history"),
-                arg(parts, 5, "G1 history"), "2bcgskew:" + parts[1]));
+                log2e, f.history(2, "BIM history"),
+                f.history(3, "G0 history"), f.history(4, "Meta history"),
+                f.history(5, "G1 history"), "2bcgskew:" + parts[1]));
     }
     if (kind == "perceptron") {
         return std::make_unique<PerceptronPredictor>(
-            arg(parts, 1, "log2 entries"), arg(parts, 2, "history"));
+            f.log2(1, "log2 entries"), f.history(2, "history"));
     }
     if (kind == "local") {
+        // Local histories are stored in 16 bits.
         return std::make_unique<LocalPredictor>(
-            arg(parts, 1, "log2 bht"), arg(parts, 2, "local bits"),
-            arg(parts, 3, "log2 pht"));
+            f.log2(1, "log2 bht"), f.get(2, "local bits", 0, 16),
+            f.log2(3, "log2 pht"));
     }
     if (kind == "tournament")
         return std::make_unique<TournamentPredictor>();

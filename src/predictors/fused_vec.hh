@@ -2,9 +2,8 @@
  * @file
  * The vector fused-group steppers, templated over a simd.hh vector
  * type. This header is the single definition of the vector semantics;
- * it is included only by the two backend translation units
- * (fused_vec_scalar.cc and fused_vec_avx2.cc, the latter built with
- * -mavx2), so intrinsic code never leaks into plainly-compiled TUs.
+ * it is included only by the -mavx2 translation unit fused_vec_avx2.cc,
+ * so intrinsic code never leaks into plainly-compiled TUs.
  *
  * Every stepper is arithmetic-identical to its scalar sibling by
  * construction -- same folds, same H/H' chains, same counter
@@ -22,8 +21,9 @@
  *    (majority ^ bim))), evaluates the whole partial-update decision
  *    tree as 0/1 lane arithmetic -- no data-dependent branches -- and
  *    retires the counter transitions as masked bitplane XORs written
- *    back one whole word per (bank, real lane). This also retires the
- *    per-lane `p.last` stores of the scalar step.
+ *    back one whole word per (bank, real lane). Of the scalar step's
+ *    per-lane `p.last` stores only the votes of a mispredicting lane
+ *    remain, so lastVotes() serves the walk's mispredict events.
  *
  *  - gshare/bimodal: index, counter read and the saturating 2-bit
  *    update all happen in-register four lanes at a time; the update
@@ -168,7 +168,8 @@ TwoBcGskewPredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
         const Vec m = bit[META];
         const Vec maj = (b & g0v) | (b & g1v) | (g0v & g1v);
         const Vec ovr = b ^ (m & (maj ^ b));
-        ovr.store(&ovrS_[l]);
+        (ovr | (b << 1) | (g0v << 2) | (g1v << 3) | (m << 4) | (maj << 5))
+            .store(&voteS_[l]);
 
         // The policy flags, all 0/1 per lane: S = strengthen, U =
         // full update, tgt = the update direction. META retrains
@@ -265,7 +266,20 @@ TwoBcGskewPredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
                 *reinterpret_cast<uint64_t *>(
                     static_cast<uintptr_t>(haA[t][k])) = hwA[t][k];
             }
-            misp[l + k] += (ovrS_[l + k] != 0) != taken;
+            const uint64_t v = voteS_[l + k];
+            const bool wrong = (v & 1) != taken;
+            misp[l + k] += wrong;
+            if (wrong) {
+                // The votes predict() would have cached: what
+                // lastVotes() reports for this lane's mispredict event.
+                GskewLookup &look = lanes_[l + k]->last;
+                look.overall = !taken;
+                look.bimPred = (v >> 1) & 1;
+                look.g0Pred = (v >> 2) & 1;
+                look.g1Pred = (v >> 3) & 1;
+                look.metaPred = (v >> 4) & 1;
+                look.majority = (v >> 5) & 1;
+            }
         }
     }
 
@@ -273,8 +287,9 @@ TwoBcGskewPredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
         ++accSteps_;
 
     // Debug-build bookkeeping for update()'s immediate-update contract
-    // assert. Unlike the scalar stepper nothing here fills p.last: the
-    // untimed event-free fused path never reads the cached lookup back.
+    // assert. Unlike the scalar stepper only a mispredicting lane's
+    // votes land in p.last (above): the walk reads them back for its
+    // mispredict events and for nothing else.
 #ifndef NDEBUG
     for (size_t l = 0; l < lanes_.size(); ++l) {
         lanes_[l]->lastPc = snap.pc;

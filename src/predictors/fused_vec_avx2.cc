@@ -6,10 +6,9 @@
  * rest of the build is scalar-argument member functions, so no vector
  * types cross the TU boundary.
  *
- * When the toolchain cannot compile -mavx2 the file is built plain
- * and falls back to the emulated type; runtime dispatch never selects
- * the Avx2 backend in that configuration (builtWithAvx2() is false),
- * so the fallback exists only to keep the link complete.
+ * When the toolchain cannot compile -mavx2 the file is built plain and
+ * defines nothing: EV8_HAVE_AVX2 is then unset, so the group steppers
+ * compile their stepVecAvx2 calls away.
  */
 
 #include "predictors/fused_vec.hh"
@@ -18,30 +17,28 @@ namespace ev8
 {
 
 #if defined(__AVX2__)
-using Avx2Vec = simd::U64x4Avx2;
-#else
-using Avx2Vec = simd::U64x4;
-#endif
 
 void
 TwoBcGskewPredictor::FusedGroup::stepVecAvx2(const BranchSnapshot &snap,
                                              bool taken, uint64_t *misp)
 {
-    stepVec<Avx2Vec>(snap, taken, misp);
+    stepVec<simd::U64x4Avx2>(snap, taken, misp);
 }
 
 void
 GsharePredictor::FusedGroup::stepVecAvx2(const BranchSnapshot &snap,
                                          bool taken, uint64_t *misp)
 {
-    stepVec<Avx2Vec>(snap, taken, misp);
+    stepVec<simd::U64x4Avx2>(snap, taken, misp);
 }
 
 void
 BimodalPredictor::FusedGroup::stepVecAvx2(const BranchSnapshot &snap,
                                           bool taken, uint64_t *misp)
 {
-    stepVec<Avx2Vec>(snap, taken, misp);
+    stepVec<simd::U64x4Avx2>(snap, taken, misp);
 }
+
+#endif // __AVX2__
 
 } // namespace ev8

@@ -42,7 +42,7 @@ GsharePredictor::FusedGroup::FusedGroup(GsharePredictor *const *preds,
     backend_ = simd::groupBackend(nlanes);
     if (backend_ == simd::Backend::Off)
         return;
-    constexpr size_t kW = simd::U64x4::kLanes;
+    constexpr size_t kW = simd::kVectorLanes;
     paddedLanes_ = (nlanes + kW - 1) & ~(kW - 1);
     n_.resize(paddedLanes_);
     idxMask_.resize(paddedLanes_);
@@ -64,16 +64,14 @@ void
 GsharePredictor::FusedGroup::step(const BranchSnapshot &snap, bool taken,
                                   uint64_t *misp)
 {
-    if (backend_ == simd::Backend::Off) {
-        // The per-lane two-phase step of the pre-vector fused kernel.
-        for (size_t l = 0; l < lanes_.size(); ++l) {
-            const size_t idx = lanes_[l]->laneIndex(snap);
-            misp[l] += lanes_[l]->applyAt(idx, taken) != taken;
-        }
-    } else if (backend_ == simd::Backend::Avx2) {
-        stepVecAvx2(snap, taken, misp);
-    } else {
-        stepVecScalar(snap, taken, misp);
+#ifdef EV8_HAVE_AVX2
+    if (backend_ == simd::Backend::Avx2)
+        return stepVecAvx2(snap, taken, misp);
+#endif
+    // The per-lane two-phase step.
+    for (size_t l = 0; l < lanes_.size(); ++l) {
+        const size_t idx = lanes_[l]->laneIndex(snap);
+        misp[l] += lanes_[l]->applyAt(idx, taken) != taken;
     }
 }
 

@@ -77,8 +77,6 @@ class GsharePredictor final : public ConditionalBranchPredictor
         template <class Vec>
         void stepVec(const BranchSnapshot &snap, bool taken,
                      uint64_t *misp);
-        void stepVecScalar(const BranchSnapshot &snap, bool taken,
-                           uint64_t *misp);
         void stepVecAvx2(const BranchSnapshot &snap, bool taken,
                          uint64_t *misp);
 

@@ -192,7 +192,7 @@ TwoBcGskewPredictor::FusedGroup::FusedGroup(
 void
 TwoBcGskewPredictor::FusedGroup::buildVectorState()
 {
-    constexpr size_t kW = simd::U64x4::kLanes;
+    constexpr size_t kW = simd::kVectorLanes;
     const auto pad = [](size_t n) { return (n + kW - 1) & ~(kW - 1); };
     const uint64_t ones = ~uint64_t{0};
 
@@ -274,7 +274,7 @@ TwoBcGskewPredictor::FusedGroup::buildVectorState()
     anyStats_ = false;
     for (size_t l = 0; l < lanes_.size(); ++l)
         anyStats_ |= statsOn_[l] != 0;
-    ovrS_.resize(paddedLanes_);
+    voteS_.resize(paddedLanes_);
     if (anyStats_) {
         for (unsigned k = 0; k < 3; ++k) {
             accConf_[k].assign(paddedLanes_, 0);
@@ -319,12 +319,11 @@ void
 TwoBcGskewPredictor::FusedGroup::step(const BranchSnapshot &snap,
                                       bool taken, uint64_t *misp)
 {
-    if (backend_ == simd::Backend::Off)
-        stepScalar(snap, taken, misp);
-    else if (backend_ == simd::Backend::Avx2)
-        stepVecAvx2(snap, taken, misp);
-    else
-        stepVecScalar(snap, taken, misp);
+#ifdef EV8_HAVE_AVX2
+    if (backend_ == simd::Backend::Avx2)
+        return stepVecAvx2(snap, taken, misp);
+#endif
+    stepScalar(snap, taken, misp);
 }
 
 uint16_t

@@ -169,23 +169,20 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
         uint16_t addrSlot(uint8_t table, uint8_t fold_kind, uint8_t n);
         uint16_t histSlot(uint8_t table, uint8_t n, uint8_t len);
 
-        /** The pre-vector per-lane stepper; EV8_SIMD=0 keeps it hot. */
+        /** The per-lane stepper; EV8_SIMD=0 and one-lane groups. */
         void stepScalar(const BranchSnapshot &snap, bool taken,
                         uint64_t *misp);
 
         /**
          * The vector stepper, templated over a simd.hh vector type.
-         * Defined in fused_vec.hh; instantiated only by the two
-         * backend translation units (fused_vec_scalar.cc and, with
-         * -mavx2, fused_vec_avx2.cc), which expose it through the two
-         * out-of-line entry points below so no intrinsic code leaks
+         * Defined in fused_vec.hh; instantiated only by the -mavx2
+         * translation unit fused_vec_avx2.cc, which exposes it through
+         * the out-of-line entry point below so no intrinsic code leaks
          * into TUs built without -mavx2.
          */
         template <class Vec>
         void stepVec(const BranchSnapshot &snap, bool taken,
                      uint64_t *misp);
-        void stepVecScalar(const BranchSnapshot &snap, bool taken,
-                           uint64_t *misp);
         void stepVecAvx2(const BranchSnapshot &snap, bool taken,
                          uint64_t *misp);
 
@@ -234,10 +231,11 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
         //! All-ones for partial-update lanes, 0 for total-update ones.
         std::vector<uint64_t> lanePartial_;
         //! Per-branch scratch: composed indices for the vote+update
-        //! pass, and each lane's overall prediction for the mispredict
-        //! tally.
+        //! pass, and each lane's votes packed as bit 0 overall, then
+        //! BIM, G0, G1, META and majority (bits 1-5), for the
+        //! mispredict tally and a mispredicting lane's `last`.
         std::array<std::vector<uint64_t>, kNumTables> idxS_;
-        std::vector<uint64_t> ovrS_;
+        std::vector<uint64_t> voteS_;
         bool anyStats_ = false;
 
         //! Per-walk vote-stat accumulators for metrics-observed

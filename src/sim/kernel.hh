@@ -6,15 +6,16 @@
  *
  *  - runFusedStreamKernelRange is the production walk over one block
  *    range, one instantiation per (concrete predictor type, history
- *    mode, event sink), so predict()/update() are direct calls and the
- *    `if (events)` decision compiles out of the per-branch path;
+ *    mode), so the lane steppers are direct calls. Mispredict events
+ *    come from whichever stepper runs: requesting them changes no
+ *    stepper, only adds emission after each step;
  *  - runWindows is the windowed driver: an exact run is one window
  *    [0, blocks()) with no warmup, a sampled run is a plan's windows,
  *    each primed by its warmup range;
- *  - dispatchFusedKernel resolves the runtime flags to the matching
+ *  - dispatchFusedKernel resolves the history mode to the matching
  *    production instantiation;
  *  - runOracleRange is the reference: one predictor behind the virtual
- *    base class, a plain runtime `if` for events. It runs
+ *    base class, split predict()/update() calls. It runs
  *    only when SimConfig::forceGenericKernel / EV8_GENERIC_KERNEL=1 is
  *    set, so the byte-identity gates compare it with production.
  *
@@ -124,8 +125,8 @@ concept FusedSteppable = requires(P p, const BranchSnapshot &snap) {
  * predictor class exposes a FusedGroup stepper that advances every lane
  * of a fused job in one call, sharing cross-lane index arithmetic that
  * the per-lane entry points cannot see (all lanes of a group observe
- * the same BranchSnapshot). Constructed once per walk, checked before
- * the per-lane entry points on the event-free fast path.
+ * the same BranchSnapshot). Constructed once per range walk, checked
+ * before the per-lane entry points.
  */
 template <class P>
 concept FusedGroupStepped = requires(typename P::FusedGroup &group,
@@ -185,14 +186,14 @@ checkFusedLanes(const FusedLaneState<Predictor> *lanes, size_t nlanes)
  * @tparam Predictor   concrete (final) predictor class, or
  *                     ConditionalBranchPredictor for types without one
  * @tparam LghistMode  config.history != HistoryMode::Ghist
- * @tparam HasEvents   some lane has an event sink (lanes with a null
- *                     sink just skip emission)
  *
  * The walk tallies (fetchBlocks, condBranches, lghistBits,
  * branchesPerBlock) are computed once and added into every lane;
- * per-lane mispredictions are tallied SoA in the fast path.
+ * per-lane mispredictions are tallied SoA. A lane with an event sink
+ * gets one record per step that raised its tally, carrying the votes
+ * the stepper left in lastVotes().
  */
-template <class Predictor, bool LghistMode, bool HasEvents>
+template <class Predictor, bool LghistMode>
 void
 runFusedStreamKernelRange(const BlockStream &stream,
                           FusedLaneState<Predictor> *lanes,
@@ -201,17 +202,20 @@ runFusedStreamKernelRange(const BlockStream &stream,
                           size_t end_block, KernelWalkState &walk,
                           uint64_t branch_seq_base)
 {
-    // SoA hot state: dense predictor pointers and mispredict tallies.
+    // SoA hot state: dense predictor pointers and mispredict tallies,
+    // plus each observed lane's tally as of its last emitted event.
     Predictor *preds[kMaxFusedLanes];
     uint64_t misp[kMaxFusedLanes] = {};
-    for (size_t l = 0; l < nlanes; ++l)
+    uint64_t emitted[kMaxFusedLanes] = {};
+    bool observed = false; // some lane has an event sink
+    for (size_t l = 0; l < nlanes; ++l) {
         preds[l] = lanes[l].predictor;
+        observed |= lanes[l].events != nullptr;
+    }
 
-    // Group stepper, built once per walk; only the event-free
-    // instantiations of group-steppable predictors ever use it (the
-    // observed path needs per-lane calls for events).
+    // Group stepper, built once per range walk.
     auto group = [&] {
-        if constexpr (!HasEvents && FusedGroupStepped<Predictor>)
+        if constexpr (FusedGroupStepped<Predictor>)
             return typename Predictor::FusedGroup(preds, nlanes);
         else
             return 0;
@@ -262,20 +266,7 @@ runFusedStreamKernelRange(const BlockStream &stream,
             snap.hist.ghist = ghist.raw();
             snap.hist.indexHist = LghistMode ? block_hist : ghist.raw();
 
-            if constexpr (HasEvents) {
-                // Observed path: event emission needs split
-                // predict()/update() calls and the predictor's votes.
-                for (size_t l = 0; l < nlanes; ++l) {
-                    const bool predicted = preds[l]->predict(snap);
-                    lanes[l].result->stats.record(predicted, br_taken);
-                    if (predicted != br_taken && lanes[l].events) {
-                        lanes[l].events->onMispredict(makeMispredictEvent(
-                            branch_seq, snap, br_taken, predicted,
-                            preds[l]->lastVotes()));
-                    }
-                    preds[l]->update(snap, br_taken, predicted);
-                }
-            } else if constexpr (FusedGroupStepped<Predictor>) {
+            if constexpr (FusedGroupStepped<Predictor>) {
                 group.step(snap, br_taken, misp);
             } else if constexpr (FusedSteppable<Predictor>) {
                 for (size_t l = 0; l < nlanes; ++l)
@@ -286,6 +277,16 @@ runFusedStreamKernelRange(const BlockStream &stream,
                     const bool predicted = preds[l]->predict(snap);
                     preds[l]->update(snap, br_taken, predicted);
                     misp[l] += predicted != br_taken;
+                }
+            }
+            if (observed) {
+                for (size_t l = 0; l < nlanes; ++l) {
+                    if (!lanes[l].events || misp[l] == emitted[l])
+                        continue;
+                    emitted[l] = misp[l];
+                    lanes[l].events->onMispredict(makeMispredictEvent(
+                        branch_seq, snap, br_taken, !br_taken,
+                        preds[l]->lastVotes()));
                 }
             }
 
@@ -318,8 +319,7 @@ runFusedStreamKernelRange(const BlockStream &stream,
     // Accumulating fan-out: each range adds into the lane results.
     for (size_t l = 0; l < nlanes; ++l) {
         SimResult &r = *lanes[l].result;
-        if constexpr (!HasEvents)
-            r.stats.tally(cond_branches, misp[l]);
+        r.stats.tally(cond_branches, misp[l]);
         r.fetchBlocks += fetch_blocks;
         r.condBranches += cond_branches;
         r.lghistBits += lghist_bits;
@@ -330,9 +330,10 @@ runFusedStreamKernelRange(const BlockStream &stream,
 
 /**
  * The oracle: the readable reference walk of one predictor over blocks
- * [begin_block, end_block), through the virtual interface, with a
- * plain runtime check for events. Same contract as
- * runFusedStreamKernelRange with one lane, and slower by design.
+ * [begin_block, end_block), through the virtual interface, with
+ * split predict()/update() calls and a plain runtime check for events.
+ * Same contract as runFusedStreamKernelRange with one lane, and slower
+ * by design.
  */
 inline void
 runOracleRange(const BlockStream &stream,
@@ -406,8 +407,8 @@ runOracleRange(const BlockStream &stream,
  * events. Predictor tables are never reset between windows.
  * Each lane with tallies gets its measured mispredictions per window.
  *
- * @p range(lanes, walk, begin, end, branch_seq_base, measured) walks
- * one block range for every lane.
+ * @p range(lanes, walk, begin, end, branch_seq_base) walks one block
+ * range for every lane.
  */
 template <class Predictor, class Range>
 void
@@ -436,8 +437,7 @@ runWindows(FusedLaneState<Predictor> *lanes, size_t nlanes,
                     lanes[l].predictor->enableStats(false);
                 range(warm_lanes.data(), walk,
                       static_cast<size_t>(w.warmupBlockBegin),
-                      static_cast<size_t>(w.blockBegin), uint64_t{0},
-                      false);
+                      static_cast<size_t>(w.blockBegin), uint64_t{0});
                 for (size_t l = 0; l < nlanes; ++l)
                     lanes[l].predictor->enableStats(
                         lanes[l].statsWanted);
@@ -447,7 +447,7 @@ runWindows(FusedLaneState<Predictor> *lanes, size_t nlanes,
         for (size_t l = 0; l < nlanes; ++l)
             misp0[l] = lanes[l].result->stats.mispredictions();
         range(lanes, walk, static_cast<size_t>(w.blockBegin),
-              static_cast<size_t>(w.blockEnd), w.branchSeqBase, true);
+              static_cast<size_t>(w.blockEnd), w.branchSeqBase);
         for (size_t l = 0; l < nlanes; ++l) {
             if (lanes[l].tallies) {
                 lanes[l].tallies->push_back(
@@ -460,10 +460,8 @@ runWindows(FusedLaneState<Predictor> *lanes, size_t nlanes,
 }
 
 /**
- * Resolves the runtime flags to the matching production instantiation
- * and walks @p windows with it; warmup ranges take the event-free
- * instantiation, so the group steppers (and the SIMD lane
- * stepping under them) serve warmup and measurement alike.
+ * Resolves the history mode to the matching production instantiation
+ * and walks @p windows with it, warmup and measured ranges alike.
  */
 template <class Predictor>
 void
@@ -472,34 +470,20 @@ dispatchFusedKernel(const BlockStream &stream,
                     const SimConfig &config, BankScheduler &bank_sched,
                     const std::vector<SampledWindow> &windows)
 {
-    const bool lg = config.history != HistoryMode::Ghist;
-    bool events = false;
-    for (size_t l = 0; l < nlanes; ++l)
-        events |= lanes[l].events != nullptr;
-
-    auto run = [&](auto lg_c, auto events_c) {
-        constexpr bool Lg = decltype(lg_c)::value;
+    auto run = [&](auto lg_c) {
         runWindows(
             lanes, nlanes, config, bank_sched, windows,
             [&](FusedLaneState<Predictor> *ls, KernelWalkState &walk,
-                size_t begin, size_t end, uint64_t seq, bool measured) {
-                if (measured) {
-                    runFusedStreamKernelRange<Predictor, Lg,
-                                              decltype(events_c)::value>(
-                        stream, ls, nlanes, config, bank_sched, begin,
-                        end, walk, seq);
-                } else {
-                    runFusedStreamKernelRange<Predictor, Lg, false>(
-                        stream, ls, nlanes, config, bank_sched, begin,
-                        end, walk, seq);
-                }
+                size_t begin, size_t end, uint64_t seq) {
+                runFusedStreamKernelRange<Predictor,
+                                          decltype(lg_c)::value>(
+                    stream, ls, nlanes, config, bank_sched, begin, end,
+                    walk, seq);
             });
     };
-    using F = std::false_type;
-    using T = std::true_type;
-    if (lg)
-        return events ? run(T{}, T{}) : run(T{}, F{});
-    return events ? run(F{}, T{}) : run(F{}, F{});
+    if (config.history != HistoryMode::Ghist)
+        return run(std::true_type{});
+    return run(std::false_type{});
 }
 
 } // namespace detail

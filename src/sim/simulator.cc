@@ -198,7 +198,7 @@ simulateStreamFused(const BlockStream &stream,
             detail::runWindows(
                 &lane, 1, config, sched, windows,
                 [&](auto *ls, detail::KernelWalkState &walk, size_t begin,
-                    size_t end, uint64_t seq, bool) {
+                    size_t end, uint64_t seq) {
                     detail::runOracleRange(stream, *ls, config, sched,
                                            begin, end, walk, seq);
                 });

@@ -18,10 +18,12 @@
 #include <vector>
 
 #include "common/simd.hh"
+#include "core/ev8_predictor.hh"
 #include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "predictors/factory.hh"
+#include "predictors/twobcgskew.hh"
 #include "sim/block_stream.hh"
 #include "sim/experiment.hh"
 #include "sim/phase/sample_plan.hh"
@@ -38,24 +40,66 @@ namespace
 
 constexpr uint64_t kTinyScale = 3000;
 
+/** One lane of the test grid: a label and how to build it. */
+struct LaneSpec
+{
+    std::string label;
+    PredictorFactory make;
+};
+
+/** A lane built by makePredictor(@p spec), labelled by the spec. */
+LaneSpec
+fromSpec(const std::string &spec)
+{
+    return {spec, [spec] { return makePredictor(spec); }};
+}
+
+/** A symmetric 2Bc-gskew lane with the given update policy and path. */
+LaneSpec
+gskewLane(const std::string &label, unsigned log2, unsigned h_bim,
+          bool partial_update, bool path_info)
+{
+    return {label, [=] {
+                TwoBcGskewConfig cfg = TwoBcGskewConfig::symmetric(
+                    log2, h_bim, 13, 14, 15, label);
+                cfg.partialUpdate = partial_update;
+                cfg.usePathInfo = path_info;
+                return std::make_unique<TwoBcGskewPredictor>(cfg);
+            }};
+}
+
 /**
- * A mixed-type lane set: every fused dispatch bucket is exercised. The
- * group-stepped and predictAndUpdate buckets are the untimed,
- * event-free walk's; with timing or events on, every lane takes the
- * observed path's split predict()/update() calls.
+ * A mixed-type lane set: every fused dispatch bucket is exercised,
+ * with or without event sinks (events come from the same steppers).
+ * The 2Bc-gskew, gshare and bimodal buckets have several lanes, so
+ * their group steppers take the vector path when EV8_SIMD allows it;
+ * the 2Bc-gskew group mixes partial and total update, path info on
+ * and off, shared hysteresis (ev8size) and a history-indexed BIM, and
+ * its five lanes fill one vector and pad a second.
  */
-std::vector<std::string>
+std::vector<LaneSpec>
 laneSpecs()
 {
     return {
-        "gshare:12:8",             // FusedGroupStepped, shared walk
-        "gshare:12:12",            // second lane of the same group
-        "bimodal:10",              // FusedGroupStepped, history-free
-        "2bcgskew:12:0:13:14:15",  // FusedGroupStepped
-        "egskew:12:10",            // FusedSteppable (predictAndUpdate)
-        "yags:10:10:10",           // FusedSteppable
-        "bimode:10:10:10",         // FusedSteppable
-        "perceptron:10:16",        // generic (virtual) bucket
+        // FusedGroupStepped, two lanes each for gshare and bimodal.
+        fromSpec("gshare:12:8"),
+        fromSpec("gshare:12:12"),
+        fromSpec("bimodal:10"),
+        fromSpec("bimodal:12"),
+        // FusedGroupStepped, one five-lane 2Bc-gskew group.
+        fromSpec("2bcgskew:12:0:13:14:15"),
+        gskewLane("gskew-total", 12, 0, false, false),
+        gskewLane("gskew-total-path", 11, 4, false, true),
+        gskewLane("gskew-partial-path", 12, 2, true, true),
+        fromSpec("ev8size"),
+        // FusedSteppable (predictAndUpdate).
+        fromSpec("egskew:12:10"),
+        fromSpec("yags:10:10:10"),
+        fromSpec("bimode:10:10:10"),
+        // Split predict()/update(): Ev8Predictor's own bucket, then
+        // the generic (virtual) bucket.
+        {"ev8", [] { return std::make_unique<Ev8Predictor>(); }},
+        fromSpec("perceptron:10:16"),
     };
 }
 
@@ -87,10 +131,41 @@ class FusedKernelTest : public ::testing::TestWithParam<SimConfig>
 {
 };
 
+/** Every field of two per-lane event streams, in order. */
+void
+expectSameEvents(const std::vector<MispredictEvent> &fused,
+                 const std::vector<MispredictEvent> &ref,
+                 const std::string &label)
+{
+    ASSERT_EQ(fused.size(), ref.size()) << label;
+    for (size_t k = 0; k < ref.size(); ++k) {
+        SCOPED_TRACE(label + " event " + std::to_string(k));
+        const MispredictEvent &a = fused[k], &b = ref[k];
+        EXPECT_EQ(a.branchSeq, b.branchSeq);
+        EXPECT_EQ(a.pc, b.pc);
+        EXPECT_EQ(a.blockAddr, b.blockAddr);
+        EXPECT_EQ(a.ghist, b.ghist);
+        EXPECT_EQ(a.indexHist, b.indexHist);
+        EXPECT_EQ(a.bank, b.bank);
+        EXPECT_EQ(a.taken, b.taken);
+        EXPECT_EQ(a.predicted, b.predicted);
+        EXPECT_EQ(a.votesValid, b.votesValid);
+        EXPECT_EQ(a.voteBim, b.voteBim);
+        EXPECT_EQ(a.voteG0, b.voteG0);
+        EXPECT_EQ(a.voteG1, b.voteG1);
+        EXPECT_EQ(a.voteMeta, b.voteMeta);
+        EXPECT_EQ(a.voteMajority, b.voteMajority);
+        if (::testing::Test::HasFailure())
+            return; // one mismatching event says enough
+    }
+}
+
 /**
  * The core contract, checked at the simulateStreamFused() level: a
  * heterogeneous lane set over one stream equals lane-by-lane oracle
- * runs, for the paper's history configurations.
+ * runs, for the paper's history configurations -- tallies and every
+ * field of every lane's mispredict events, votes included, on the
+ * scalar steppers and, where the host has it, the AVX2 ones.
  */
 TEST_P(FusedKernelTest, MatchesPerLaneSimulation)
 {
@@ -98,21 +173,38 @@ TEST_P(FusedKernelTest, MatchesPerLaneSimulation)
         generateTrace(findBenchmark("gcc").profile, kTinyScale);
     const BlockStream stream = decodeBlockStream(trace);
     const SimConfig config = GetParam();
+    const std::vector<LaneSpec> specs = laneSpecs();
 
-    std::vector<PredictorPtr> fused_preds, ref_preds;
-    std::vector<FusedLane> lanes;
-    for (const std::string &spec : laneSpecs()) {
-        fused_preds.push_back(makePredictor(spec));
-        ref_preds.push_back(makePredictor(spec));
-        lanes.push_back({fused_preds.back().get(), nullptr, nullptr});
-    }
+    std::vector<const char *> backends{"0"};
+    if (simd::builtWithAvx2() && simd::cpuHasAvx2())
+        backends.push_back("avx2");
+    for (const char *backend : backends) {
+        ScopedEnv simd_env("EV8_SIMD", backend);
+        std::vector<PredictorPtr> fused_preds;
+        std::vector<BufferedEventSink> fused_events(specs.size());
+        std::vector<FusedLane> lanes;
+        for (size_t i = 0; i < specs.size(); ++i) {
+            fused_preds.push_back(specs[i].make());
+            lanes.push_back(
+                {fused_preds.back().get(), nullptr, &fused_events[i]});
+        }
 
-    const auto fused = simulateStreamFused(stream, lanes, config);
-    ASSERT_EQ(fused.size(), lanes.size());
-    for (size_t i = 0; i < lanes.size(); ++i) {
-        const SimResult ref =
-            simulateStream(stream, *ref_preds[i], oracle(config));
-        expectSameResult(fused[i], ref, laneSpecs()[i]);
+        const auto fused = simulateStreamFused(stream, lanes, config);
+        ASSERT_EQ(fused.size(), lanes.size());
+        for (size_t i = 0; i < lanes.size(); ++i) {
+            const std::string label =
+                specs[i].label + " simd=" + backend;
+            const PredictorPtr ref_pred = specs[i].make();
+            BufferedEventSink ref_events;
+            SimConfig ref_config = oracle(config);
+            ref_config.events = &ref_events;
+            const SimResult ref =
+                simulateStream(stream, *ref_pred, ref_config);
+            expectSameResult(fused[i], ref, label);
+            EXPECT_FALSE(ref_events.events().empty()) << label;
+            expectSameEvents(fused_events[i].events(), ref_events.events(),
+                             label);
+        }
     }
 }
 
@@ -216,9 +308,8 @@ constexpr uint64_t kSampledScale = 40000;
 
 /**
  * Runs the laneSpecs() grid with a metric registry attached and, when
- * @p withEvents, an event sink too. Events push every lane onto the
- * observed per-lane path, so only an events-off grid reaches the group
- * steppers (and the SIMD backends).
+ * @p withEvents, an event sink too. Both reach the same lane steppers
+ * (and the SIMD backends); events only add emission.
  */
 ObservedGrid
 observedGrid(unsigned jobs, const SampleSpec *spec = nullptr,
@@ -232,9 +323,9 @@ observedGrid(unsigned jobs, const SampleSpec *spec = nullptr,
     EventTraceSink sink(events, 8);
 
     std::vector<GridRow> rows;
-    for (const std::string &spec : laneSpecs()) {
+    for (const LaneSpec &spec : laneSpecs()) {
         GridRow row;
-        row.factory = [spec] { return makePredictor(spec); };
+        row.factory = spec.make;
         row.config = SimConfig::ghist();
         row.config.metrics = &metrics;
         row.config.events = withEvents ? &sink : nullptr;
@@ -317,13 +408,13 @@ TEST(FusedEngine, LaneWidthDoesNotChangeAnyByte)
  * the lane cap and the worker count changes no byte of the grid
  * results, the merged metric registry or the sampled event stream.
  * The reference is the scalar steppers at the default lane width;
- * "avx2" joins the sweep when the build and CPU allow it. The
- * events-off leg is the one that runs the group steppers, hence the
- * vector backends; the events-on leg covers the observed path.
+ * "avx2" joins the sweep when the build and CPU allow it. Both legs,
+ * events off and on, run the group steppers, hence the vector
+ * backends; the events-on leg also checks the emitted stream.
  */
 TEST(FusedEngine, SimdBackendLaneCapJobsDoNotChangeAnyByte)
 {
-    std::vector<const char *> backends{"0", "scalar"};
+    std::vector<const char *> backends{"0"};
     if (simd::builtWithAvx2() && simd::cpuHasAvx2())
         backends.push_back("avx2");
     for (const bool events : {false, true}) {

@@ -396,6 +396,28 @@ TEST(Factory, RejectsUnknownAndMalformedSpecs)
     EXPECT_THROW(makePredictor("nosuch:1:2"), std::invalid_argument);
     EXPECT_THROW(makePredictor("gshare"), std::invalid_argument);
     EXPECT_THROW(makePredictor("gshare:12"), std::invalid_argument);
+    // Numeric fields parse strictly and in range: log2 sizes in
+    // [1, 30], histories in [0, 63], no signs or trailing garbage.
+    for (const char *bad : {"bimodal:64", "gshare:70:8", "gshare:16:-1",
+                            "gshare:16:8x", "gshare:abc:8", "bimodal:0",
+                            "gshare:16:64", "gas:10:11", "egskew:1:4",
+                            "2bcgskew", "2bcgskew:1:0:0:0:0",
+                            "yags:10:10:10:17",
+                            "local:10:17:10", "agree:12:8:31"}) {
+        EXPECT_THROW(makePredictor(bad), std::invalid_argument) << bad;
+    }
+    try {
+        makePredictor("gshare:abc:8");
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &err) {
+        const std::string msg = err.what();
+        EXPECT_NE(msg.find("gshare:abc:8"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("log2 entries"), std::string::npos) << msg;
+    }
+    // The bounds themselves still build.
+    EXPECT_EQ(makePredictor("gshare:1:63")->name(), "gshare-2-h63");
+    EXPECT_NO_THROW(makePredictor("gas:10:10"));
+    EXPECT_NO_THROW(makePredictor("2bcgskew:2:0:63:63:63"));
 }
 
 TEST(Factory, KnownSpecListNonEmpty)

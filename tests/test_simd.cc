@@ -10,12 +10,12 @@
  *    hyst' = p^(d&~e) with d = p^v, e = h^p) against
  *    SplitCounterArray::update()'s three cases, per entry and as
  *    whole-word plane arithmetic;
- *  - the U64x4 emulation's instruction semantics (variable shifts
- *    zeroing at counts >= 64, blend, gather on absolute addresses);
  *  - the strict EV8_SIMD knob parse in simd::activeBackend().
  *
- * The AVX2-vs-emulation op equality lives in test_simd_avx2.cc, the
- * one test TU built with -mavx2.
+ * The AVX2 vector ops are checked against a per-lane scalar reference
+ * in test_simd_avx2.cc, the one test TU built with -mavx2; the masked
+ * word ops on them, end to end, by the EV8_SIMD byte-identity tests
+ * of test_fused.cc.
  */
 
 #include <gtest/gtest.h>
@@ -122,35 +122,21 @@ TEST(MaskedBitplane, StrayOddSelectBitsAreIgnored)
     }
 }
 
-/** Random words, and the template instantiated on the vector type. */
+/**
+ * Random words on the uint64_t instantiation; the AVX2 instantiation
+ * is covered end to end by the EV8_SIMD byte-identity test of
+ * test_fused.cc.
+ */
 TEST(MaskedBitplane, RandomWordsMatchScalarAndVectorInstantiation)
 {
     Rng rng;
-    for (int i = 0; i < 1000; ++i) {
-        uint64_t words[4], sels[4], want_inc[4], want_dec[4];
-        for (int lane = 0; lane < 4; ++lane) {
-            words[lane] = rng.next();
-            sels[lane] = rng.next();
-            want_inc[lane] =
-                scalarMaskedStep(words[lane], sels[lane], true);
-            want_dec[lane] =
-                scalarMaskedStep(words[lane], sels[lane], false);
-            EXPECT_EQ(TwoBitCounterTable::maskedSatIncWord(
-                          words[lane], sels[lane]),
-                      want_inc[lane]);
-            EXPECT_EQ(TwoBitCounterTable::maskedSatDecWord(
-                          words[lane], sels[lane]),
-                      want_dec[lane]);
-        }
-        const simd::U64x4 w = simd::U64x4::load(words);
-        const simd::U64x4 sel = simd::U64x4::load(sels);
-        uint64_t got[4];
-        TwoBitCounterTable::maskedSatIncWord(w, sel).store(got);
-        for (int lane = 0; lane < 4; ++lane)
-            EXPECT_EQ(got[lane], want_inc[lane]) << "inc lane " << lane;
-        TwoBitCounterTable::maskedSatDecWord(w, sel).store(got);
-        for (int lane = 0; lane < 4; ++lane)
-            EXPECT_EQ(got[lane], want_dec[lane]) << "dec lane " << lane;
+    for (int i = 0; i < 4000; ++i) {
+        const uint64_t word = rng.next();
+        const uint64_t sel = rng.next();
+        EXPECT_EQ(TwoBitCounterTable::maskedSatIncWord(word, sel),
+                  scalarMaskedStep(word, sel, true));
+        EXPECT_EQ(TwoBitCounterTable::maskedSatDecWord(word, sel),
+                  scalarMaskedStep(word, sel, false));
     }
 }
 
@@ -291,61 +277,10 @@ TEST(SplitBitplane, SharedHysteresisFollowsFormulaThroughFolding)
               hyst_model);
 }
 
-/** The emulation's documented instruction semantics. */
-TEST(SimdVector, EmulationOpSemantics)
-{
-    using simd::U64x4;
-
-    const uint64_t xs[4] = {~uint64_t{0}, 0x123456789abcdef0ULL, 1, 0};
-    const uint64_t ns[4] = {0, 63, 64, 255}; // >= 64 must yield 0
-    const U64x4 x = U64x4::load(xs);
-    const U64x4 n = U64x4::load(ns);
-
-    uint64_t got[4];
-    U64x4::srlv(x, n).store(got);
-    EXPECT_EQ(got[0], ~uint64_t{0});
-    EXPECT_EQ(got[1], 0x123456789abcdef0ULL >> 63);
-    EXPECT_EQ(got[2], 0u);
-    EXPECT_EQ(got[3], 0u);
-
-    U64x4::sllv(x, n).store(got);
-    EXPECT_EQ(got[0], ~uint64_t{0});
-    EXPECT_EQ(got[1], 0x123456789abcdef0ULL << 63);
-    EXPECT_EQ(got[2], 0u);
-    EXPECT_EQ(got[3], 0u);
-
-    const uint64_t ms[4] = {~uint64_t{0}, 0, 0x00ff00ff00ff00ffULL, 1};
-    const U64x4 mask = U64x4::load(ms);
-    U64x4::blend(mask, U64x4(0xaaaaaaaaaaaaaaaaULL),
-                 U64x4(0x5555555555555555ULL))
-        .store(got);
-    EXPECT_EQ(got[0], 0xaaaaaaaaaaaaaaaaULL);
-    EXPECT_EQ(got[1], 0x5555555555555555ULL);
-    EXPECT_EQ(got[2], 0x55aa55aa55aa55aaULL);
-    EXPECT_EQ(got[3], 0x5555555555555554ULL);
-
-    uint64_t pool[4] = {11, 22, 33, 44};
-    uint64_t addrs[4];
-    for (int i = 0; i < 4; ++i) { // absolute addresses, reverse order
-        addrs[i] = reinterpret_cast<uintptr_t>(&pool[3 - i]);
-    }
-    U64x4::gather(U64x4::load(addrs)).store(got);
-    EXPECT_EQ(got[0], 44u);
-    EXPECT_EQ(got[1], 33u);
-    EXPECT_EQ(got[2], 22u);
-    EXPECT_EQ(got[3], 11u);
-
-    U64x4::add(U64x4(~uint64_t{0}), U64x4(1)).store(got);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(got[i], 0u); // wraparound, no lane carry
-
-    EXPECT_TRUE(U64x4::zero().allZero());
-    EXPECT_FALSE(U64x4(1).allZero());
-}
-
 /**
  * The strict EV8_SIMD parse: valid values and the cpuid default; a
- * one-lane group steps scalar under any of them.
+ * one-lane group steps scalar under any of them. "scalar" is an alias
+ * of "0".
  */
 TEST(SimdEnv, ActiveBackendParsesKnob)
 {
@@ -355,9 +290,9 @@ TEST(SimdEnv, ActiveBackendParsesKnob)
     }
     {
         ScopedEnv simd_env("EV8_SIMD", "scalar");
-        EXPECT_EQ(simd::activeBackend(), simd::Backend::Scalar);
+        EXPECT_EQ(simd::activeBackend(), simd::Backend::Off);
         EXPECT_EQ(simd::groupBackend(1), simd::Backend::Off);
-        EXPECT_EQ(simd::groupBackend(2), simd::Backend::Scalar);
+        EXPECT_EQ(simd::groupBackend(2), simd::Backend::Off);
     }
     {
         ScopedEnv simd_env("EV8_SIMD", nullptr);
@@ -370,13 +305,13 @@ TEST(SimdEnv, ActiveBackendParsesKnob)
     if (simd::builtWithAvx2() && simd::cpuHasAvx2()) {
         ScopedEnv simd_env("EV8_SIMD", "avx2");
         EXPECT_EQ(simd::activeBackend(), simd::Backend::Avx2);
+        EXPECT_EQ(simd::groupBackend(1), simd::Backend::Off);
+        EXPECT_EQ(simd::groupBackend(2), simd::Backend::Avx2);
     }
 
     EXPECT_STREQ(simd::backendName(simd::Backend::Off), "off");
-    EXPECT_STREQ(simd::backendName(simd::Backend::Scalar), "scalar");
     EXPECT_STREQ(simd::backendName(simd::Backend::Avx2), "avx2");
     EXPECT_EQ(simd::backendLanes(simd::Backend::Off), 1u);
-    EXPECT_EQ(simd::backendLanes(simd::Backend::Scalar), 4u);
     EXPECT_EQ(simd::backendLanes(simd::Backend::Avx2), 4u);
 }
 
