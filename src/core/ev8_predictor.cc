@@ -5,58 +5,6 @@
 namespace ev8
 {
 
-namespace
-{
-
-/** Rebuilds word coordinates + bit position from a flat entry index. */
-struct FlatRef
-{
-    Ev8WordCoords coords;
-    unsigned bitpos;
-
-    FlatRef(TableId table, size_t idx)
-        : coords(ev8DecomposeIndex(table, idx)),
-          bitpos(ev8IndexOffset(idx))
-    {}
-};
-
-} // namespace
-
-bool
-Ev8Predictor::PhysicalFacade::taken(TableId t, size_t idx) const
-{
-    const FlatRef ref(t, idx);
-    return arrays.readPredBit(t, ref.coords, ref.bitpos);
-}
-
-void
-Ev8Predictor::PhysicalFacade::strengthen(TableId t, size_t idx)
-{
-    // Partial-update strengthen: copy the prediction bit into the
-    // hysteresis bit -- a hysteresis-array-only write (Section 4.3).
-    const FlatRef ref(t, idx);
-    arrays.writeHystBit(t, ref.coords, ref.bitpos,
-                        arrays.readPredBit(t, ref.coords, ref.bitpos));
-}
-
-void
-Ev8Predictor::PhysicalFacade::update(TableId t, size_t idx, bool v)
-{
-    // Full 2-bit counter step: read both bits, write back the stepped
-    // state (a misprediction-path access, Section 4.3).
-    const FlatRef ref(t, idx);
-    const bool p = arrays.readPredBit(t, ref.coords, ref.bitpos);
-    const bool h = arrays.readHystBit(t, ref.coords, ref.bitpos);
-    if (p == v) {
-        arrays.writeHystBit(t, ref.coords, ref.bitpos, p); // strengthen
-    } else if (h == p) {
-        arrays.writeHystBit(t, ref.coords, ref.bitpos, !p); // weaken
-    } else {
-        arrays.writePredBit(t, ref.coords, ref.bitpos, v);  // flip
-        arrays.writeHystBit(t, ref.coords, ref.bitpos, !v);
-    }
-}
-
 Ev8Predictor::Ev8Predictor(const Ev8Config &config) : cfg(config)
 {
 }
@@ -78,25 +26,27 @@ Ev8Predictor::tableIndex(TableId table, const BranchSnapshot &snap) const
     return ev8EntryIndex(table, indexInput(snap), snap.pc, cfg.wordline);
 }
 
-GskewLookup
-Ev8Predictor::lookup(const BranchSnapshot &snap) const
+void
+Ev8Predictor::train(bool taken)
 {
-    GskewLookup look;
-    const Ev8IndexInput in = indexInput(snap);
-    for (unsigned t = 0; t < kNumTables; ++t) {
-        look.idx[t] = ev8EntryIndex(static_cast<TableId>(t), in, snap.pc,
-                                    cfg.wordline);
-    }
-    const PhysicalFacade facade{
-        const_cast<Ev8PhysicalStorage &>(arrays)};
-    computeGskewVotes(facade, look);
-    return look;
+    if (statsEnabled())
+        stats.note(last, taken);
+    FlatBanks banks{arrays};
+    if (cfg.partialUpdate)
+        gskewPartialUpdate(banks, last, taken);
+    else
+        gskewTotalUpdate(banks, last, taken);
 }
 
 bool
 Ev8Predictor::predict(const BranchSnapshot &snap)
 {
-    last = lookup(snap);
+    const Ev8IndexInput in = indexInput(snap);
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        last.idx[t] = ev8EntryIndex(static_cast<TableId>(t), in, snap.pc,
+                                    cfg.wordline);
+    }
+    computeGskewVotes(FlatBanks{arrays}, last);
     return last.overall;
 }
 
@@ -105,13 +55,16 @@ Ev8Predictor::update(const BranchSnapshot &snap, bool taken, bool)
 {
     assert(last.idx[G1] == tableIndex(G1, snap));
     (void)snap;
-    if (statsEnabled())
-        stats.note(last, taken);
-    PhysicalFacade facade{arrays};
-    if (cfg.partialUpdate)
-        gskewPartialUpdate(facade, last, taken);
-    else
-        gskewTotalUpdate(facade, last, taken);
+    train(taken);
+}
+
+bool
+Ev8Predictor::predictAndUpdate(const BranchSnapshot &snap, bool taken)
+{
+    last.idx = ev8EntryIndices(indexInput(snap), snap.pc, cfg.wordline);
+    computeGskewVotes(FlatBanks{arrays}, last);
+    train(taken);
+    return last.overall;
 }
 
 Ev8BlockPrediction

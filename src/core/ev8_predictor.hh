@@ -8,9 +8,14 @@
  * (three-fetch-blocks-old lghist + path, Section 5), and trained with
  * the partial-update policy of Section 4.2.
  *
- * The class exposes two equivalent access paths:
- *  - the ConditionalBranchPredictor interface used by the trace
- *    simulator (one conditional branch at a time);
+ * The class exposes three equivalent access paths:
+ *  - predictAndUpdate(), the production walk's stepper: all four flat
+ *    indices from one lookup-table pass (ev8EntryIndices), then the
+ *    votes and the training through the flat-index accessors;
+ *  - predict()/update(), the ConditionalBranchPredictor oracle the
+ *    reference walk (EV8_GENERIC_KERNEL=1) runs: each table's index
+ *    from its own ev8EntryIndex() evaluation of the Section 7
+ *    equations, then the same flat-index accessors;
  *  - predictBlock(), the hardware-faithful path that reads one 8-bit
  *    word per logical table and produces all up-to-8 predictions of a
  *    fetch block from a single access, exactly as the arrays do.
@@ -61,6 +66,14 @@ class Ev8Predictor final : public ConditionalBranchPredictor
     bool predict(const BranchSnapshot &snap) override;
     void update(const BranchSnapshot &snap, bool taken,
                 bool predicted_taken) override;
+
+    /**
+     * Fused predict-and-train step for the production walk: the same
+     * transitions, votes and storage tallies as predict(); update(),
+     * with the four indices from one ev8EntryIndices() pass.
+     */
+    bool predictAndUpdate(const BranchSnapshot &snap, bool taken);
+
     uint64_t storageBits() const override;
     std::string name() const override;
     void reset() override;
@@ -93,19 +106,49 @@ class Ev8Predictor final : public ConditionalBranchPredictor
     const Ev8PhysicalStorage &storage() const { return arrays; }
 
   private:
-    /** Adapter mapping flat indices onto the physical arrays for the
-     *  shared 2Bc-gskew policy. */
-    struct PhysicalFacade
+    /** The shared 2Bc-gskew policy's Banks interface over the flat
+     *  accessors, one array access per hardware read or write. */
+    struct FlatBanks
     {
         Ev8PhysicalStorage &arrays;
 
-        bool taken(TableId t, size_t idx) const;
-        void strengthen(TableId t, size_t idx);
-        void update(TableId t, size_t idx, bool v);
+        bool
+        taken(TableId t, size_t idx) const
+        {
+            return arrays.readPred(t, idx);
+        }
+
+        /** Partial-update strengthen: copy the prediction bit into the
+         *  hysteresis bit -- a hysteresis-array-only write (Section
+         *  4.3). */
+        void
+        strengthen(TableId t, size_t idx)
+        {
+            arrays.writeHyst(t, idx, arrays.readPred(t, idx));
+        }
+
+        /** Full 2-bit counter step: read both bits, write back the
+         *  stepped state (a misprediction-path access, Section 4.3). */
+        void
+        update(TableId t, size_t idx, bool v)
+        {
+            const bool p = arrays.readPred(t, idx);
+            const bool h = arrays.readHyst(t, idx);
+            if (p == v) {
+                arrays.writeHyst(t, idx, p); // strengthen
+            } else if (h == p) {
+                arrays.writeHyst(t, idx, !p); // weaken
+            } else {
+                arrays.writePred(t, idx, v); // flip
+                arrays.writeHyst(t, idx, !v);
+            }
+        }
     };
 
     static Ev8IndexInput indexInput(const BranchSnapshot &snap);
-    GskewLookup lookup(const BranchSnapshot &snap) const;
+
+    /** Notes and trains on `last` for the resolved outcome. */
+    void train(bool taken);
 
     Ev8Config cfg;
     Ev8PhysicalStorage arrays;

@@ -1,5 +1,6 @@
 #include "core/index_functions.hh"
 
+#include <bit>
 #include <cassert>
 
 #include "common/bits.hh"
@@ -190,22 +191,52 @@ ev8EntryIndex(TableId table, const Ev8IndexInput &in, uint64_t branch_pc,
               WordlineMode mode)
 {
     const Ev8WordCoords c = ev8WordCoords(table, in, mode);
-    const unsigned offset = ev8BitOffset(branch_pc, c.unshuffle);
-    return static_cast<size_t>(c.bank) | (static_cast<size_t>(offset) << 2)
-        | (static_cast<size_t>(c.wordline) << 5)
-        | (static_cast<size_t>(c.column) << 11);
+    return ev8FlatIndex(c, ev8BitOffset(branch_pc, c.unshuffle));
 }
 
-Ev8WordCoords
-ev8DecomposeIndex(TableId table, size_t index)
+Ev8IndexTables
+Ev8IndexTables::build(WordlineMode mode)
 {
-    Ev8WordCoords coords;
-    coords.bank = static_cast<unsigned>(index & 0x3);
-    coords.wordline = static_cast<unsigned>((index >> 5) & 0x3f);
-    coords.column = static_cast<unsigned>(
-        (index >> 11) & mask(ev8ColumnBits(table)));
-    coords.unshuffle = 0;
-    return coords;
+    // The image of one input bit: its four flat indices (bank 0, pc 0)
+    // packed 16 bits per table.
+    auto image = [mode](uint64_t Ev8IndexInput::*field, unsigned pos) {
+        Ev8IndexInput in;
+        in.*field = uint64_t{1} << pos;
+        uint64_t packed = 0;
+        for (unsigned t = 0; t < kNumTables; ++t) {
+            packed |= static_cast<uint64_t>(ev8EntryIndex(
+                          static_cast<TableId>(t), in, 0, mode))
+                << (16 * t);
+        }
+        return packed;
+    };
+    // The input bytes, in the order ev8EntryIndices() reads them.
+    struct Slice
+    {
+        uint64_t Ev8IndexInput::*field;
+        unsigned firstBit;
+    };
+    const std::array<Slice, kABytes + kHBytes + kZBytes> slices{{
+        {&Ev8IndexInput::blockAddr, 0},
+        {&Ev8IndexInput::blockAddr, 8},
+        {&Ev8IndexInput::hist, 0},
+        {&Ev8IndexInput::hist, 8},
+        {&Ev8IndexInput::hist, 16},
+        {&Ev8IndexInput::zAddr, 0},
+    }};
+
+    Ev8IndexTables tables;
+    for (size_t k = 0; k < slices.size(); ++k) {
+        std::array<uint64_t, 8> bits{};
+        for (unsigned j = 0; j < 8; ++j)
+            bits[j] = image(slices[k].field, slices[k].firstBit + j);
+        // Linearity: a byte's image is the XOR of its set bits' images.
+        for (unsigned b = 1; b < 256; ++b) {
+            tables.lut[k][b] =
+                tables.lut[k][b & (b - 1)] ^ bits[std::countr_zero(b)];
+        }
+    }
+    return tables;
 }
 
 } // namespace ev8

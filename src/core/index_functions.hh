@@ -27,6 +27,8 @@
 #ifndef EV8_CORE_INDEX_FUNCTIONS_HH
 #define EV8_CORE_INDEX_FUNCTIONS_HH
 
+#include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
@@ -104,17 +106,84 @@ ev8BitOffset(uint64_t branch_pc, unsigned unshuffle)
  * (what the half-size hysteresis arrays do, Section 4.4) halves the
  * column space -- exactly the hardware behaviour.
  */
+constexpr size_t
+ev8FlatIndex(const Ev8WordCoords &c, unsigned offset)
+{
+    assert(c.bank < 4 && offset < 8 && c.wordline < 64);
+    return static_cast<size_t>(c.bank) | (static_cast<size_t>(offset) << 2)
+        | (static_cast<size_t>(c.wordline) << 5)
+        | (static_cast<size_t>(c.column) << 11);
+}
+
+/** The flat entry index of one branch for @p table. */
 size_t ev8EntryIndex(TableId table, const Ev8IndexInput &in,
                      uint64_t branch_pc, WordlineMode mode);
-
-/** Decomposes a flat index back into coordinates (offset via u = 0). */
-Ev8WordCoords ev8DecomposeIndex(TableId table, size_t index);
 
 /** The in-word offset field (i4..i2) of a flat index. */
 constexpr unsigned
 ev8IndexOffset(size_t index)
 {
     return static_cast<unsigned>((index >> 2) & 7);
+}
+
+/** The wordline field (i10..i5) of a flat index. */
+constexpr unsigned
+ev8IndexWordline(size_t index)
+{
+    return static_cast<unsigned>((index >> 5) & 0x3f);
+}
+
+/**
+ * The Section 7 map tabulated per input byte. Every wordline, column
+ * and unshuffle bit is an XOR of input bits with no constant term, so
+ * the map from (A, H, Z) to the flat indices minus their bank and
+ * branch-offset terms is GF(2)-linear: the XOR of the images of the
+ * input's bytes. Entry b of a table packs the four tables' 16-bit
+ * images of byte value b, table t at bits [16t, 16t + 16). The tables
+ * are evaluated from ev8EntryIndex() on single-bit inputs, so the
+ * equations above stay their only source.
+ */
+struct Ev8IndexTables
+{
+    static constexpr unsigned kABytes = 2; //!< a15..a0
+    static constexpr unsigned kHBytes = 3; //!< h23..h0
+    static constexpr unsigned kZBytes = 1; //!< z7..z0
+
+    std::array<std::array<uint64_t, 256>, kABytes + kHBytes + kZBytes>
+        lut{};
+
+    /** The tables of both modes, built at first use. */
+    static const Ev8IndexTables &
+    forMode(WordlineMode mode)
+    {
+        static const std::array<Ev8IndexTables, 2> tables{
+            build(WordlineMode::Ev8), build(WordlineMode::AddressOnly)};
+        return tables[mode == WordlineMode::AddressOnly];
+    }
+
+  private:
+    static Ev8IndexTables build(WordlineMode mode);
+};
+
+/**
+ * All four tables' ev8EntryIndex() values at once: six table lookups
+ * XORed, the bank bits ORed in and the branch's offset bits XORed in.
+ */
+inline std::array<size_t, kNumTables>
+ev8EntryIndices(const Ev8IndexInput &in, uint64_t branch_pc,
+                WordlineMode mode)
+{
+    const auto &lut = Ev8IndexTables::forMode(mode).lut;
+    const uint64_t a = in.blockAddr, h = in.hist;
+    const uint64_t v = lut[0][a & 0xff] ^ lut[1][(a >> 8) & 0xff]
+        ^ lut[2][h & 0xff] ^ lut[3][(h >> 8) & 0xff]
+        ^ lut[4][(h >> 16) & 0xff] ^ lut[5][in.zAddr & 0xff];
+    const size_t pc_offset = branch_pc & 0x1c;
+    const size_t bank = in.bank & 0x3;
+    std::array<size_t, kNumTables> idx{};
+    for (unsigned t = 0; t < kNumTables; ++t)
+        idx[t] = (((v >> (16 * t)) & 0xffff) ^ pc_offset) | bank;
+    return idx;
 }
 
 } // namespace ev8

@@ -11,38 +11,19 @@ namespace ev8
 
 static_assert(Ev8PhysicalStorage::storageBits() == 352 * 1024,
               "the EV8 predictor is 352 Kbits (208K pred + 144K hyst)");
+static_assert(Ev8PhysicalStorage::predEntries(BIM)
+                      == size_t{1} << ev8IndexBits(BIM)
+                  && Ev8PhysicalStorage::predEntries(G1)
+                      == size_t{1} << ev8IndexBits(G1),
+              "a flat entry index addresses its prediction array");
 
 Ev8PhysicalStorage::Ev8PhysicalStorage()
 {
     for (unsigned t = 0; t < kNumTables; ++t) {
         const auto id = static_cast<TableId>(t);
-        pred[t].assign(size_t{4} * kEv8Wordlines * ev8PredColumns(id) * 8,
-                       0);
-        hyst[t].assign(size_t{4} * kEv8Wordlines * ev8HystColumns(id) * 8,
-                       1);
+        pred[t].assign(predEntries(id), 0);
+        hyst[t].assign(hystEntries(id), 1);
     }
-}
-
-size_t
-Ev8PhysicalStorage::predBitIndex(TableId table, const Ev8WordCoords &c,
-                                 unsigned bitpos) const
-{
-    const unsigned cols = ev8PredColumns(table);
-    assert(c.bank < 4 && c.wordline < kEv8Wordlines && c.column < cols
-           && bitpos < 8);
-    return ((static_cast<size_t>(c.bank) * kEv8Wordlines + c.wordline)
-            * cols + c.column) * 8 + bitpos;
-}
-
-size_t
-Ev8PhysicalStorage::hystBitIndex(TableId table, const Ev8WordCoords &c,
-                                 unsigned bitpos) const
-{
-    const unsigned cols = ev8HystColumns(table);
-    const unsigned column = c.column & (cols - 1); // drop the index MSB
-    assert(c.bank < 4 && c.wordline < kEv8Wordlines && bitpos < 8);
-    return ((static_cast<size_t>(c.bank) * kEv8Wordlines + c.wordline)
-            * cols + column) * 8 + bitpos;
 }
 
 uint8_t
@@ -52,49 +33,13 @@ Ev8PhysicalStorage::readPredWord(TableId table, const Ev8WordCoords &c) const
         ++access[table].predReads;
         ++wordlineReads_[table][c.wordline];
     }
+    const size_t base = ev8FlatIndex(c, 0);
+    assert(base < predEntries(table));
     uint8_t word = 0;
     for (unsigned b = 0; b < 8; ++b)
-        word |= static_cast<uint8_t>(pred[table][predBitIndex(table, c, b)]
+        word |= static_cast<uint8_t>(pred[table][base | (size_t{b} << 2)]
                                      << b);
     return word;
-}
-
-bool
-Ev8PhysicalStorage::readPredBit(TableId table, const Ev8WordCoords &c,
-                                unsigned bitpos) const
-{
-    if (tracking) {
-        ++access[table].predReads;
-        ++wordlineReads_[table][c.wordline];
-    }
-    return pred[table][predBitIndex(table, c, bitpos)] != 0;
-}
-
-void
-Ev8PhysicalStorage::writePredBit(TableId table, const Ev8WordCoords &c,
-                                 unsigned bitpos, bool value)
-{
-    if (tracking)
-        ++access[table].predWrites;
-    pred[table][predBitIndex(table, c, bitpos)] = value ? 1 : 0;
-}
-
-bool
-Ev8PhysicalStorage::readHystBit(TableId table, const Ev8WordCoords &c,
-                                unsigned bitpos) const
-{
-    if (tracking)
-        ++access[table].hystReads;
-    return hyst[table][hystBitIndex(table, c, bitpos)] != 0;
-}
-
-void
-Ev8PhysicalStorage::writeHystBit(TableId table, const Ev8WordCoords &c,
-                                 unsigned bitpos, bool value)
-{
-    if (tracking)
-        ++access[table].hystWrites;
-    hyst[table][hystBitIndex(table, c, bitpos)] = value ? 1 : 0;
 }
 
 void

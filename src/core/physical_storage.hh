@@ -15,12 +15,22 @@
  * the columns -- the same index function minus its most significant
  * (column) bit, so two prediction entries share one hysteresis entry
  * (Section 4.4).
+ *
+ * Bit order: each array stores its bits in flat-index order
+ * (ev8FlatIndex: bank, in-word bit, wordline, column from the least
+ * significant bit up), a bijection with (bank, wordline, column, bit).
+ * A hysteresis array is the same order truncated to its size, so
+ * masking a flat index down to it drops the column MSB (i15) exactly
+ * as Section 4.4 does. The flat accessors take an ev8EntryIndex()
+ * value; the coordinate accessors address the same bits.
  */
 
 #ifndef EV8_CORE_PHYSICAL_STORAGE_HH
 #define EV8_CORE_PHYSICAL_STORAGE_HH
 
 #include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -66,24 +76,97 @@ class Ev8PhysicalStorage
   public:
     Ev8PhysicalStorage();
 
+    /** Prediction-array bits of @p table: 2^ev8IndexBits(table). */
+    static constexpr size_t
+    predEntries(TableId table)
+    {
+        return size_t{4} * kEv8Wordlines * ev8PredColumns(table) * 8;
+    }
+
+    /** Hysteresis-array bits of @p table. */
+    static constexpr size_t
+    hystEntries(TableId table)
+    {
+        return size_t{4} * kEv8Wordlines * ev8HystColumns(table) * 8;
+    }
+
+    /** Reads/writes the prediction bit at flat index @p idx. */
+    bool
+    readPred(TableId table, size_t idx) const
+    {
+        assert(idx < predEntries(table));
+        if (tracking) {
+            ++access[table].predReads;
+            ++wordlineReads_[table][ev8IndexWordline(idx)];
+        }
+        return pred[table][idx] != 0;
+    }
+
+    void
+    writePred(TableId table, size_t idx, bool value)
+    {
+        assert(idx < predEntries(table));
+        if (tracking)
+            ++access[table].predWrites;
+        pred[table][idx] = value;
+    }
+
+    /**
+     * Reads/writes the hysteresis bit of flat index @p idx. The index
+     * is masked to the hysteresis array's size (dropping the column
+     * MSB for G0 and Meta), which is where the sharing of Section 4.4
+     * happens.
+     */
+    bool
+    readHyst(TableId table, size_t idx) const
+    {
+        assert(idx < predEntries(table));
+        if (tracking)
+            ++access[table].hystReads;
+        return hyst[table][idx & (hystEntries(table) - 1)] != 0;
+    }
+
+    void
+    writeHyst(TableId table, size_t idx, bool value)
+    {
+        assert(idx < predEntries(table));
+        if (tracking)
+            ++access[table].hystWrites;
+        hyst[table][idx & (hystEntries(table) - 1)] = value;
+    }
+
     /** Reads one full 8-bit prediction word (one array access). */
     uint8_t readPredWord(TableId table, const Ev8WordCoords &c) const;
 
-    /** Reads/writes a single prediction bit. */
-    bool readPredBit(TableId table, const Ev8WordCoords &c,
-                     unsigned bitpos) const;
-    void writePredBit(TableId table, const Ev8WordCoords &c,
-                      unsigned bitpos, bool value);
+    /** Reads/writes a single prediction bit by word coordinates. */
+    bool
+    readPredBit(TableId table, const Ev8WordCoords &c,
+                unsigned bitpos) const
+    {
+        return readPred(table, ev8FlatIndex(c, bitpos));
+    }
 
-    /**
-     * Reads/writes a hysteresis bit. The column is internally reduced
-     * to the hysteresis array's column count (dropping the index MSB),
-     * which is where the sharing of Section 4.4 happens.
-     */
-    bool readHystBit(TableId table, const Ev8WordCoords &c,
-                     unsigned bitpos) const;
-    void writeHystBit(TableId table, const Ev8WordCoords &c,
-                      unsigned bitpos, bool value);
+    void
+    writePredBit(TableId table, const Ev8WordCoords &c, unsigned bitpos,
+                 bool value)
+    {
+        writePred(table, ev8FlatIndex(c, bitpos), value);
+    }
+
+    /** Reads/writes a hysteresis bit by (prediction) word coordinates. */
+    bool
+    readHystBit(TableId table, const Ev8WordCoords &c,
+                unsigned bitpos) const
+    {
+        return readHyst(table, ev8FlatIndex(c, bitpos));
+    }
+
+    void
+    writeHystBit(TableId table, const Ev8WordCoords &c, unsigned bitpos,
+                 bool value)
+    {
+        writeHyst(table, ev8FlatIndex(c, bitpos), value);
+    }
 
     /** Total bits: 208 Kbits prediction + 144 Kbits hysteresis. */
     static constexpr uint64_t
@@ -92,8 +175,7 @@ class Ev8PhysicalStorage
         uint64_t bits = 0;
         for (unsigned t = 0; t < kNumTables; ++t) {
             const auto id = static_cast<TableId>(t);
-            bits += uint64_t{4} * kEv8Wordlines * ev8PredColumns(id) * 8;
-            bits += uint64_t{4} * kEv8Wordlines * ev8HystColumns(id) * 8;
+            bits += predEntries(id) + hystEntries(id);
         }
         return bits;
     }
@@ -139,12 +221,7 @@ class Ev8PhysicalStorage
                         const std::string &prefix) const;
 
   private:
-    size_t predBitIndex(TableId table, const Ev8WordCoords &c,
-                        unsigned bitpos) const;
-    size_t hystBitIndex(TableId table, const Ev8WordCoords &c,
-                        unsigned bitpos) const;
-
-    // One byte per bit: simple and fast enough for simulation.
+    // One byte per bit, in flat-index order.
     std::array<std::vector<uint8_t>, kNumTables> pred;
     std::array<std::vector<uint8_t>, kNumTables> hyst;
 

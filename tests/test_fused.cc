@@ -68,6 +68,20 @@ gskewLane(const std::string &label, unsigned log2, unsigned h_bim,
             }};
 }
 
+/** A hardware EV8 lane with the given wordline mode and policy. */
+LaneSpec
+ev8Lane(const std::string &label, WordlineMode wordline,
+        bool partial_update)
+{
+    return {label, [=] {
+                Ev8Config cfg;
+                cfg.wordline = wordline;
+                cfg.partialUpdate = partial_update;
+                cfg.label = label;
+                return std::make_unique<Ev8Predictor>(cfg);
+            }};
+}
+
 /**
  * A mixed-type lane set: every fused dispatch bucket is exercised,
  * with or without event sinks (events come from the same steppers).
@@ -96,9 +110,12 @@ laneSpecs()
         fromSpec("egskew:12:10"),
         fromSpec("yags:10:10:10"),
         fromSpec("bimode:10:10:10"),
-        // Split predict()/update(): Ev8Predictor's own bucket, then
-        // the generic (virtual) bucket.
-        {"ev8", [] { return std::make_unique<Ev8Predictor>(); }},
+        // FusedSteppable: Ev8Predictor's own three-lane bucket, both
+        // wordline index tables and both update policies.
+        ev8Lane("ev8", WordlineMode::Ev8, true),
+        ev8Lane("ev8-addr-wordline", WordlineMode::AddressOnly, true),
+        ev8Lane("ev8-total", WordlineMode::Ev8, false),
+        // Split predict()/update(): the generic (virtual) bucket.
         fromSpec("perceptron:10:16"),
     };
 }
@@ -241,7 +258,11 @@ TEST(FusedKernel, SingleLaneMatchesSimulateStream)
     expectSameResult(cell, ref, "gshare:12:10 simulateStream");
 }
 
-/** Per-lane metric sinks match what an oracle run publishes. */
+/**
+ * Per-lane metric sinks match what an oracle run publishes; for the EV8
+ * lane that includes the physical arrays' storage.* access counters
+ * and wordline gauges.
+ */
 TEST(FusedKernel, PerLaneMetricsMatchPerCellMetrics)
 {
     const Trace trace =
@@ -249,30 +270,40 @@ TEST(FusedKernel, PerLaneMetricsMatchPerCellMetrics)
     const BlockStream stream = decodeBlockStream(trace);
     SimConfig config = SimConfig::ev8();
 
+    const std::vector<LaneSpec> specs{
+        fromSpec("2bcgskew:12:0:13:14:15"), fromSpec("gshare:12:12"),
+        ev8Lane("ev8", WordlineMode::Ev8, true)};
     std::vector<PredictorPtr> preds;
     std::vector<std::unique_ptr<MetricRegistry>> regs;
     std::vector<FusedLane> lanes;
-    for (const std::string &spec : {std::string("2bcgskew:12:0:13:14:15"),
-                                    std::string("gshare:12:12")}) {
-        preds.push_back(makePredictor(spec));
+    for (const LaneSpec &spec : specs) {
+        preds.push_back(spec.make());
         regs.push_back(std::make_unique<MetricRegistry>());
         lanes.push_back({preds.back().get(), regs.back().get(), nullptr});
     }
     simulateStreamFused(stream, lanes, config);
 
+    // Predictor-internal metrics, published as the cell executor does.
     for (size_t i = 0; i < lanes.size(); ++i) {
-        auto ref_pred = makePredictor(
-            i == 0 ? "2bcgskew:12:0:13:14:15" : "gshare:12:12");
+        auto ref_pred = specs[i].make();
         MetricRegistry ref_reg;
         SimConfig ref_config = oracle(config);
         ref_config.metrics = &ref_reg;
         simulateStream(stream, *ref_pred, ref_config);
+        preds[i]->publishMetrics(*regs[i], "pred." + preds[i]->name());
+        ref_pred->publishMetrics(ref_reg, "pred." + ref_pred->name());
 
         std::ostringstream fused_json, ref_json;
         writeRegistryJson(fused_json, *regs[i]);
         writeRegistryJson(ref_json, ref_reg);
         EXPECT_EQ(fused_json.str(), ref_json.str()) << "lane " << i;
     }
+    std::ostringstream ev8_json;
+    writeRegistryJson(ev8_json, *regs.back());
+    EXPECT_NE(ev8_json.str().find(".storage.g1.hyst_writes"),
+              std::string::npos);
+    EXPECT_NE(ev8_json.str().find(".storage.meta.wordline_max_reads"),
+              std::string::npos);
 }
 
 /**

@@ -284,12 +284,11 @@ TEST(EntryIndex, LayoutRoundtrip)
             ASSERT_LT(idx, size_t{1} << ev8IndexBits(t));
             const Ev8WordCoords direct =
                 ev8WordCoords(t, in, WordlineMode::Ev8);
-            const Ev8WordCoords decomposed = ev8DecomposeIndex(t, idx);
-            EXPECT_EQ(decomposed.bank, direct.bank);
-            EXPECT_EQ(decomposed.wordline, direct.wordline);
-            EXPECT_EQ(decomposed.column, direct.column);
-            EXPECT_EQ(ev8IndexOffset(idx),
+            EXPECT_EQ(idx & 0x3, direct.bank);
+            EXPECT_EQ((idx >> 2) & 0x7,
                       ev8BitOffset(branch_pc, direct.unshuffle));
+            EXPECT_EQ((idx >> 5) & 0x3f, direct.wordline);
+            EXPECT_EQ(idx >> 11, direct.column);
         }
     }
 }
@@ -343,6 +342,61 @@ TEST(EntryIndex, HistoryConsumptionMatchesTable1Lengths)
                 EXPECT_FALSE(moved)
                     << "table " << c.t << " consumes h" << b
                     << " beyond its history length";
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The lookup-table index pass.
+// ---------------------------------------------------------------------
+
+TEST(EntryIndices, MatchEntryIndexOnFullWidthInputs)
+{
+    // Every bit of A, H and Z is random, so an input bit the equations
+    // consume but the byte tables do not cover makes the two disagree.
+    Rng rng(6);
+    for (const WordlineMode mode :
+         {WordlineMode::Ev8, WordlineMode::AddressOnly}) {
+        for (int i = 0; i < 10000; ++i) {
+            const auto in = input(rng.next(), rng.next(), rng.next(),
+                                  unsigned(rng.below(4)));
+            const uint64_t branch_pc = rng.next();
+            const auto idx = ev8EntryIndices(in, branch_pc, mode);
+            for (TableId t : {BIM, G0, G1, META}) {
+                ASSERT_EQ(idx[t], ev8EntryIndex(t, in, branch_pc, mode))
+                    << "table " << t << " mode " << int(mode)
+                    << " input " << i;
+            }
+        }
+    }
+}
+
+TEST(EntryIndices, EquationsAreLinearWithOnlyBankAndOffsetConstant)
+{
+    // The premise of the tables: with bank and branch offset zero, the
+    // flat index is GF(2)-linear in (A, H, Z), and a zero input leaves
+    // only the bank and the branch's own offset bits.
+    Rng rng(7);
+    for (const WordlineMode mode :
+         {WordlineMode::Ev8, WordlineMode::AddressOnly}) {
+        for (TableId t : {BIM, G0, G1, META}) {
+            for (unsigned bank = 0; bank < 4; ++bank) {
+                for (unsigned slot = 0; slot < 8; ++slot) {
+                    EXPECT_EQ(ev8EntryIndex(t, input(0, 0, 0, bank),
+                                            slot * 4, mode),
+                              bank | (slot << 2));
+                }
+            }
+            for (int i = 0; i < 1000; ++i) {
+                const auto x = input(rng.next(), rng.next(), rng.next());
+                const auto y = input(rng.next(), rng.next(), rng.next());
+                const auto xy = input(x.blockAddr ^ y.blockAddr,
+                                      x.hist ^ y.hist, x.zAddr ^ y.zAddr);
+                ASSERT_EQ(ev8EntryIndex(t, xy, 0, mode),
+                          ev8EntryIndex(t, x, 0, mode)
+                              ^ ev8EntryIndex(t, y, 0, mode))
+                    << "table " << t << " mode " << int(mode);
+            }
         }
     }
 }

@@ -106,6 +106,96 @@ TEST(PhysicalStorage, HysteresisSharingDropsColumnMsb)
     EXPECT_TRUE(fresh.readHystBit(G1, high, 2));
 }
 
+TEST(PhysicalStorage, FlatAndCoordinateAccessorsAddressTheSameBit)
+{
+    // Flat order is a bijection with (bank, wordline, column, bit): a
+    // bit written through one accessor family reads back through the
+    // other, and through no other flat index.
+    Rng rng(11);
+    for (TableId t : {BIM, G0, G1, META}) {
+        for (int i = 0; i < 200; ++i) {
+            const Ev8WordCoords c{
+                unsigned(rng.below(4)), unsigned(rng.below(kEv8Wordlines)),
+                unsigned(rng.below(ev8PredColumns(t))), 0};
+            const unsigned bitpos = unsigned(rng.below(8));
+            const size_t idx = ev8FlatIndex(c, bitpos);
+            ASSERT_LT(idx, Ev8PhysicalStorage::predEntries(t));
+
+            Ev8PhysicalStorage arrays;
+            arrays.writePredBit(t, c, bitpos, true);
+            EXPECT_TRUE(arrays.readPred(t, idx));
+            EXPECT_FALSE(arrays.readPred(t, idx ^ 1));
+            arrays.writePred(t, idx, false);
+            EXPECT_FALSE(arrays.readPredBit(t, c, bitpos));
+
+            arrays.writeHyst(t, idx, false);
+            EXPECT_FALSE(arrays.readHystBit(t, c, bitpos));
+            EXPECT_TRUE(arrays.readHystBit(t, c, bitpos ^ 1));
+            arrays.writeHystBit(t, c, bitpos, true);
+            EXPECT_TRUE(arrays.readHyst(t, idx));
+        }
+    }
+}
+
+TEST(PhysicalStorage, FlatHysteresisSharedAcrossIndexMsb)
+{
+    // G0 and Meta: idx and idx ^ (1 << 15) -- the column MSB i15 --
+    // share one hysteresis bit but not their prediction bits. BIM and
+    // G1 hysteresis arrays are full size.
+    Rng rng(12);
+    for (int i = 0; i < 200; ++i) {
+        const size_t low = rng.below(size_t{1} << 15);
+        const size_t high = low ^ (size_t{1} << 15);
+        for (TableId t : {G0, META}) {
+            Ev8PhysicalStorage arrays;
+            arrays.writeHyst(t, high, false);
+            EXPECT_FALSE(arrays.readHyst(t, low));
+            arrays.writePred(t, high, true);
+            EXPECT_FALSE(arrays.readPred(t, low));
+        }
+        Ev8PhysicalStorage arrays;
+        arrays.writeHyst(G1, high, false);
+        EXPECT_TRUE(arrays.readHyst(G1, low));
+    }
+    EXPECT_EQ(Ev8PhysicalStorage::hystEntries(G0), size_t{1} << 15);
+    EXPECT_EQ(Ev8PhysicalStorage::hystEntries(META), size_t{1} << 15);
+    EXPECT_EQ(Ev8PhysicalStorage::hystEntries(G1), size_t{1} << 16);
+    EXPECT_EQ(Ev8PhysicalStorage::hystEntries(BIM), size_t{1} << 14);
+}
+
+TEST(PhysicalStorage, TalliesCountOneAccessPerCall)
+{
+    // The storage.* counters: one count per read or write call, and a
+    // wordline histogram over prediction reads, whichever accessor
+    // family made the access.
+    Ev8PhysicalStorage arrays;
+    const Ev8WordCoords c{2, 37, 9, 0};
+    const size_t idx = ev8FlatIndex(c, 5);
+    arrays.readPred(G1, idx); // untracked
+    arrays.setTracking(true);
+    arrays.readPred(G1, idx);
+    arrays.readPredBit(G1, c, 3);
+    arrays.readPredWord(G1, c);
+    arrays.writePred(G1, idx, true);
+    arrays.readHystBit(G1, c, 5);
+    arrays.writeHyst(G1, idx, false);
+    arrays.writeHystBit(G1, c, 1, false);
+
+    const auto &s = arrays.accessStats(G1);
+    EXPECT_EQ(s.predReads, 3u);
+    EXPECT_EQ(s.predWrites, 1u);
+    EXPECT_EQ(s.hystReads, 1u);
+    EXPECT_EQ(s.hystWrites, 2u);
+    EXPECT_EQ(arrays.wordlineReads(G1)[37], 3u);
+    uint64_t total = 0;
+    for (TableId t : {BIM, G0, G1, META}) {
+        for (const uint64_t n : arrays.wordlineReads(t))
+            total += n;
+    }
+    EXPECT_EQ(total, 3u);
+    EXPECT_EQ(arrays.accessStats(G0).predReads, 0u);
+}
+
 TEST(PhysicalStorage, ResetRestoresInitialState)
 {
     Ev8PhysicalStorage arrays;
