@@ -16,22 +16,12 @@ main(int argc, char **argv)
 {
     // The rows come from the shared grid registry (serve/grids.hh) so
     // the batch artifact and a served "ablation-update-policy" client's
-    // artifact are built from one definition of the labels, factories
-    // and per-row presets -- CI's serve gate compares the two.
+    // artifact are built from one definition of the labels, predictors
+    // and per-row configs -- CI's serve gate compares the two.
     const GridSpec *grid = findGrid("ablation-update-policy");
     BenchContext ctx(argc, argv, grid->benchId, grid->title);
 
-    SuiteRunner &runner = ctx.runner();
-
-    std::vector<ExperimentRow> rows;
-    rows.reserve(grid->rows.size());
-    for (const GridRowSpec &row : grid->rows) {
-        rows.push_back({row.label,
-                        [&row] { return makeRowPredictor(row); },
-                        rowBaseConfig(*grid, row)});
-    }
-
-    runAndPrint(ctx, runner, rows);
+    runAndPrint(ctx, *grid);
 
     printShapeNotes({
         "partial update beats total update for 2Bc-gskew and e-gskew "

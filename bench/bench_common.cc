@@ -14,6 +14,7 @@
 #include "obs/progress.hh"
 #include "obs/trace_span.hh"
 #include "obs/trace_writer.hh"
+#include "serve/grids.hh"
 #include "sim/experiment.hh"
 #include "workloads/suite.hh"
 
@@ -96,18 +97,22 @@ optValue(const char *arg, const char *opt)
     return nullptr;
 }
 
+/**
+ * A count option (--sample, --branches, --sample-budget): an integer
+ * in [1, 2^40], the range the matching env knobs enforce. Signs,
+ * spaces, garbage and out-of-range values exit 2.
+ */
 uint64_t
 parseCount(const char *text, const char *opt, const char *prog)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "%s: bad value for %s: '%s'\n\n", prog, opt,
-                     text);
+    try {
+        return parseStrictU64(text, 1, uint64_t{1} << 40);
+    } catch (const std::invalid_argument &err) {
+        std::fprintf(stderr, "%s: bad value for %s: %s\n\n", prog, opt,
+                     err.what());
         printUsage(prog);
         std::exit(2);
     }
-    return v;
 }
 
 } // namespace
@@ -142,8 +147,6 @@ parseBenchArgs(int argc, char **argv, const BenchOptionHandler &extra,
             args.eventsPath = v;
         } else if (const char *v = optValue(arg, "--sample")) {
             args.sampleEvery = parseCount(v, "--sample", prog);
-            if (args.sampleEvery == 0)
-                args.sampleEvery = 1;
         } else if (const char *v = optValue(arg, "--branches")) {
             const uint64_t n = parseCount(v, "--branches", prog);
             setenv("EV8_BRANCHES_PER_BENCH",
@@ -508,46 +511,50 @@ printBanner(const std::string &experiment_id, const std::string &title)
 }
 
 std::vector<std::vector<BenchResult>>
-runAndPrint(BenchContext &ctx, SuiteRunner &runner,
-            const std::vector<ExperimentRow> &rows)
+runAndPrint(BenchContext &ctx, const GridSpec &grid)
+{
+    if (!benchQuiet()) {
+        for (const GridRow &row : grid.rows)
+            std::fprintf(stderr, "  running %s ...\n", row.label.c_str());
+    }
+    // One grid batch for the whole table: rows submitted together let
+    // the engine fuse compatible (benchmark, history) cells across
+    // configurations into shared trace walks, instead of paying one
+    // walk per row. Submission is row-major, so the deterministic
+    // merge order -- and hence every artifact byte -- is fixed by the
+    // registry's row order.
+    std::vector<std::vector<BenchResult>> all =
+        ctx.runner()
+            .runGrid(buildGridRows(grid, ctx.instrument(SimConfig{})))
+            .results;
+    printAndRecord(ctx, grid, all);
+    return all;
+}
+
+void
+printAndRecord(BenchContext &ctx, const GridSpec &grid,
+               const std::vector<std::vector<BenchResult>> &all)
 {
     TextTable table;
     std::vector<std::string> header{"configuration"};
-    for (size_t i = 0; i < runner.size(); ++i)
-        header.push_back(runner.name(i));
+    for (const Benchmark &b : specint95Suite())
+        header.push_back(b.profile.name);
     header.push_back("amean");
     header.push_back("storage");
     table.header(std::move(header));
 
-    // One grid batch for the whole table: rows submitted together let
-    // the engine fuse compatible (benchmark, history) cells across
-    // configurations into shared trace walks, instead of paying one
-    // walk per row. Submission stays row-major, so the deterministic
-    // merge order -- and hence every artifact byte -- matches the old
-    // row-at-a-time loop.
-    std::vector<GridRow> grid;
-    grid.reserve(rows.size());
-    for (const auto &row : rows) {
-        if (!benchQuiet())
-            std::fprintf(stderr, "  running %s ...\n",
-                         row.label.c_str());
-        grid.push_back({row.factory, ctx.instrument(row.config),
-                        row.label});
-    }
-    std::vector<std::vector<BenchResult>> all =
-        runner.runGrid(grid).results;
-
-    for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t i = 0; i < all.size(); ++i) {
+        const GridRow &row = grid.rows[i];
         const auto &results = all[i];
-        std::vector<std::string> cells{rows[i].label};
+        std::vector<std::string> cells{row.label};
         for (const auto &r : results)
             cells.push_back(r.failed ? "!!"
                                      : fmt(r.sim.stats.mispKI(), 2));
         cells.push_back(fmt(SuiteRunner::averageMispKI(results), 3));
-        const uint64_t storage_bits = rows[i].factory()->storageBits();
+        const uint64_t storage_bits = row.factory()->storageBits();
         cells.push_back(formatKbits(storage_bits));
         table.row(std::move(cells));
-        ctx.recordResults(rows[i].label, storage_bits, results);
+        ctx.recordResults(row.label, storage_bits, results);
     }
 
     if (!benchQuiet()) {
@@ -555,7 +562,6 @@ runAndPrint(BenchContext &ctx, SuiteRunner &runner,
                     "lower is better:\n\n%s\n",
                     table.render().c_str());
     }
-    return all;
 }
 
 void

@@ -30,12 +30,11 @@
  *
  * BenchContext bundles the parsed arguments with the metric registry,
  * the event sink, the export document and the (parallel) suite runner,
- * so a bench main() is:
+ * so a registry-driven bench main() is:
  *
- *     BenchContext ctx(argc, argv, "Fig. 5", "...");
- *     SuiteRunner &runner = ctx.runner();
- *     ...
- *     runAndPrint(ctx, runner, rows);
+ *     const GridSpec *grid = findGrid("fig5");
+ *     BenchContext ctx(argc, argv, grid->benchId, grid->title);
+ *     runAndPrint(ctx, *grid);
  *     return ctx.finish();
  */
 
@@ -52,12 +51,13 @@
 #include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
-#include "predictors/predictor.hh"
 #include "sim/simulator.hh"
 #include "sim/suite_runner.hh"
 
 namespace ev8
 {
+
+struct GridSpec;
 
 /**
  * Unified bench exit codes. Fatal diagnostics go to stderr prefixed
@@ -68,14 +68,6 @@ constexpr int kExitOk = 0;
 constexpr int kExitUsage = 2;   //!< bad command line or env knob
 constexpr int kExitPartial = 3; //!< completed, but some cells failed
 constexpr int kExitFatal = 4;   //!< unrecoverable harness error (I/O)
-
-/** One experiment row: a labelled predictor configuration. */
-struct ExperimentRow
-{
-    std::string label;
-    PredictorFactory factory;
-    SimConfig config;
-};
 
 /** The unified bench command line, parsed. */
 struct BenchArgs
@@ -213,17 +205,23 @@ void printBanner(const std::string &experiment_id,
                  const std::string &title);
 
 /**
- * Runs every row over the suite and prints the paper-style table:
- * one line per configuration, one column per benchmark (misp/KI),
- * plus the arithmetic mean and the configuration's storage budget.
- * Each row's SimConfig is instrumented through @p ctx and its results
- * recorded for export. Cells that failed permanently print as "!!"
- * (and export as null); the mean skips them. Returns the per-row
- * results.
+ * Runs every row of @p grid over the suite, as one grid batch with
+ * @p ctx's observability hooks attached, then printAndRecord()s the
+ * results. Returns the per-row results.
  */
-std::vector<std::vector<BenchResult>> runAndPrint(
-    BenchContext &ctx, SuiteRunner &runner,
-    const std::vector<ExperimentRow> &rows);
+std::vector<std::vector<BenchResult>> runAndPrint(BenchContext &ctx,
+                                                  const GridSpec &grid);
+
+/**
+ * Records each row's per-benchmark results (and its predictor's
+ * storage bits) for export and prints the paper-style table: one line
+ * per configuration, one column per benchmark (misp/KI), plus the
+ * arithmetic mean and the storage budget. Failed cells print as "!!"
+ * (and export as null); the mean skips them. Shared by batch runs and
+ * served clients, whose results arrive over the wire.
+ */
+void printAndRecord(BenchContext &ctx, const GridSpec &grid,
+                    const std::vector<std::vector<BenchResult>> &all);
 
 /** Prints a per-benchmark bar chart of one result row. */
 void printBars(const std::string &title,

@@ -8,55 +8,17 @@
  */
 
 #include "bench_common.hh"
-#include "core/ev8_predictor.hh"
-#include "predictors/factory.hh"
-#include "predictors/hierarchy.hh"
-#include "predictors/local.hh"
-#include "predictors/perceptron.hh"
+#include "serve/grids.hh"
 
 using namespace ev8;
 
 int
 main(int argc, char **argv)
 {
-    BenchContext ctx(argc, argv,
-                     "Extension (Section 9)", "Perceptron / "
-                                              "local-history directions "
-                                              "vs. the EV8");
+    const GridSpec *grid = findGrid("ext-perceptron");
+    BenchContext ctx(argc, argv, grid->benchId, grid->title);
 
-    SuiteRunner &runner = ctx.runner();
-
-    const std::vector<ExperimentRow> rows = {
-        {"EV8 (352Kb)", [] { return std::make_unique<Ev8Predictor>(); },
-         SimConfig::ev8()},
-        {"perceptron 1K x h32 (~264Kb)",
-         [] { return std::make_unique<PerceptronPredictor>(10, 32); },
-         SimConfig::ghist()},
-        {"perceptron 4K x h24 (~800Kb)",
-         [] { return std::make_unique<PerceptronPredictor>(12, 24); },
-         SimConfig::ghist()},
-        {"tournament 21264 (~29Kb)",
-         [] { return std::make_unique<TournamentPredictor>(); },
-         SimConfig::ghist()},
-        {"local PAg 4K x 12 (~80Kb)",
-         [] { return std::make_unique<LocalPredictor>(12, 12, 14); },
-         SimConfig::ghist()},
-        {"EV8 + perceptron backup",
-         [] {
-             // The Section 9 hierarchy: EV8 primary, perceptron backup
-             // with a longer-history information vector, PC-indexed
-             // chooser. The backup consumes the same lghist register
-             // (its linear dot product reaches deeper than the EV8's
-             // table indices).
-             return std::make_unique<HierarchyPredictor>(
-                 std::make_unique<Ev8Predictor>(),
-                 std::make_unique<PerceptronPredictor>(10, 40),
-                 12, "EV8+perceptron-backup");
-         },
-         SimConfig::ev8()},
-    };
-
-    runAndPrint(ctx, runner, rows);
+    runAndPrint(ctx, *grid);
 
     printShapeNotes({
         "the perceptron exploits long histories linearly and is "

@@ -10,30 +10,17 @@
 
 #include "bench_common.hh"
 #include "common/table.hh"
-#include "core/ev8_predictor.hh"
-#include "predictors/factory.hh"
+#include "serve/grids.hh"
 
 using namespace ev8;
 
 int
 main(int argc, char **argv)
 {
-    BenchContext ctx(argc, argv,
-                     "Fig. 10", "Limits of using global history");
+    const GridSpec *grid = findGrid("fig10");
+    BenchContext ctx(argc, argv, grid->benchId, grid->title);
 
-    SuiteRunner &runner = ctx.runner();
-
-    const std::vector<ExperimentRow> rows = {
-        {"EV8 (352Kb, constrained)",
-         [] { return std::make_unique<Ev8Predictor>(); },
-         SimConfig::ev8()},
-        {"2Bc-gskew 4*64K (512Kb)", [] { return make2BcGskew512K(); },
-         SimConfig::ghist()},
-        {"2Bc-gskew 4*1M (8Mb)", [] { return make2BcGskew4M(); },
-         SimConfig::ghist()},
-    };
-
-    const auto results = runAndPrint(ctx, runner, rows);
+    const auto results = runAndPrint(ctx, *grid);
 
     const double mid = SuiteRunner::averageMispKI(results[1]);
     const double big = SuiteRunner::averageMispKI(results[2]);

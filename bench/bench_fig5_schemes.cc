@@ -7,11 +7,10 @@
  * The rows come from the shared "fig5" grid registry (serve/grids.hh),
  * the same table the serve protocol resolves session grids against --
  * so the batch artifact and a served client's artifact are built from
- * one definition of the labels, specs and base config.
+ * one definition of the labels, predictors and configs.
  */
 
 #include "bench_common.hh"
-#include "predictors/factory.hh"
 #include "serve/grids.hh"
 
 using namespace ev8;
@@ -22,18 +21,7 @@ main(int argc, char **argv)
     const GridSpec *grid = findGrid("fig5");
     BenchContext ctx(argc, argv, grid->benchId, grid->title);
 
-    SuiteRunner &runner = ctx.runner();
-    const SimConfig base = baseConfig(*grid);
-
-    std::vector<ExperimentRow> rows;
-    rows.reserve(grid->rows.size());
-    for (const GridRowSpec &row : grid->rows) {
-        rows.push_back({row.label,
-                        [spec = row.spec] { return makePredictor(spec); },
-                        base});
-    }
-
-    const auto results = runAndPrint(ctx, runner, rows);
+    const auto results = runAndPrint(ctx, *grid);
     printBars("2Bc-gskew 512Kb, misp/KI per benchmark:", results[1]);
 
     printShapeNotes({

@@ -16,23 +16,13 @@ int
 main(int argc, char **argv)
 {
     // The rows come from the shared "fig7" grid registry
-    // (serve/grids.hh): one definition of the labels, factories and
-    // per-row information-vector presets for the batch artifact and a
-    // served client's -- CI's serve gate compares the two.
+    // (serve/grids.hh): one definition of the labels, predictors and
+    // per-row information vectors for the batch artifact and a served
+    // client's -- CI's serve gate compares the two.
     const GridSpec *grid = findGrid("fig7");
     BenchContext ctx(argc, argv, grid->benchId, grid->title);
 
-    SuiteRunner &runner = ctx.runner();
-
-    std::vector<ExperimentRow> rows;
-    rows.reserve(grid->rows.size());
-    for (const GridRowSpec &row : grid->rows) {
-        rows.push_back({row.label,
-                        [&row] { return makeRowPredictor(row); },
-                        rowBaseConfig(*grid, row)});
-    }
-
-    const auto results = runAndPrint(ctx, runner, rows);
+    const auto results = runAndPrint(ctx, *grid);
     printBars("EV8 info vector, misp/KI per benchmark:", results[4]);
 
     printShapeNotes({

@@ -17,22 +17,12 @@ main(int argc, char **argv)
 {
     // The rows come from the shared "fig8" grid registry
     // (serve/grids.hh) so the batch artifact and a served client's are
-    // built from one definition of the labels, factories and base
-    // config -- CI's serve gate compares the two.
+    // built from one definition of the labels, predictors and configs
+    // -- CI's serve gate compares the two.
     const GridSpec *grid = findGrid("fig8");
     BenchContext ctx(argc, argv, grid->benchId, grid->title);
 
-    SuiteRunner &runner = ctx.runner();
-
-    std::vector<ExperimentRow> rows;
-    rows.reserve(grid->rows.size());
-    for (const GridRowSpec &row : grid->rows) {
-        rows.push_back({row.label,
-                        [&row] { return makeRowPredictor(row); },
-                        rowBaseConfig(*grid, row)});
-    }
-
-    runAndPrint(ctx, runner, rows);
+    runAndPrint(ctx, *grid);
 
     printShapeNotes({
         "shrinking BIM from 64K to 16K entries has no impact: each "

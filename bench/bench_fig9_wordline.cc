@@ -16,57 +16,17 @@
  */
 
 #include "bench_common.hh"
-#include "core/ev8_predictor.hh"
-#include "predictors/factory.hh"
+#include "serve/grids.hh"
 
 using namespace ev8;
-
-namespace
-{
-
-PredictorFactory
-hardware(WordlineMode mode, const char *label)
-{
-    return [mode, label] {
-        Ev8Config cfg;
-        cfg.wordline = mode;
-        cfg.label = label;
-        return std::make_unique<Ev8Predictor>(cfg);
-    };
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    BenchContext ctx(argc, argv,
-                     "Fig. 9", "Effect of wordline indices and "
-                               "index-function constraints");
+    const GridSpec *grid = findGrid("fig9");
+    BenchContext ctx(argc, argv, grid->benchId, grid->title);
 
-    SuiteRunner &runner = ctx.runner();
-
-    SimConfig no_path = SimConfig::ev8();
-    no_path.history = HistoryMode::LghistNoPath;
-    const SimConfig ev8_vector = SimConfig::ev8();
-
-    const std::vector<ExperimentRow> rows = {
-        {"address only, no path",
-         hardware(WordlineMode::AddressOnly, "EV8-addr-wordline"),
-         no_path},
-        {"address only, path",
-         hardware(WordlineMode::AddressOnly, "EV8-addr-wordline"),
-         ev8_vector},
-        {"no path", hardware(WordlineMode::Ev8, "EV8"), no_path},
-        {"EV8", hardware(WordlineMode::Ev8, "EV8"), ev8_vector},
-        {"complete hash", [] { return make2BcGskewEv8Size(); },
-         ev8_vector},
-        {"4*64K 2Bc-gskew ghist", [] { return make2BcGskew512K(); },
-         SimConfig::ghist()},
-    };
-
-    const auto results = runAndPrint(ctx, runner, rows);
-    (void)results;
+    runAndPrint(ctx, *grid);
 
     printShapeNotes({
         "PC-only wordline bits restrict the shared-index distribution "

@@ -51,7 +51,6 @@
 
 #include "bench_common.hh"
 #include "common/env.hh"
-#include "common/table.hh"
 #include "obs/json.hh"
 #include "serve/grids.hh"
 #include "serve/protocol.hh"
@@ -345,39 +344,6 @@ decodeWaitReply(const GridSpec &grid, const JsonValue &done)
     return outputs;
 }
 
-void
-printServedTable(const GridSpec &grid,
-                 const std::vector<std::vector<BenchResult>> &all)
-{
-    if (benchQuiet())
-        return;
-    TextTable table;
-    std::vector<std::string> header{"configuration"};
-    for (const Benchmark &b : specint95Suite())
-        header.push_back(b.profile.name);
-    header.push_back("amean");
-    table.header(std::move(header));
-    char buf[32];
-    for (size_t r = 0; r < all.size(); ++r) {
-        std::vector<std::string> cells{grid.rows[r].label};
-        for (const BenchResult &res : all[r]) {
-            if (res.failed) {
-                cells.push_back("!!");
-            } else {
-                std::snprintf(buf, sizeof buf, "%.2f",
-                              res.sim.stats.mispKI());
-                cells.push_back(buf);
-            }
-        }
-        std::snprintf(buf, sizeof buf, "%.3f",
-                      SuiteRunner::averageMispKI(all[r]));
-        cells.push_back(buf);
-        table.row(std::move(cells));
-    }
-    std::printf("served misp/KI (merged from the wire payload):\n\n%s\n",
-                table.render().c_str());
-}
-
 /** One session opened, started, waited on, and merged into @p ctx. */
 int
 runParity(BenchContext &ctx, const GridSpec &grid, Rpc &rpc,
@@ -413,7 +379,7 @@ runParity(BenchContext &ctx, const GridSpec &grid, Rpc &rpc,
     const JsonValue done = rpc.call(sessionOp("wait", session));
     const GridOutcome outcome =
         mergeGrid(decodeWaitReply(grid, done),
-                  buildGridRows(grid, ctx.instrument(baseConfig(grid))),
+                  buildGridRows(grid, ctx.instrument(SimConfig{})),
                   specint95Suite().size());
     for (const CellFailure &f : outcome.failures) {
         BenchFailureExport e;
@@ -424,12 +390,7 @@ runParity(BenchContext &ctx, const GridSpec &grid, Rpc &rpc,
         e.attemptNs = f.attemptNs;
         ctx.recordFailure(std::move(e));
     }
-    const std::vector<uint64_t> storage = gridStorageBits(grid);
-    for (size_t r = 0; r < grid.rows.size(); ++r) {
-        ctx.recordResults(grid.rows[r].label, storage[r],
-                          outcome.results[r]);
-    }
-    printServedTable(grid, outcome.results);
+    printAndRecord(ctx, grid, outcome.results);
     return ctx.finish();
 }
 

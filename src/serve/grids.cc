@@ -1,11 +1,13 @@
 #include "serve/grids.hh"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/ev8_predictor.hh"
 #include "predictors/egskew.hh"
 #include "predictors/factory.hh"
+#include "predictors/hierarchy.hh"
+#include "predictors/local.hh"
+#include "predictors/perceptron.hh"
 #include "predictors/twobcgskew.hh"
 
 namespace ev8
@@ -14,23 +16,6 @@ namespace ev8
 namespace
 {
 
-SimConfig
-presetConfig(const std::string &preset)
-{
-    if (preset == "ghist")
-        return SimConfig::ghist();
-    if (preset == "ev8")
-        return SimConfig::ev8();
-    // The fig7 information-vector ladder between those two endpoints.
-    if (preset == "lghist-nopath")
-        return SimConfig{HistoryMode::LghistNoPath, 0, false};
-    if (preset == "lghist-path")
-        return SimConfig{HistoryMode::LghistPath, 0, false};
-    if (preset == "lghist-3old")
-        return SimConfig{HistoryMode::LghistPath, 3, false};
-    throw std::invalid_argument("unknown SimConfig preset: " + preset);
-}
-
 /**
  * The fig6 sweep rows for one scheme: the candidate history lengths
  * plus the scheme's log2(size) point when the sweep does not already
@@ -38,7 +23,7 @@ presetConfig(const std::string &preset)
  * walks, served as one labelled row per point.
  */
 void
-appendSweepRows(std::vector<GridRowSpec> &rows, const std::string &label,
+appendSweepRows(std::vector<GridRow> &rows, const std::string &label,
                 unsigned log2_size,
                 const std::function<std::string(unsigned)> &spec)
 {
@@ -47,8 +32,9 @@ appendSweepRows(std::vector<GridRowSpec> &rows, const std::string &label,
         == lengths.end())
         lengths.push_back(log2_size);
     for (unsigned len : lengths) {
-        rows.push_back({label + " L=" + std::to_string(len), spec(len),
-                        nullptr, ""});
+        rows.push_back({[s = spec(len)] { return makePredictor(s); },
+                        SimConfig::ghist(),
+                        label + " L=" + std::to_string(len)});
     }
 }
 
@@ -63,10 +49,10 @@ gskewSweepSpec(unsigned log2_entries, unsigned len)
         + std::to_string(len);
 }
 
-std::vector<GridRowSpec>
+std::vector<GridRow>
 fig6Rows()
 {
-    std::vector<GridRowSpec> rows;
+    std::vector<GridRow> rows;
     appendSweepRows(rows, "2Bc-gskew 256Kb", 15, [](unsigned len) {
         return gskewSweepSpec(15, len);
     });
@@ -86,9 +72,9 @@ fig6Rows()
 }
 
 /**
- * One fig7 4*64K 2Bc-gskew (Section 8.3 information-vector study).
- * Mirrors bench_fig7_info_vector: history lengths in the
- * lghist-optimal range, path info only for the full EV8 vector row.
+ * One fig7 4*64K 2Bc-gskew (Section 8.3 information-vector study):
+ * history lengths in the lghist-optimal range, path info only for the
+ * full EV8 vector row.
  */
 PredictorFactory
 fig7Gskew64K(bool use_path, const char *label)
@@ -103,29 +89,29 @@ fig7Gskew64K(bool use_path, const char *label)
 
 /**
  * The Fig. 7 information-vector ladder: same predictor, five history
- * vectors from conventional ghist to the full EV8 vector. Each row
- * carries its own preset -- the row axis *is* the SimConfig.
+ * vectors from conventional ghist to the full EV8 vector -- the row
+ * axis *is* the SimConfig.
  */
-std::vector<GridRowSpec>
+std::vector<GridRow>
 fig7Rows()
 {
     return {
-        {"ghist (conventional)", "", fig7Gskew64K(false, "ghist"),
-         "ghist"},
-        {"lghist, no path", "", fig7Gskew64K(false, "lghist-nopath"),
-         "lghist-nopath"},
-        {"lghist + path", "", fig7Gskew64K(false, "lghist-path"),
-         "lghist-path"},
-        {"3-old lghist", "", fig7Gskew64K(false, "lghist-3old"),
-         "lghist-3old"},
-        {"EV8 info vector", "", fig7Gskew64K(true, "ev8-vector"), "ev8"},
+        {fig7Gskew64K(false, "ghist"), SimConfig::ghist(),
+         "ghist (conventional)"},
+        {fig7Gskew64K(false, "lghist-nopath"),
+         {HistoryMode::LghistNoPath, 0, false}, "lghist, no path"},
+        {fig7Gskew64K(false, "lghist-path"),
+         {HistoryMode::LghistPath, 0, false}, "lghist + path"},
+        {fig7Gskew64K(false, "lghist-3old"),
+         {HistoryMode::LghistPath, 3, false}, "3-old lghist"},
+        {fig7Gskew64K(true, "ev8-vector"), SimConfig::ev8(),
+         "EV8 info vector"},
     };
 }
 
 /**
- * One fig8 table-size point (Section 8.4). Mirrors
- * bench_fig8_table_sizes: base 512Kb 2Bc-gskew under the EV8 vector,
- * optionally shrunk BIM and halved G0/Meta hysteresis.
+ * One fig8 table-size point (Section 8.4): base 512Kb 2Bc-gskew under
+ * the EV8 vector, optionally shrunk BIM and halved G0/Meta hysteresis.
  */
 PredictorFactory
 fig8ConfigOf(unsigned log2_bim, bool half_hysteresis, const char *label)
@@ -145,60 +131,91 @@ fig8ConfigOf(unsigned log2_bim, bool half_hysteresis, const char *label)
 }
 
 /** The Fig. 8 table-size walk down to the 352Kb hardware budget. */
-std::vector<GridRowSpec>
+std::vector<GridRow>
 fig8Rows()
 {
     return {
-        {"4*64K base (512Kb)", "", fig8ConfigOf(16, false, "base-512Kb"),
-         ""},
-        {"small BIM (16K)", "", fig8ConfigOf(14, false, "small-BIM"),
-         ""},
-        {"EV8 size (352Kb)", "", fig8ConfigOf(14, true, "EV8-size"), ""},
+        {fig8ConfigOf(16, false, "base-512Kb"), SimConfig::ev8(),
+         "4*64K base (512Kb)"},
+        {fig8ConfigOf(14, false, "small-BIM"), SimConfig::ev8(),
+         "small BIM (16K)"},
+        {fig8ConfigOf(14, true, "EV8-size"), SimConfig::ev8(),
+         "EV8 size (352Kb)"},
+    };
+}
+
+/** A hardware EV8 predictor with @p mode wordline bits (Fig. 9). */
+PredictorFactory
+ev8Wordline(WordlineMode mode, const char *label)
+{
+    return [mode, label] {
+        Ev8Config cfg;
+        cfg.wordline = mode;
+        cfg.label = label;
+        return std::make_unique<Ev8Predictor>(cfg);
     };
 }
 
 /**
- * The Section 4.2 update-policy ablation. The EV8 and non-default
- * policy rows use direct factories (the spec grammar has no
- * partial/total switch); the factories reproduce the historical
- * bench_ablation_update_policy predictors -- labels included, since
- * the labels prefix the exported metric names.
+ * The Fig. 9 wordline / index-constraint study (Section 8.5). "no
+ * path" is the EV8 vector without the path bit in lghist: still 3
+ * blocks old and banked.
  */
-std::vector<GridRowSpec>
+std::vector<GridRow>
+fig9Rows()
+{
+    const SimConfig no_path{HistoryMode::LghistNoPath, 3, true};
+    return {
+        {ev8Wordline(WordlineMode::AddressOnly, "EV8-addr-wordline"),
+         no_path, "address only, no path"},
+        {ev8Wordline(WordlineMode::AddressOnly, "EV8-addr-wordline"),
+         SimConfig::ev8(), "address only, path"},
+        {ev8Wordline(WordlineMode::Ev8, "EV8"), no_path, "no path"},
+        {ev8Wordline(WordlineMode::Ev8, "EV8"), SimConfig::ev8(), "EV8"},
+        {make2BcGskewEv8Size, SimConfig::ev8(), "complete hash"},
+        {make2BcGskew512K, SimConfig::ghist(), "4*64K 2Bc-gskew ghist"},
+    };
+}
+
+PredictorPtr
+makeEv8()
+{
+    return std::make_unique<Ev8Predictor>();
+}
+
+/**
+ * The Section 4.2 update-policy ablation. The labels passed to the
+ * predictors prefix the exported metric names.
+ */
+std::vector<GridRow>
 updatePolicyRows()
 {
     return {
-        {"EV8, partial update", "",
-         [] { return std::make_unique<Ev8Predictor>(); }, "ev8"},
-        {"EV8, total update", "",
-         [] {
+        {makeEv8, SimConfig::ev8(), "EV8, partial update"},
+        {[] {
              Ev8Config cfg;
              cfg.partialUpdate = false;
              cfg.label = "EV8-total";
              return std::make_unique<Ev8Predictor>(cfg);
          },
-         "ev8"},
-        {"2Bc-gskew 512Kb, partial", "",
-         [] {
+         SimConfig::ev8(), "EV8, total update"},
+        {[] {
              return std::make_unique<TwoBcGskewPredictor>(
                  TwoBcGskewConfig::symmetric(16, 0, 13, 15, 21,
                                              "gskew-partial"));
          },
-         "ghist"},
-        {"2Bc-gskew 512Kb, total", "",
-         [] {
+         SimConfig::ghist(), "2Bc-gskew 512Kb, partial"},
+        {[] {
              auto cfg = TwoBcGskewConfig::symmetric(16, 0, 13, 15, 21,
                                                     "gskew-total");
              cfg.partialUpdate = false;
              return std::make_unique<TwoBcGskewPredictor>(cfg);
          },
-         "ghist"},
-        {"e-gskew 3*64K, partial", "",
-         [] { return std::make_unique<EgskewPredictor>(16, 15, true); },
-         "ghist"},
-        {"e-gskew 3*64K, total", "",
-         [] { return std::make_unique<EgskewPredictor>(16, 15, false); },
-         "ghist"},
+         SimConfig::ghist(), "2Bc-gskew 512Kb, total"},
+        {[] { return std::make_unique<EgskewPredictor>(16, 15, true); },
+         SimConfig::ghist(), "e-gskew 3*64K, partial"},
+        {[] { return std::make_unique<EgskewPredictor>(16, 15, false); },
+         SimConfig::ghist(), "e-gskew 3*64K, total"},
     };
 }
 
@@ -209,21 +226,54 @@ updatePolicyRows()
  * the array constraints) and under ideal ghist (the full
  * idealization).
  */
-std::vector<GridRowSpec>
+std::vector<GridRow>
 bankingRows()
 {
     return {
-        {"EV8 4x16K banked, lghist+path", "",
-         [] { return std::make_unique<Ev8Predictor>(); }, "ev8"},
-        {"2Bc-gskew EV8-size, lghist+path", "ev8size", nullptr, "ev8"},
-        {"2Bc-gskew EV8-size, ideal ghist", "ev8size", nullptr, "ghist"},
+        {makeEv8, SimConfig::ev8(), "EV8 4x16K banked, lghist+path"},
+        {make2BcGskewEv8Size, SimConfig::ev8(),
+         "2Bc-gskew EV8-size, lghist+path"},
+        {make2BcGskewEv8Size, SimConfig::ghist(),
+         "2Bc-gskew EV8-size, ideal ghist"},
+    };
+}
+
+/**
+ * The Section 9 extension: backup predictors with other information
+ * vectors (perceptron, local history) against the EV8, plus the
+ * 21264-style tournament hybrid the EV8 moved away from (Section 3).
+ */
+std::vector<GridRow>
+perceptronRows()
+{
+    return {
+        {makeEv8, SimConfig::ev8(), "EV8 (352Kb)"},
+        {[] { return std::make_unique<PerceptronPredictor>(10, 32); },
+         SimConfig::ghist(), "perceptron 1K x h32 (~264Kb)"},
+        {[] { return std::make_unique<PerceptronPredictor>(12, 24); },
+         SimConfig::ghist(), "perceptron 4K x h24 (~800Kb)"},
+        {[] { return std::make_unique<TournamentPredictor>(); },
+         SimConfig::ghist(), "tournament 21264 (~29Kb)"},
+        {[] { return std::make_unique<LocalPredictor>(12, 12, 14); },
+         SimConfig::ghist(), "local PAg 4K x 12 (~80Kb)"},
+        {[] {
+             // The Section 9 hierarchy: EV8 primary, perceptron backup
+             // with a longer-history information vector, PC-indexed
+             // chooser. The backup consumes the same lghist register
+             // (its linear dot product reaches deeper than the EV8's
+             // table indices).
+             return std::make_unique<HierarchyPredictor>(
+                 makeEv8(), std::make_unique<PerceptronPredictor>(10, 40),
+                 12, "EV8+perceptron-backup");
+         },
+         SimConfig::ev8(), "EV8 + perceptron backup"},
     };
 }
 
 /**
  * Row labels and order are load-bearing: they must match the batch
  * binaries byte for byte (export rows, CellFailure row_label, the
- * checkpoint grid hash all carry them).
+ * checkpoint grid hash all carry them), and must be unique per grid.
  */
 const std::vector<GridSpec> &
 registry()
@@ -232,30 +282,43 @@ registry()
         {"fig5", "Fig. 5",
          "Branch prediction accuracy for various global history schemes",
          {
-             {"2Bc-gskew 4*32K (256Kb)", "fig5-2bcgskew256", nullptr, ""},
-             {"2Bc-gskew 4*64K (512Kb)", "fig5-2bcgskew512", nullptr, ""},
-             {"bi-mode 2x128K+16K (544Kb)", "fig5-bimode544", nullptr,
-              ""},
-             {"gshare 1M (2Mb)", "fig5-gshare2M", nullptr, ""},
-             {"YAGS 288Kb", "fig5-yags288", nullptr, ""},
-             {"YAGS 576Kb", "fig5-yags576", nullptr, ""},
-         },
-         "ghist"},
+             {make2BcGskew256K, SimConfig::ghist(),
+              "2Bc-gskew 4*32K (256Kb)"},
+             {make2BcGskew512K, SimConfig::ghist(),
+              "2Bc-gskew 4*64K (512Kb)"},
+             {makeBimode544K, SimConfig::ghist(),
+              "bi-mode 2x128K+16K (544Kb)"},
+             {makeGshare2M, SimConfig::ghist(), "gshare 1M (2Mb)"},
+             {makeYags288K, SimConfig::ghist(), "YAGS 288Kb"},
+             {makeYags576K, SimConfig::ghist(), "YAGS 576Kb"},
+         }},
         {"fig6", "Fig. 6 (grid)",
          "History length sweep points behind the fig6 best-vs-log2 "
          "comparison",
-         fig6Rows(), "ghist"},
+         fig6Rows()},
         {"fig7", "Fig. 7",
          "Impact of the information vector on branch prediction "
          "accuracy (4*64K 2Bc-gskew)",
-         fig7Rows(), "ghist"},
-        {"fig8", "Fig. 8",
-         "Adjusting table sizes in the predictor", fig8Rows(), "ev8"},
+         fig7Rows()},
+        {"fig8", "Fig. 8", "Adjusting table sizes in the predictor",
+         fig8Rows()},
+        {"fig9", "Fig. 9",
+         "Effect of wordline indices and index-function constraints",
+         fig9Rows()},
+        {"fig10", "Fig. 10", "Limits of using global history",
+         {
+             {makeEv8, SimConfig::ev8(), "EV8 (352Kb, constrained)"},
+             {make2BcGskew512K, SimConfig::ghist(),
+              "2Bc-gskew 4*64K (512Kb)"},
+             {make2BcGskew4M, SimConfig::ghist(), "2Bc-gskew 4*1M (8Mb)"},
+         }},
+        {"ext-perceptron", "Extension (Section 9)",
+         "Perceptron / local-history directions vs. the EV8",
+         perceptronRows()},
         {"ablation-update-policy", "Ablation (Section 4.2)",
-         "Partial vs. total update policy", updatePolicyRows(), "ghist"},
+         "Partial vs. total update policy", updatePolicyRows()},
         {"ablation-banking", "Ablation (Section 6, grid)",
-         "Banked EV8 arrays vs. unconstrained tables", bankingRows(),
-         "ev8"},
+         "Banked EV8 arrays vs. unconstrained tables", bankingRows()},
     };
     return grids;
 }
@@ -281,52 +344,21 @@ knownGrids()
 }
 
 SimConfig
-baseConfig(const GridSpec &grid)
+baseConfig(const GridSpec &)
 {
-    return presetConfig(grid.preset);
-}
-
-SimConfig
-rowBaseConfig(const GridSpec &grid, const GridRowSpec &row)
-{
-    return presetConfig(row.preset.empty() ? grid.preset : row.preset);
-}
-
-PredictorPtr
-makeRowPredictor(const GridRowSpec &row)
-{
-    return row.make ? row.make() : makePredictor(row.spec);
+    return SimConfig{};
 }
 
 std::vector<GridRow>
 buildGridRows(const GridSpec &grid, const SimConfig &config)
 {
-    std::vector<GridRow> rows;
-    rows.reserve(grid.rows.size());
-    for (const GridRowSpec &r : grid.rows) {
-        SimConfig rowConfig = rowBaseConfig(grid, r);
-        rowConfig.metrics = config.metrics;
-        rowConfig.events = config.events;
-        rowConfig.forceGenericKernel = config.forceGenericKernel;
-        rows.push_back(GridRow{
-            [make = r.make, spec = r.spec] {
-                return make ? make() : makePredictor(spec);
-            },
-            rowConfig,
-            r.label,
-        });
+    std::vector<GridRow> rows = grid.rows;
+    for (GridRow &r : rows) {
+        r.config.metrics = config.metrics;
+        r.config.events = config.events;
+        r.config.forceGenericKernel = config.forceGenericKernel;
     }
     return rows;
-}
-
-std::vector<uint64_t>
-gridStorageBits(const GridSpec &grid)
-{
-    std::vector<uint64_t> bits;
-    bits.reserve(grid.rows.size());
-    for (const GridRowSpec &r : grid.rows)
-        bits.push_back(makeRowPredictor(r)->storageBits());
-    return bits;
 }
 
 } // namespace ev8

@@ -1,20 +1,21 @@
 /**
  * @file
- * Named experiment grids: the shared vocabulary between the batch
- * figure binaries and the serve protocol.
+ * Named experiment grids: the one definition of each figure's rows,
+ * shared by the batch figure binaries and the serve protocol.
  *
  * A served client opens a session by grid *name* ("fig5"), not by
  * shipping predictor constructors over the wire. For the served
  * artifacts to be byte-identical to the batch binary's, both sides must
  * agree on everything that feeds the export rows: the row labels, the
- * row order, the predictor specs (hence storage bits) and the base
- * SimConfig preset. This registry is that agreement -- the batch binary
- * (bench_fig5_schemes) builds its rows from the same GridSpec the
- * server resolves a session's grid name against.
+ * row order, the predictors (hence storage bits) and each row's
+ * information vector. This registry is that agreement -- every
+ * registry-driven batch binary (bench_fig5_schemes, ...) runs the same
+ * GridSpec the server resolves a session's grid name against.
  *
- * Rows reference predictors by factory spec string (makePredictor), so
- * the registry stays a data table and the predictor zoo keeps one
- * constructor surface.
+ * A row is the engine's own GridRow: a pure predictor factory (so the
+ * batch binary and the server build identical predictors), an
+ * uninstrumented SimConfig carrying the row's information vector, and
+ * the label. Callers attach their sinks with buildGridRows().
  */
 
 #ifndef EV8_SERVE_GRIDS_HH
@@ -29,46 +30,13 @@
 namespace ev8
 {
 
-/** One labelled row of a named grid. */
-struct GridRowSpec
-{
-    std::string label; //!< export/report label, identical batch & served
-    std::string spec;  //!< makePredictor() spec string
-
-    /**
-     * Direct factory for rows the spec grammar cannot express (the EV8
-     * hardware predictor, non-default update policies). When set it
-     * wins over @ref spec; the factory must be a pure function so the
-     * batch binary and the server build identical predictors.
-     */
-    PredictorFactory make;
-
-    /**
-     * Per-row SimConfig preset override ("ghist", "ev8", or one of
-     * the fig7 ladder presets "lghist-nopath" / "lghist-path" /
-     * "lghist-3old"); empty means the grid's preset. Lets one grid
-     * ablate across information vectors (the update-policy grid runs
-     * EV8 rows under the EV8 vector and the unconstrained rows under
-     * ideal ghist; the fig7 grid walks the whole ladder).
-     */
-    std::string preset;
-};
-
 /** One named grid: an id, its banner identity, and its rows in order. */
 struct GridSpec
 {
     std::string id;      //!< wire / --grid name ("fig5")
     std::string benchId; //!< experiment id for the banner ("Fig. 5")
     std::string title;   //!< experiment title for the banner
-    std::vector<GridRowSpec> rows;
-
-    /**
-     * SimConfig preset name: "ghist" (SimConfig::ghist()), "ev8"
-     * (SimConfig::ev8()), or an information-vector ladder point
-     * ("lghist-nopath" / "lghist-path" / "lghist-3old").
-     * baseConfig() resolves it.
-     */
-    std::string preset;
+    std::vector<GridRow> rows; //!< uninstrumented configs (no sinks)
 };
 
 /** The registry. @returns null for an unknown id. */
@@ -77,31 +45,19 @@ const GridSpec *findGrid(const std::string &id);
 /** Registered grid ids, for --help / error messages. */
 std::vector<std::string> knownGrids();
 
-/** Resolves @p grid's preset to an uninstrumented SimConfig. */
+/**
+ * An empty SimConfig{} (no sinks) to instrument before buildGridRows():
+ * every row carries its own information vector.
+ */
 SimConfig baseConfig(const GridSpec &grid);
 
 /**
- * Resolves @p row's effective preset (its own, else the grid's) to an
- * uninstrumented SimConfig -- the per-row analogue of baseConfig(),
- * used by registry-driven batch binaries.
- */
-SimConfig rowBaseConfig(const GridSpec &grid, const GridRowSpec &row);
-
-/** @p row's predictor: the direct factory when set, else the spec. */
-PredictorPtr makeRowPredictor(const GridRowSpec &row);
-
-/**
- * Materializes @p grid's rows as engine GridRows over @p config (the
- * instrumented per-caller config -- batch and served callers attach
- * different sinks but identical simulation fields). Rows with a preset
- * override keep @p config's observability hooks but take their own
- * preset's simulation fields.
+ * @p grid's rows with @p config's observability hooks (metrics,
+ * events) and forceGenericKernel attached -- batch and served callers
+ * attach different sinks to identical simulation fields.
  */
 std::vector<GridRow> buildGridRows(const GridSpec &grid,
                                    const SimConfig &config);
-
-/** Storage bits of each row's predictor, in row order. */
-std::vector<uint64_t> gridStorageBits(const GridSpec &grid);
 
 } // namespace ev8
 

@@ -30,7 +30,7 @@ class PredictionServer::Session
         : server_(server), open_(std::move(open)), grid_(grid),
           name_(open_.session), nbench_(specint95Suite().size())
     {
-        SimConfig config = baseConfig(grid_);
+        SimConfig config;
         config.forceGenericKernel = open_.forceGeneric;
         rows_ = buildGridRows(grid_, config);
         outputs_.resize(cells());

@@ -14,8 +14,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "artifact_test_util.hh"
 #include "obs/json.hh"
@@ -316,12 +318,31 @@ TEST(BenchArtifacts, BadJobsValueIsARejectedHardError)
     if (!std::ifstream(binary).good())
         GTEST_SKIP() << "bench binary not built: " << binary;
 
-    for (const char *bad : {"0", "-1", "4x", "garbage", "4097"}) {
-        const std::string cmd = binary + " --jobs=" + bad
-                                + " > /dev/null 2>&1";
-        const int status = std::system(cmd.c_str());
-        ASSERT_TRUE(WIFEXITED(status)) << cmd;
-        EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    // Every numeric option parses strictly: zero, signs, embedded
+    // spaces, garbage and out-of-range values exit 2 before any run.
+    // The counts share the [1, 2^40] range of their env knobs.
+    const char *const bad_counts[] = {"0", "-1", "+5", "' 5'", "4x",
+                                      "garbage", "''",
+                                      "1099511627777"};
+    const struct
+    {
+        const char *option;
+        std::vector<const char *> values;
+    } table[] = {
+        {"--jobs", {"0", "-1", "4x", "garbage", "4097"}},
+        {"--sample", {std::begin(bad_counts), std::end(bad_counts)}},
+        {"--branches", {std::begin(bad_counts), std::end(bad_counts)}},
+        {"--sample-budget",
+         {std::begin(bad_counts), std::end(bad_counts)}},
+    };
+    for (const auto &row : table) {
+        for (const char *bad : row.values) {
+            const std::string cmd = binary + " " + row.option + "="
+                                    + bad + " > /dev/null 2>&1";
+            const int status = std::system(cmd.c_str());
+            ASSERT_TRUE(WIFEXITED(status)) << cmd;
+            EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+        }
     }
 #endif
 }

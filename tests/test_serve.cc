@@ -3,8 +3,9 @@
  * Session-layer tests for the prediction server, all in-process over
  * handle():
  *
- *  - a served session's cell results are identical to a direct batch
- *    runGrid() of the same grid;
+ *  - for every registered grid, a served session's cell results are
+ *    identical to a direct batch runGrid() of the same grid, and
+ *    every grid's row labels are unique;
  *  - snapshots report live structured state;
  *  - protocol errors (unknown grid/session, duplicate open, admission
  *    limit, wait before start) come back as {"ok":false,...};
@@ -19,8 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,32 +121,35 @@ decodeCells(const JsonValue &done, size_t expect)
 }
 
 /**
- * Serve parity for one registered grid: a served session's cells must
- * be identical to a direct batch runGrid() over the same definition.
+ * Serve parity for every registered grid: a served session's cells
+ * must be identical to a direct batch runGrid() over the same
+ * definition.
  */
-void
-expectServeParity(const std::string &grid_id)
+class ServeParity : public ::testing::TestWithParam<std::string>
 {
-    SCOPED_TRACE(grid_id);
+};
+
+TEST_P(ServeParity, ServedCellsMatchDirectBatchRun)
+{
     ScopedEnv scale("EV8_BRANCHES_PER_BENCH", kTinyScale);
     ScopedEnv noFault("EV8_FAULT_SPEC", nullptr);
     ScopedEnv noCkpt("EV8_CHECKPOINT_DIR", nullptr);
 
-    const GridSpec *grid = findGrid(grid_id);
+    const GridSpec *grid = findGrid(GetParam());
     ASSERT_NE(grid, nullptr);
 
     // Direct batch reference over the same grid definition.
     SuiteRunner reference(3000, 2);
     const size_t nbench = reference.size();
     MetricRegistry registry;
-    SimConfig config = baseConfig(*grid);
+    SimConfig config;
     config.metrics = &registry;
     const GridOutcome direct =
         reference.runGrid(buildGridRows(*grid, config));
     ASSERT_TRUE(direct.ok());
 
     PredictionServer server(ServeLimits{}, 2);
-    callOk(server, openReq("s1", false, grid_id));
+    callOk(server, openReq("s1", false, GetParam()));
     callOk(server, sessionReq("start", "s1"));
     const JsonValue done = callOk(server, sessionReq("wait", "s1"));
     const auto cells =
@@ -166,56 +173,82 @@ expectServeParity(const std::string &grid_id)
     EXPECT_EQ(server.failedCellsTotal(), 0u);
 }
 
-TEST(Serve, ServedCellsMatchDirectBatchRun)
-{
-    expectServeParity("fig5");
-}
+INSTANTIATE_TEST_SUITE_P(
+    Grids, ServeParity, ::testing::ValuesIn(knownGrids()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        std::string name = info.param;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
-TEST(Serve, Fig7GridServesWithBatchParity)
+TEST(Serve, GridRowsCarryTheirInformationVectors)
 {
-    expectServeParity("fig7");
-}
+    const GridSpec *fig7 = findGrid("fig7");
+    ASSERT_NE(fig7, nullptr);
+    ASSERT_EQ(fig7->rows.size(), 5u);
 
-TEST(Serve, Fig8GridServesWithBatchParity)
-{
-    expectServeParity("fig8");
-}
-
-TEST(Serve, Fig7PresetsResolveTheInformationVectorLadder)
-{
-    const GridSpec *grid = findGrid("fig7");
-    ASSERT_NE(grid, nullptr);
-    ASSERT_EQ(grid->rows.size(), 5u);
-
-    const SimConfig ghist = rowBaseConfig(*grid, grid->rows[0]);
+    const SimConfig &ghist = fig7->rows[0].config;
     EXPECT_EQ(ghist.history, HistoryMode::Ghist);
 
-    const SimConfig nopath = rowBaseConfig(*grid, grid->rows[1]);
+    const SimConfig &nopath = fig7->rows[1].config;
     EXPECT_EQ(nopath.history, HistoryMode::LghistNoPath);
     EXPECT_EQ(nopath.historyAge, 0u);
 
-    const SimConfig path = rowBaseConfig(*grid, grid->rows[2]);
+    const SimConfig &path = fig7->rows[2].config;
     EXPECT_EQ(path.history, HistoryMode::LghistPath);
     EXPECT_EQ(path.historyAge, 0u);
 
-    const SimConfig old3 = rowBaseConfig(*grid, grid->rows[3]);
+    const SimConfig &old3 = fig7->rows[3].config;
     EXPECT_EQ(old3.history, HistoryMode::LghistPath);
     EXPECT_EQ(old3.historyAge, 3u);
     EXPECT_FALSE(old3.assignBanks);
 
-    const SimConfig ev8 = rowBaseConfig(*grid, grid->rows[4]);
+    const SimConfig &ev8 = fig7->rows[4].config;
     EXPECT_EQ(ev8.history, HistoryMode::LghistPath);
     EXPECT_EQ(ev8.historyAge, 3u);
     EXPECT_TRUE(ev8.assignBanks);
 
-    // Fig. 8 rows all share the grid's EV8 preset; the three table
-    // sizes must be strictly decreasing in storage.
+    // Fig. 9's "no path" row: the EV8 vector without the path bit,
+    // still three blocks old and banked.
+    const GridSpec *fig9 = findGrid("fig9");
+    ASSERT_NE(fig9, nullptr);
+    ASSERT_EQ(fig9->rows.size(), 6u);
+    const SimConfig &fig9NoPath = fig9->rows[2].config;
+    EXPECT_EQ(fig9->rows[2].label, "no path");
+    EXPECT_EQ(fig9NoPath.history, HistoryMode::LghistNoPath);
+    EXPECT_EQ(fig9NoPath.historyAge, 3u);
+    EXPECT_TRUE(fig9NoPath.assignBanks);
+
+    // Fig. 8 rows all run under the EV8 vector; the three table sizes
+    // must be strictly decreasing in storage.
     const GridSpec *fig8 = findGrid("fig8");
     ASSERT_NE(fig8, nullptr);
-    const std::vector<uint64_t> bits = gridStorageBits(*fig8);
-    ASSERT_EQ(bits.size(), 3u);
-    EXPECT_GT(bits[0], bits[1]);
-    EXPECT_GT(bits[1], bits[2]);
+    ASSERT_EQ(fig8->rows.size(), 3u);
+    uint64_t prev = UINT64_MAX;
+    for (const GridRow &row : fig8->rows) {
+        EXPECT_EQ(row.config.history, HistoryMode::LghistPath);
+        EXPECT_TRUE(row.config.assignBanks);
+        const uint64_t bits = row.factory()->storageBits();
+        EXPECT_LT(bits, prev) << row.label;
+        prev = bits;
+    }
+
+    // Every registry row is uninstrumented and uniquely labelled:
+    // labels feed the checkpoint grid hash and CellFailure::rowLabel,
+    // so a duplicate would make two rows indistinguishable.
+    for (const std::string &id : knownGrids()) {
+        SCOPED_TRACE(id);
+        const GridSpec *grid = findGrid(id);
+        ASSERT_NE(grid, nullptr);
+        EXPECT_FALSE(grid->rows.empty());
+        std::set<std::string> labels;
+        for (const GridRow &row : grid->rows) {
+            EXPECT_TRUE(labels.insert(row.label).second) << row.label;
+            EXPECT_EQ(row.config.metrics, nullptr) << row.label;
+            EXPECT_EQ(row.config.events, nullptr) << row.label;
+            EXPECT_FALSE(row.config.forceGenericKernel) << row.label;
+        }
+    }
 }
 
 TEST(Serve, SnapshotReportsStructuredLiveState)
