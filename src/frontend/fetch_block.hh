@@ -164,11 +164,16 @@ class FetchBlockBuilder
         resetAt(end);
     }
 
+    /**
+     * Every emit path sets address/endPc/endsTaken/takenTarget before
+     * the sink sees the block, and only branches[0, numBranches) is
+     * meaningful, so clearing the count is a full reset.
+     */
     void
     resetAt(uint64_t pc)
     {
         blockStart = pc;
-        current = FetchBlock{};
+        current.numBranches = 0;
     }
 
     uint64_t blockStart = 0;

@@ -4,9 +4,10 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <iterator>
+#include <limits>
 #include <ostream>
 
-#include "frontend/fetch_block.hh"
 #include "obs/trace_span.hh"
 #include "trace/trace.hh"
 #include "trace/varint.hh"
@@ -29,41 +30,48 @@ constexpr uint32_t kVersion = 1;
 
 } // namespace
 
+BlockStreamBuilder::BlockStreamBuilder(std::string name,
+                                       uint64_t start_pc,
+                                       uint64_t expected_branches)
+    : flowPc_(start_pc)
+{
+    stream_.name_ = std::move(name);
+    const size_t expected = static_cast<size_t>(expected_branches);
+    stream_.addr_.reserve(expected);
+    stream_.info_.reserve(expected);
+    stream_.branchBegin_.reserve(expected + 1);
+    stream_.branchSlot_.reserve(expected);
+    stream_.branchBegin_.push_back(0); // block 0's [begin, end) prefix
+    blocks_.begin(start_pc);
+}
+
+BlockStream
+BlockStreamBuilder::finish()
+{
+    blocks_.flush([this](const FetchBlock &b) { append(b); });
+    return std::move(stream_);
+}
+
+void
+BlockStreamBuilder::tooManyBranches()
+{
+    throw TraceIoError("block stream exceeds 2^32-1 branches");
+}
+
 BlockStream
 decodeBlockStream(const Trace &trace)
 {
     ScopedSpan span(SpanPhase::Decode);
     span.rename("decode:" + trace.name());
     span.arg("bench", trace.name());
-    BlockStream stream;
-    stream.name_ = trace.name();
-    stream.instructions_ = trace.instructionCount();
-
-    auto on_block = [&stream](const FetchBlock &block) {
-        stream.addr_.push_back(block.address);
-        stream.info_.push_back(static_cast<uint8_t>(
-            (block.numInstrs() << 1) | (block.endsTaken ? 1 : 0)));
-        for (unsigned i = 0; i < block.numBranches; ++i) {
-            const BlockBranch &br = block.branches[i];
-            const uint64_t slot = (br.pc - block.address) / kInstrBytes;
-            assert(slot < kFetchBlockInstrs);
-            stream.branchSlot_.push_back(static_cast<uint8_t>(
-                (slot << 1) | (br.taken ? 1 : 0)));
-        }
-        stream.branchBegin_.push_back(
-            static_cast<uint32_t>(stream.branchSlot_.size()));
-    };
-
-    FetchBlockBuilder builder;
-    builder.begin(trace.startPc());
+    // Every branch is a record, so the record count bounds the branch
+    // count; capacity beyond what is used is never touched, so it costs
+    // address space, not resident memory.
+    BlockStreamBuilder builder(trace.name(), trace.startPc(),
+                               trace.size());
     for (const auto &rec : trace.records())
-        builder.feed(rec, on_block);
-    builder.flush(on_block);
-
-    // branchBegin_ is one-past-per-block so far; prepend the leading 0
-    // to turn it into the [begin, end) prefix array the accessors use.
-    stream.branchBegin_.insert(stream.branchBegin_.begin(), 0u);
-    return stream;
+        builder.feed(rec);
+    return builder.finish();
 }
 
 void
@@ -98,64 +106,58 @@ writeBlockStream(std::ostream &out, const BlockStream &stream)
 }
 
 BlockStream
-readBlockStream(std::istream &in)
+readBlockStream(std::string_view bytes)
 {
-    char magic[4];
-    in.read(magic, sizeof(magic));
-    if (!in || std::char_traits<char>::compare(magic, kMagic, 4) != 0)
+    const std::string_view magic(kMagic, sizeof(kMagic));
+    if (bytes.substr(0, magic.size()) != magic)
         throw TraceIoError("bad block stream magic");
-    if (getU32(in) != kVersion)
+    ByteCursor in(bytes.substr(magic.size()));
+    if (in.u32() != kVersion)
         throw TraceIoError("unsupported block stream version");
 
-    const uint32_t name_len = getU32(in);
+    const uint32_t name_len = in.u32();
     if (name_len > (1u << 20))
         throw TraceIoError("implausible name length");
     BlockStream stream;
-    stream.name_.assign(name_len, '\0');
-    in.read(stream.name_.data(), name_len);
-    if (!in)
-        throw TraceIoError("truncated block stream name");
+    stream.name_ = in.take(name_len, "truncated block stream name");
 
-    stream.instructions_ = getVarint(in);
-    const uint64_t block_count = getVarint(in);
-    const uint64_t branch_count = getVarint(in);
-    // Untrusted header: cap the up-front reservations the same way
-    // trace_io does, so a lying count fails at the first missing block
-    // after bounded memory use.
-    const size_t reserve_blocks =
-        static_cast<size_t>(std::min<uint64_t>(block_count, 1u << 20));
+    stream.instructions_ = in.varint();
+    const uint64_t block_count = in.varint();
+    const uint64_t branch_count = in.varint();
+    if (branch_count > std::numeric_limits<uint32_t>::max())
+        throw TraceIoError("block stream exceeds 2^32-1 branches");
+    // Untrusted header: a block takes at least 3 bytes (address delta,
+    // info, branch count) and a branch 1, so the bytes actually present
+    // bound the reservations. A lying count fails at the first missing
+    // block, after bounded memory use.
+    const size_t reserve_blocks = static_cast<size_t>(
+        std::min<uint64_t>(block_count, in.remaining() / 3));
     stream.addr_.reserve(reserve_blocks);
     stream.info_.reserve(reserve_blocks);
     stream.branchBegin_.reserve(reserve_blocks + 1);
-    stream.branchSlot_.reserve(
-        static_cast<size_t>(std::min<uint64_t>(branch_count, 1u << 20)));
+    stream.branchSlot_.reserve(static_cast<size_t>(
+        std::min<uint64_t>(branch_count, in.remaining())));
 
     stream.branchBegin_.push_back(0);
     uint64_t prev_addr = 0;
     for (uint64_t b = 0; b < block_count; ++b) {
         const uint64_t addr = static_cast<uint64_t>(
             static_cast<int64_t>(prev_addr)
-            + unzigzag(getVarint(in))
-                  * static_cast<int64_t>(kInstrBytes));
-        const int info = in.get();
-        const int nbr = in.get();
-        if (info == std::char_traits<char>::eof()
-            || nbr == std::char_traits<char>::eof())
-            throw TraceIoError("truncated block");
-        const unsigned instrs = static_cast<unsigned>(info) >> 1;
+            + unzigzag(in.varint()) * static_cast<int64_t>(kInstrBytes));
+        const uint8_t info = in.byte("truncated block");
+        const unsigned nbr = in.byte("truncated block");
+        const unsigned instrs = info >> 1u;
         if (instrs < 1 || instrs > kFetchBlockInstrs)
             throw TraceIoError("bad block instruction count");
-        if (nbr < 0 || static_cast<unsigned>(nbr) > instrs)
+        if (nbr > instrs)
             throw TraceIoError("bad block branch count");
         stream.addr_.push_back(addr);
-        stream.info_.push_back(static_cast<uint8_t>(info));
-        for (int k = 0; k < nbr; ++k) {
-            const int slot = in.get();
-            if (slot == std::char_traits<char>::eof())
-                throw TraceIoError("truncated branch");
-            if ((static_cast<unsigned>(slot) >> 1) >= instrs)
+        stream.info_.push_back(info);
+        for (unsigned k = 0; k < nbr; ++k) {
+            const uint8_t slot = in.byte("truncated branch");
+            if ((slot >> 1u) >= instrs)
                 throw TraceIoError("branch slot outside block");
-            stream.branchSlot_.push_back(static_cast<uint8_t>(slot));
+            stream.branchSlot_.push_back(slot);
         }
         stream.branchBegin_.push_back(
             static_cast<uint32_t>(stream.branchSlot_.size()));
@@ -164,6 +166,14 @@ readBlockStream(std::istream &in)
     if (stream.branches() != branch_count)
         throw TraceIoError("branch count mismatch");
     return stream;
+}
+
+BlockStream
+readBlockStream(std::istream &in)
+{
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    return readBlockStream(std::string_view(bytes));
 }
 
 void
@@ -191,11 +201,17 @@ writeBlockStreamFile(const std::string &path, const BlockStream &stream)
 BlockStream
 readBlockStreamFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         throw TraceIoError("cannot open: " + path);
+    const std::streamoff size = in.tellg();
+    std::string bytes(size > 0 ? static_cast<size_t>(size) : 0, '\0');
+    in.seekg(0);
+    in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (size < 0 || !in)
+        throw TraceIoError("read failure: " + path);
     try {
-        return readBlockStream(in);
+        return readBlockStream(std::string_view(bytes));
     } catch (const TraceIoError &err) {
         // The low-level decoder cannot know the file name; re-throw
         // with the path so cache warnings and logs are actionable.

@@ -21,9 +21,13 @@
  * The block sequence is exactly what FetchBlockBuilder::feed/flush
  * emits for the trace, including zero-branch alignment blocks, so a
  * simulation over the stream is bit-for-bit equivalent to one over the
- * trace. decodeBlockStream() is the only constructor of the data; the
- * binary serialization (readBlockStream/writeBlockStream) exists so
- * TraceCache can persist decoded streams next to cached traces.
+ * trace. BlockStreamBuilder is the one way to build the data from
+ * branch records: it takes them one at a time, so TraceCache feeds it
+ * straight from trace synthesis and never holds the Trace, and
+ * decodeBlockStream() is the same builder run over a Trace already in
+ * memory. The binary serialization (readBlockStream/writeBlockStream)
+ * exists so TraceCache can persist built streams; a reader parses the
+ * whole file from one in-memory buffer.
  *
  * The stream is also the unit of sharing for fused multi-configuration
  * simulation (simulateStreamFused): because the data is immutable and
@@ -38,9 +42,12 @@
 #include <cassert>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "frontend/fetch_block.hh"
 #include "trace/branch_record.hh"
 
 namespace ev8
@@ -124,8 +131,8 @@ class BlockStream
     bool operator==(const BlockStream &) const = default;
 
   private:
-    friend BlockStream decodeBlockStream(const Trace &trace);
-    friend BlockStream readBlockStream(std::istream &in);
+    friend class BlockStreamBuilder;
+    friend BlockStream readBlockStream(std::string_view bytes);
 
     std::string name_;
     uint64_t instructions_ = 0;
@@ -136,8 +143,70 @@ class BlockStream
 };
 
 /**
- * Runs FetchBlockBuilder over @p trace once and flattens the emitted
- * block sequence. Deterministic: equal traces decode to equal streams.
+ * Builds a BlockStream from a trace's branch records, fed in order.
+ * FetchBlockBuilder (the paper's section 2 fetch-block rule) cuts the
+ * blocks; the builder flattens each one as it is emitted and counts
+ * the trace's instructions in the same pass. Deterministic: equal
+ * record sequences build equal streams.
+ */
+class BlockStreamBuilder
+{
+  public:
+    /**
+     * Starts the stream @p name, whose first record follows @p start_pc.
+     * @p expected_branches, when known, sizes the arrays up front (a
+     * stream has about as many blocks as branches), sparing the
+     * copies and page faults of growing them record by record.
+     */
+    BlockStreamBuilder(std::string name, uint64_t start_pc,
+                       uint64_t expected_branches = 0);
+
+    /**
+     * Consumes one branch record. Throws TraceIoError once the stream
+     * would hold more than 2^32 - 1 branches (the prefix array is 32-bit).
+     */
+    void
+    feed(const BranchRecord &rec)
+    {
+        stream_.instructions_ += (rec.pc - flowPc_) / kInstrBytes + 1;
+        flowPc_ = rec.nextPc();
+        blocks_.feed(rec, [this](const FetchBlock &b) { append(b); });
+    }
+
+    /** Closes the final partial block and hands over the stream. */
+    BlockStream finish();
+
+  private:
+    void
+    append(const FetchBlock &block)
+    {
+        stream_.addr_.push_back(block.address);
+        stream_.info_.push_back(static_cast<uint8_t>(
+            (block.numInstrs() << 1) | (block.endsTaken ? 1 : 0)));
+        for (unsigned i = 0; i < block.numBranches; ++i) {
+            const BlockBranch &br = block.branches[i];
+            const uint64_t slot = (br.pc - block.address) / kInstrBytes;
+            assert(slot < kFetchBlockInstrs);
+            stream_.branchSlot_.push_back(static_cast<uint8_t>(
+                (slot << 1) | (br.taken ? 1 : 0)));
+        }
+        if (stream_.branchSlot_.size()
+            > std::numeric_limits<uint32_t>::max())
+            tooManyBranches();
+        stream_.branchBegin_.push_back(
+            static_cast<uint32_t>(stream_.branchSlot_.size()));
+    }
+
+    [[noreturn]] static void tooManyBranches();
+
+    BlockStream stream_;
+    FetchBlockBuilder blocks_;
+    uint64_t flowPc_;
+};
+
+/**
+ * BlockStreamBuilder run over @p trace's records: the stream of a Trace
+ * already in memory. Deterministic: equal traces decode to equal streams.
  */
 BlockStream decodeBlockStream(const Trace &trace);
 
@@ -150,8 +219,17 @@ void writeBlockStream(std::ostream &out, const BlockStream &stream);
 void writeBlockStreamFile(const std::string &path,
                           const BlockStream &stream);
 
-/** Parses a serialized stream. Throws TraceIoError on malformed input. */
+/**
+ * Parses a serialized stream held in @p bytes. Throws TraceIoError on
+ * malformed or truncated input; header counts are untrusted, so the
+ * up-front allocation is bounded by the size of @p bytes.
+ */
+BlockStream readBlockStream(std::string_view bytes);
+
+/** Reads the rest of @p in into one buffer, then parses it as above. */
 BlockStream readBlockStream(std::istream &in);
+
+/** Reads the whole file with one call, then parses it as above. */
 BlockStream readBlockStreamFile(const std::string &path);
 
 } // namespace ev8

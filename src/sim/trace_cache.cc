@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "common/hash.hh"
@@ -199,48 +201,102 @@ TraceCache::streamFilePath(const WorkloadProfile &profile,
     return dir_ + "/" + profile.name + tail;
 }
 
+namespace
+{
+
+/** generateTrace() fed straight into the builder: no Trace exists. */
+BlockStream
+synthesizeStream(const WorkloadProfile &profile, uint64_t branches)
+{
+    ScopedSpan span(SpanPhase::Decode);
+    span.rename("synthesize:" + profile.name);
+    span.arg("bench", profile.name);
+    const SyntheticProgram program(profile);
+    BlockStreamBuilder builder(profile.name, program.startPc(), branches);
+    program.run(branches, 0,
+                [&builder](std::span<const BranchRecord> batch) {
+                    for (const BranchRecord &rec : batch)
+                        builder.feed(rec);
+                });
+    return builder.finish();
+}
+
+} // namespace
+
+std::optional<Trace>
+TraceCache::readTraceDisk(const WorkloadProfile &profile,
+                          uint64_t branches) const
+{
+    const std::string path = filePath(profile, branches);
+    std::error_code ec;
+    if (path.empty() || !std::filesystem::exists(path, ec) || ec)
+        return std::nullopt;
+    try {
+        FaultInjector::global().maybeThrow(FaultPoint::CacheRead, path);
+        Trace trace = readTraceFile(path);
+        // Trust but verify: the key encodes the profile content, but a
+        // truncated write or a hand-edited file could still masquerade
+        // under the right name.
+        if (trace.name() == profile.name
+            && trace.stats().dynamicCondBranches == branches) {
+            diskHits_.fetch_add(1, std::memory_order_relaxed);
+            return trace;
+        }
+        noteReadError(path, "key/content mismatch");
+    } catch (const std::exception &err) {
+        noteReadError(path, err.what());
+    }
+    return std::nullopt;
+}
+
 Trace
 TraceCache::load(const WorkloadProfile &profile, uint64_t branches) const
 {
-    const std::string path = filePath(profile, branches);
     ScopedSpan span(SpanPhase::CacheLoad);
     span.rename("cache:trace:" + profile.name);
     span.arg("kind", "trace");
     span.arg("bench", profile.name);
 
-    if (!path.empty()) {
-        std::error_code ec;
-        if (std::filesystem::exists(path, ec) && !ec) {
-            try {
-                FaultInjector::global().maybeThrow(
-                    FaultPoint::CacheRead, path);
-                Trace trace = readTraceFile(path);
-                // Trust but verify: the key encodes the profile
-                // content, but a truncated write or a hand-edited file
-                // could still masquerade under the right name.
-                if (trace.name() == profile.name
-                    && trace.stats().dynamicCondBranches == branches) {
-                    diskHits_.fetch_add(1, std::memory_order_relaxed);
-                    span.arg("hit", uint64_t{1});
-                    return trace;
-                }
-                noteReadError(path, "key/content mismatch");
-            } catch (const std::exception &err) {
-                noteReadError(path, err.what());
-            }
-        }
+    if (std::optional<Trace> trace = readTraceDisk(profile, branches)) {
+        span.arg("hit", uint64_t{1});
+        return std::move(*trace);
     }
 
     span.arg("hit", uint64_t{0});
     Trace trace = generateTrace(profile, branches);
     generated_.fetch_add(1, std::memory_order_relaxed);
 
+    const std::string path = filePath(profile, branches);
     if (!path.empty()) {
         persist(path, [&](const std::string &tmp) {
             writeTraceFile(tmp, trace);
         }, FaultPoint::CacheWrite);
     }
     return trace;
+}
+
+const Trace *
+TraceCache::heldTrace(const WorkloadProfile &profile, uint64_t branches)
+{
+    Entry *entry;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = entries_.find({profileHash(profile), branches});
+        if (it == entries_.end())
+            return nullptr;
+        entry = it->second.get();
+    }
+    return &resolve(*entry, profile, branches);
+}
+
+const Trace &
+TraceCache::resolve(Entry &entry, const WorkloadProfile &profile,
+                    uint64_t branches)
+{
+    std::call_once(entry.once, [&] {
+        entry.trace = load(profile, branches);
+    });
+    return entry.trace;
 }
 
 BlockStream
@@ -276,10 +332,21 @@ TraceCache::loadStream(const WorkloadProfile &profile, uint64_t branches)
         }
     }
 
-    // Stream miss: decode from the trace (which has its own cache
-    // layers, so a warm .ev8t still skips synthesis).
+    // Stream miss. A Trace someone already asked get() for is decoded,
+    // never synthesized a second time; a warm .ev8t still skips
+    // synthesis. Otherwise synthesis feeds the builder directly, so the
+    // Trace never exists: it is neither held nor persisted.
     span.arg("hit", uint64_t{0});
-    BlockStream stream = decodeBlockStream(get(profile, branches));
+    BlockStream stream;
+    if (const Trace *held = heldTrace(profile, branches)) {
+        stream = decodeBlockStream(*held);
+    } else if (std::optional<Trace> trace =
+                   readTraceDisk(profile, branches)) {
+        stream = decodeBlockStream(*trace);
+    } else {
+        stream = synthesizeStream(profile, branches);
+        generated_.fetch_add(1, std::memory_order_relaxed);
+    }
     decoded_.fetch_add(1, std::memory_order_relaxed);
 
     if (!path.empty()) {
@@ -427,10 +494,7 @@ TraceCache::get(const WorkloadProfile &profile, uint64_t branches)
             slot = std::make_unique<Entry>();
         entry = slot.get();
     }
-    std::call_once(entry->once, [&] {
-        entry->trace = load(profile, branches);
-    });
-    return entry->trace;
+    return resolve(*entry, profile, branches);
 }
 
 } // namespace ev8

@@ -10,10 +10,19 @@
  * loads), everyone else blocks on the same std::once_flag and then
  * shares the immutable Trace.
  *
+ * Most callers want the pre-decoded BlockStream, not the Trace. A
+ * stream() miss synthesizes straight into a BlockStreamBuilder, so the
+ * 24-byte-per-record Trace is never materialized: it is neither held
+ * nor persisted, and a cold process holds only the stream. A miss
+ * decodes from a Trace only when one is already at hand: get() was
+ * called for the key (table2, table3, the banking ablation), or a
+ * .ev8t file for it is on disk.
+ *
  * The disk layer (enabled by EV8_TRACE_CACHE_DIR or an explicit
- * directory argument) persists generated traces in the trace_io binary
- * format so repeated bench invocations skip synthesis entirely. Cache
- * keys are collision-proofed against staleness on three axes:
+ * directory argument) persists built streams (.ev8s) and the traces
+ * get() generates (.ev8t, in the trace_io binary format) so repeated
+ * bench invocations skip synthesis entirely. Cache keys are
+ * collision-proofed against staleness on three axes:
  *
  *  - a content hash over *every* field of the WorkloadProfile (name,
  *    seed, program shape, behaviour mix and tuning), so editing a
@@ -46,6 +55,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -109,10 +119,11 @@ class TraceCache
 
     /**
      * The pre-decoded fetch-block stream of @p profile at @p branches.
-     * Decoded exactly once per key (same once_flag discipline as get());
-     * a warm stream cache on disk skips trace synthesis *and* decode
-     * entirely. Thread-safe; the reference stays valid for the cache's
-     * lifetime.
+     * Built exactly once per key (same once_flag discipline as get()):
+     * from a warm .ev8s file, else by decoding the key's Trace if get()
+     * holds it or a .ev8t file exists, else by synthesizing straight
+     * into the builder. Thread-safe; the reference stays valid for the
+     * cache's lifetime.
      */
     const BlockStream &stream(const WorkloadProfile &profile,
                               uint64_t branches);
@@ -152,13 +163,17 @@ class TraceCache
 
     const std::string &dir() const { return dir_; }
 
-    /** Traces synthesized by this cache (in-memory + disk misses). */
+    /**
+     * Synthesis runs by this cache, into either sink: a Trace (a get()
+     * miss) or a BlockStreamBuilder (a stream() miss with no Trace at
+     * hand). Exported as trace_cache.traces_generated.
+     */
     uint64_t generatedCount() const { return generated_.load(); }
 
-    /** Traces served from the on-disk layer. */
+    /** Traces read from the on-disk layer (.ev8t). */
     uint64_t diskHitCount() const { return diskHits_.load(); }
 
-    /** Block streams decoded by this cache (stream disk misses). */
+    /** Block streams built by this cache (stream disk misses). */
     uint64_t decodedCount() const { return decoded_.load(); }
 
     /** Block streams served from the on-disk layer. */
@@ -218,7 +233,28 @@ class TraceCache
         PhaseMap map;
     };
 
+    /**
+     * The key's verified .ev8t file, or nullopt when the disk layer is
+     * off, the file is absent, or it fails to read or verify (counted
+     * by noteReadError()). Counts a disk hit on success.
+     */
+    std::optional<Trace> readTraceDisk(const WorkloadProfile &profile,
+                                       uint64_t branches) const;
+
+    /** The .ev8t file, else synthesis (then persisted as .ev8t). */
     Trace load(const WorkloadProfile &profile, uint64_t branches) const;
+
+    /** Waits for (or runs) @p entry's once-only load. */
+    const Trace &resolve(Entry &entry, const WorkloadProfile &profile,
+                         uint64_t branches);
+
+    /**
+     * The key's Trace if get() has ever been asked for it (waiting for
+     * a load in flight), else nullptr; never starts a new entry.
+     */
+    const Trace *heldTrace(const WorkloadProfile &profile,
+                           uint64_t branches);
+
     BlockStream loadStream(const WorkloadProfile &profile,
                            uint64_t branches);
     PhaseMap loadPhases(const WorkloadProfile &profile,

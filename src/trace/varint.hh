@@ -8,9 +8,11 @@
 #ifndef EV8_TRACE_VARINT_HH
 #define EV8_TRACE_VARINT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <string_view>
 
 #include "trace/trace_io.hh"
 
@@ -75,6 +77,71 @@ getU32(std::istream &in)
     }
     return value;
 }
+
+/**
+ * Bounds-checked reads of the encodings above from an in-memory buffer,
+ * for parsers that load a whole file with one read instead of pulling
+ * it a byte at a time through std::istream::get().
+ */
+class ByteCursor
+{
+  public:
+    explicit ByteCursor(std::string_view bytes)
+        : pos_(bytes.data()), end_(bytes.data() + bytes.size())
+    {}
+
+    /** Bytes not yet consumed. */
+    size_t remaining() const { return static_cast<size_t>(end_ - pos_); }
+
+    /** The next byte; throws TraceIoError(@p what) past the end. */
+    uint8_t
+    byte(const char *what)
+    {
+        if (pos_ == end_)
+            throw TraceIoError(what);
+        return static_cast<uint8_t>(*pos_++);
+    }
+
+    /** The next @p n bytes; throws TraceIoError(@p what) if fewer remain. */
+    std::string_view
+    take(size_t n, const char *what)
+    {
+        if (n > remaining())
+            throw TraceIoError(what);
+        const std::string_view out(pos_, n);
+        pos_ += n;
+        return out;
+    }
+
+    /** getVarint() over the buffer. */
+    uint64_t
+    varint()
+    {
+        uint64_t value = 0;
+        for (unsigned shift = 0; shift < 64; shift += 7) {
+            const uint8_t c = byte("truncated varint");
+            value |= static_cast<uint64_t>(c & 0x7f) << shift;
+            if (!(c & 0x80))
+                return value;
+        }
+        throw TraceIoError("varint too long");
+    }
+
+    /** getU32() over the buffer. */
+    uint32_t
+    u32()
+    {
+        uint32_t value = 0;
+        for (int i = 0; i < 4; ++i)
+            value |= static_cast<uint32_t>(byte("truncated header"))
+                << (8 * i);
+        return value;
+    }
+
+  private:
+    const char *pos_;
+    const char *end_;
+};
 
 } // namespace ev8
 

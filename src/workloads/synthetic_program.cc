@@ -1,6 +1,7 @@
 #include "workloads/synthetic_program.hh"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -188,6 +189,21 @@ Trace
 SyntheticProgram::run(uint64_t dynamic_cond_branches,
                       uint64_t run_seed) const
 {
+    Trace trace(profile_.name, startPc());
+    trace.records().reserve(dynamic_cond_branches * 2);
+    run(dynamic_cond_branches, run_seed,
+        [&trace](std::span<const BranchRecord> batch) {
+            trace.records().insert(trace.records().end(), batch.begin(),
+                                   batch.end());
+        });
+    assert(trace.isWellFormed());
+    return trace;
+}
+
+void
+SyntheticProgram::run(uint64_t dynamic_cond_branches, uint64_t run_seed,
+                      const RecordSink &sink) const
+{
     // Fresh behaviour instances so repeated runs are identical.
     std::vector<std::unique_ptr<BranchBehavior>> behaviors;
     behaviors.reserve(behaviorSpecs.size());
@@ -199,8 +215,17 @@ SyntheticProgram::run(uint64_t dynamic_cond_branches,
     BehaviorContext ctx;
     ctx.rng = &noise_rng;
 
-    Trace trace(profile_.name, blocks_[entries_[0]].pc);
-    trace.records().reserve(dynamic_cond_branches * 2);
+    // Records reach the sink in batches, so the per-record cost of the
+    // type-erased call is amortized away.
+    std::array<BranchRecord, 512> batch;
+    size_t filled = 0;
+    auto emit = [&](const BranchRecord &rec) {
+        batch[filled++] = rec;
+        if (filled == batch.size()) {
+            sink(std::span<const BranchRecord>(batch.data(), filled));
+            filled = 0;
+        }
+    };
 
     std::vector<int> call_stack;
     std::vector<int> dispatch_choice(callSets.size(), -1);
@@ -243,7 +268,7 @@ SyntheticProgram::run(uint64_t dynamic_cond_branches,
             rec.taken = taken;
             rec.target =
                 blocks_[static_cast<size_t>(block.target)].pc;
-            trace.append(rec);
+            emit(rec);
             ctx.ghist = (ctx.ghist << 1) | (taken ? 1 : 0);
             if (taken)
                 note_path(rec.pc, rec.target);
@@ -258,7 +283,7 @@ SyntheticProgram::run(uint64_t dynamic_cond_branches,
             rec.taken = true;
             rec.target =
                 blocks_[static_cast<size_t>(block.target)].pc;
-            trace.append(rec);
+            emit(rec);
             note_path(rec.pc, rec.target);
             pos = block.target;
             break;
@@ -285,7 +310,7 @@ SyntheticProgram::run(uint64_t dynamic_cond_branches,
                                            : BranchType::Indirect;
             rec.taken = true;
             rec.target = blocks_[static_cast<size_t>(callee)].pc;
-            trace.append(rec);
+            emit(rec);
             note_path(rec.pc, rec.target);
             call_stack.push_back(pos + 1);
             pos = callee;
@@ -300,16 +325,15 @@ SyntheticProgram::run(uint64_t dynamic_cond_branches,
             rec.taken = true;
             rec.target =
                 blocks_[static_cast<size_t>(return_to)].pc;
-            trace.append(rec);
+            emit(rec);
             note_path(rec.pc, rec.target);
             pos = return_to;
             break;
           }
         }
     }
-
-    assert(trace.isWellFormed());
-    return trace;
+    if (filled > 0)
+        sink(std::span<const BranchRecord>(batch.data(), filled));
 }
 
 Trace

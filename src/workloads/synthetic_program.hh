@@ -21,7 +21,9 @@
 #define EV8_WORKLOADS_SYNTHETIC_PROGRAM_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -115,6 +117,12 @@ struct WorkloadProfile
 };
 
 /**
+ * Receives the records of a run in execution order, a batch at a time
+ * (each batch is valid only for the duration of the call).
+ */
+using RecordSink = std::function<void(std::span<const BranchRecord>)>;
+
+/**
  * A generated program: blocks, function entries, and one behaviour
  * instance per static conditional branch. Execution is re-runnable; the
  * behaviour states reset on each run() call.
@@ -136,6 +144,17 @@ class SyntheticProgram
      */
     Trace run(uint64_t dynamic_cond_branches,
               uint64_t run_seed = 0) const;
+
+    /**
+     * The same execution as run(), delivered to @p sink instead of a
+     * Trace, so a consumer (the BlockStream builder) never holds the
+     * whole record sequence. Execution starts at startPc().
+     */
+    void run(uint64_t dynamic_cond_branches, uint64_t run_seed,
+             const RecordSink &sink) const;
+
+    /** PC every run starts executing at: function 0's entry block. */
+    uint64_t startPc() const { return blocks_[entries_[0]].pc; }
 
     const std::vector<BasicBlock> &blocks() const { return blocks_; }
     const std::vector<int> &functionEntries() const { return entries_; }

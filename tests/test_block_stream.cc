@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "frontend/fetch_block.hh"
@@ -19,7 +21,10 @@
 #include "sim/block_stream.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_io.hh"
+#include "trace/varint.hh"
 #include "workloads/suite.hh"
+
+#include "temp_path.hh"
 
 namespace ev8
 {
@@ -85,11 +90,21 @@ TEST(BlockStream, DecodeIsDeterministic)
 
 TEST(BlockStream, SerializationRoundTrips)
 {
+    // Through every reader: the istream, the byte-span and the file
+    // overload.
     const BlockStream original = decodeBlockStream(testTrace());
     std::stringstream buffer;
     writeBlockStream(buffer, original);
-    const BlockStream reloaded = readBlockStream(buffer);
-    EXPECT_TRUE(reloaded == original);
+    const std::string bytes = buffer.str();
+    EXPECT_TRUE(readBlockStream(buffer) == original);
+    EXPECT_TRUE(readBlockStream(std::string_view(bytes)) == original);
+
+    const std::string path =
+        uniqueTempPath("ev8_block_stream_roundtrip", ".ev8s");
+    writeBlockStreamFile(path, original);
+    const BlockStream from_file = readBlockStreamFile(path);
+    std::filesystem::remove(path);
+    EXPECT_TRUE(from_file == original);
 }
 
 TEST(BlockStream, RejectsBadMagicAndTruncation)
@@ -99,12 +114,63 @@ TEST(BlockStream, RejectsBadMagicAndTruncation)
         EXPECT_THROW(readBlockStream(bad), TraceIoError);
     }
 
+    const Trace small = generateTrace(findBenchmark("gcc").profile, 64);
     std::stringstream buffer;
-    writeBlockStream(buffer, decodeBlockStream(testTrace()));
+    writeBlockStream(buffer, decodeBlockStream(small));
     const std::string bytes = buffer.str();
-    // Truncate inside the block payload (past the header).
-    std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-    EXPECT_THROW(readBlockStream(truncated), TraceIoError);
+    ASSERT_NO_THROW(readBlockStream(std::string_view(bytes)));
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+        std::stringstream truncated(bytes.substr(0, cut));
+        EXPECT_THROW(readBlockStream(truncated), TraceIoError)
+            << "cut at byte " << cut << " of " << bytes.size();
+    }
+}
+
+/** A serialized header claiming the given counts, then @p payload. */
+std::string
+streamHeader(uint64_t blocks, uint64_t branches,
+             const std::string &payload)
+{
+    std::ostringstream out;
+    out.write("EV8S", 4);
+    putU32(out, 1);
+    putU32(out, 3);
+    out.write("gcc", 3);
+    putVarint(out, 1000); // instructions
+    putVarint(out, blocks);
+    putVarint(out, branches);
+    out << payload;
+    return out.str();
+}
+
+TEST(BlockStream, LyingHeaderCountsFailAfterBoundedAllocation)
+{
+    // One valid block (delta 0, 8 instructions, 1 branch in slot 0),
+    // under headers claiming far more than the file holds. Reserving
+    // the claimed counts would throw std::length_error or bad_alloc
+    // rather than TraceIoError.
+    const std::string block("\x00\x10\x01\x00", 4);
+    EXPECT_NO_THROW(readBlockStream(streamHeader(1, 1, block)));
+    EXPECT_THROW(readBlockStream(streamHeader(uint64_t{1} << 62, 1, block)),
+                 TraceIoError);
+    EXPECT_THROW(readBlockStream(streamHeader(1, 0xffffffffu, block)),
+                 TraceIoError);
+    EXPECT_THROW(readBlockStream(streamHeader(uint64_t{1} << 40,
+                                              0xffffffffu, block)),
+                 TraceIoError);
+}
+
+TEST(BlockStream, BranchCountBeyond32BitsIsRejectedFromTheHeader)
+{
+    // The prefix array is 32-bit: 2^32 branches would wrap it. The
+    // header alone must be rejected, before any block is read.
+    try {
+        readBlockStream(streamHeader(1, uint64_t{1} << 32, ""));
+        FAIL() << "2^32 branches accepted";
+    } catch (const TraceIoError &err) {
+        EXPECT_NE(std::string(err.what()).find("2^32"), std::string::npos)
+            << err.what();
+    }
 }
 
 /** Everything a simulation produced, for exact comparison. */

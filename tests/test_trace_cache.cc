@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests for the trace cache: once-per-key generation (also under
- * concurrency), the persistent disk layer, and the staleness armour --
+ * concurrency), the stream path's choice of source (synthesis straight
+ * into the builder, a Trace get() already holds, or a .ev8t file), the
+ * persistent disk layer, and the staleness armour --
  * version-stamped file names keyed on a full profile-content hash, with
  * corrupt or mismatched files regenerated rather than trusted.
  */
@@ -196,6 +198,63 @@ TEST(TraceCache, StreamDecodedOncePerKeyAndMatchesDirectDecode)
                                                kTinyBranches)));
 }
 
+TEST(TraceCache, SynthesizedStreamEqualsDecodedTraceForEverySuiteProfile)
+{
+    for (const Benchmark &bench : specint95Suite()) {
+        TraceCache cache("");
+        const BlockStream &stream =
+            cache.stream(bench.profile, kTinyBranches);
+        EXPECT_TRUE(stream
+                    == decodeBlockStream(
+                        generateTrace(bench.profile, kTinyBranches)))
+            << bench.profile.name;
+        // A cold in-memory miss synthesizes once, straight into the
+        // builder: no Trace is requested or held.
+        EXPECT_EQ(cache.traceRequestCount(), 0u) << bench.profile.name;
+        EXPECT_EQ(cache.generatedCount(), 1u) << bench.profile.name;
+        EXPECT_EQ(cache.decodedCount(), 1u) << bench.profile.name;
+    }
+}
+
+TEST(TraceCache, StreamAfterGetDecodesTheHeldTraceInsteadOfResynthesizing)
+{
+    TraceCache cache("");
+    const Trace &trace = cache.get(testProfile(), kTinyBranches);
+    const BlockStream &stream =
+        cache.stream(testProfile(), kTinyBranches);
+    EXPECT_EQ(cache.generatedCount(), 1u);
+    EXPECT_EQ(cache.decodedCount(), 1u);
+    EXPECT_EQ(cache.traceRequestCount(), 1u);
+    EXPECT_TRUE(stream == decodeBlockStream(trace));
+}
+
+TEST(TraceCache, TraceFileAloneServesStreamWithoutSynthesis)
+{
+    ScratchDir dir("ev8_stream_from_trace_file");
+    {
+        TraceCache writer(dir.str());
+        writer.get(testProfile(), kTinyBranches);
+    }
+    TraceCache reader(dir.str());
+    const std::string stream_path =
+        reader.streamFilePath(testProfile(), kTinyBranches);
+    ASSERT_TRUE(std::filesystem::exists(
+        reader.filePath(testProfile(), kTinyBranches)));
+    ASSERT_FALSE(std::filesystem::exists(stream_path));
+
+    const BlockStream &stream =
+        reader.stream(testProfile(), kTinyBranches);
+    EXPECT_EQ(reader.generatedCount(), 0u);
+    EXPECT_EQ(reader.diskHitCount(), 1u);
+    EXPECT_EQ(reader.decodedCount(), 1u);
+    EXPECT_EQ(reader.traceRequestCount(), 0u);
+    EXPECT_TRUE(stream
+                == decodeBlockStream(
+                    generateTrace(testProfile(), kTinyBranches)));
+    // The built stream is persisted for the next process.
+    EXPECT_TRUE(readBlockStreamFile(stream_path) == stream);
+}
+
 TEST(TraceCache, StreamFilePathCarriesBothVersionStamps)
 {
     TraceCache cache("/tmp/ev8-cache-naming-test");
@@ -225,6 +284,10 @@ TEST(TraceCache, WarmStreamDiskLayerSkipsSynthesisAndDecode)
     const std::string path =
         writer.streamFilePath(testProfile(), kTinyBranches);
     ASSERT_TRUE(std::filesystem::exists(path)) << path;
+    // The stream path never materializes the Trace, so nothing
+    // persists one either.
+    EXPECT_FALSE(std::filesystem::exists(
+        writer.filePath(testProfile(), kTinyBranches)));
 
     // A fresh cache over the warm directory serves the identical stream
     // without synthesizing the trace or re-decoding it.
