@@ -238,15 +238,17 @@ runFusedStreamKernelRange(const BlockStream &stream,
     std::array<uint64_t, 9> per_block{};
 
     BranchSnapshot snap;
+    // Running flat branch index: one checkpoint lookup per range.
+    uint32_t j = stream.branchBegin(begin_block);
     const size_t nblocks = end_block;
     for (size_t b = begin_block; b < nblocks; ++b) {
         ++fetch_blocks;
-        const uint32_t first = stream.branchBegin(b);
-        const uint32_t last = stream.branchBegin(b + 1);
-        const unsigned nbr = last - first;
+        const BlockShape &shape = stream.blockShape(b);
+        const unsigned nbr = shape.numBranches;
+        const uint32_t last = j + nbr;
         ++per_block[nbr < per_block.size() ? nbr : per_block.size() - 1];
 
-        const uint64_t block_addr = stream.blockAddr(b);
+        const uint64_t block_addr = shape.address;
         snap.blockAddr = block_addr;
         snap.hist.pathZ = path_z;
         snap.hist.pathY = path_y;
@@ -259,7 +261,7 @@ runFusedStreamKernelRange(const BlockStream &stream,
         // lghist view, or per-branch ghist filled in below.
         const uint64_t block_hist = delayed.view();
 
-        for (uint32_t j = first; j < last; ++j) {
+        for (; j < last; ++j) {
             const uint8_t raw = stream.branchRaw(j);
             const bool br_taken = (raw & 1) != 0;
             snap.pc = block_addr + uint64_t(raw >> 1) * kInstrBytes;
@@ -347,13 +349,14 @@ runOracleRange(const BlockStream &stream,
     const bool lghist_mode = config.history != HistoryMode::Ghist;
 
     BranchSnapshot snap;
+    uint32_t j = stream.branchBegin(begin_block);
     for (size_t b = begin_block; b < end_block; ++b) {
-        const uint64_t block_addr = stream.blockAddr(b);
-        const uint32_t first = stream.branchBegin(b);
-        const uint32_t last = stream.branchBegin(b + 1);
+        const BlockShape &shape = stream.blockShape(b);
+        const uint64_t block_addr = shape.address;
+        const uint32_t last = j + shape.numBranches;
         ++r.fetchBlocks;
         ++r.branchesPerBlock[std::min<size_t>(
-            last - first, r.branchesPerBlock.size() - 1)];
+            shape.numBranches, r.branchesPerBlock.size() - 1)];
 
         snap.blockAddr = block_addr;
         snap.hist.pathZ = walk.pathZ;
@@ -364,7 +367,7 @@ runOracleRange(const BlockStream &stream,
                 static_cast<uint8_t>(bank_sched.assign(block_addr));
         const uint64_t block_hist = walk.delayed.view();
 
-        for (uint32_t j = first; j < last; ++j, ++branch_seq) {
+        for (; j < last; ++j, ++branch_seq) {
             const uint8_t raw = stream.branchRaw(j);
             const bool taken = (raw & 1) != 0;
             snap.pc = block_addr + uint64_t(raw >> 1) * kInstrBytes;
@@ -384,7 +387,7 @@ runOracleRange(const BlockStream &stream,
             ++r.condBranches;
         }
 
-        if (last > first) {
+        if (shape.numBranches > 0) {
             const uint8_t raw = stream.branchRaw(last - 1);
             walk.lghist.onBranchBlock(
                 block_addr + uint64_t(raw >> 1) * kInstrBytes,

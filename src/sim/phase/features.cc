@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/block_stream.hh"
@@ -33,33 +32,57 @@ binaryEntropy(double p)
     return -(p * std::log2(p) + (1.0 - p) * std::log2(1.0 - p));
 }
 
-struct StaticBranch
-{
-    uint64_t occurrences = 0;
-    uint64_t taken = 0;
-    uint64_t transitions = 0;
-    bool lastTaken = false;
-};
-
 } // namespace
 
-WindowFeatures
-extractWindowFeatures(const BlockStream &stream, size_t block_begin,
-                      size_t block_end)
+size_t
+WindowFeatureExtractor::home(uint64_t pc) const
 {
-    std::unordered_map<uint64_t, StaticBranch> statics;
+    return static_cast<size_t>((pc * 0x9e3779b97f4a7c15ULL) >> 32)
+        & (slots_.size() - 1);
+}
+
+WindowFeatureExtractor::StaticBranch &
+WindowFeatureExtractor::lookup(uint64_t pc)
+{
+    const size_t mask = slots_.size() - 1;
+    size_t i = home(pc);
+    for (; slots_[i] != 0; i = (i + 1) & mask) {
+        if (statics_[slots_[i] - 1].pc == pc)
+            return statics_[slots_[i] - 1];
+    }
+    statics_.push_back({});
+    statics_.back().pc = pc;
+    slots_[i] = static_cast<uint32_t>(statics_.size());
+    // Load factor at most 1/2 keeps probe chains short.
+    if (statics_.size() * 2 > slots_.size()) {
+        slots_.assign(slots_.size() * 2, 0);
+        for (size_t k = 0; k < statics_.size(); ++k) {
+            size_t at = home(statics_[k].pc);
+            while (slots_[at] != 0)
+                at = (at + 1) & (slots_.size() - 1);
+            slots_[at] = static_cast<uint32_t>(k + 1);
+        }
+    }
+    return statics_.back();
+}
+
+WindowFeatures
+WindowFeatureExtractor::extract(const BlockStream &stream,
+                                size_t block_begin, size_t block_end)
+{
+    statics_.clear();
+    std::fill(slots_.begin(), slots_.end(), 0);
 
     uint64_t branches = 0, taken = 0;
+    uint32_t j = stream.branchBegin(block_begin);
     for (size_t b = block_begin; b < block_end; ++b) {
-        const uint64_t block_addr = stream.blockAddr(b);
-        const uint32_t first = stream.branchBegin(b);
-        const uint32_t last = stream.branchBegin(b + 1);
-        for (uint32_t j = first; j < last; ++j) {
+        const BlockShape &shape = stream.blockShape(b);
+        const uint32_t last = j + shape.numBranches;
+        for (; j < last; ++j) {
             const uint8_t raw = stream.branchRaw(j);
             const bool br_taken = (raw & 1) != 0;
-            const uint64_t pc =
-                block_addr + uint64_t(raw >> 1) * kInstrBytes;
-            StaticBranch &s = statics[pc];
+            StaticBranch &s = lookup(
+                shape.address + uint64_t(raw >> 1) * kInstrBytes);
             if (s.occurrences > 0 && s.lastTaken != br_taken)
                 ++s.transitions;
             ++s.occurrences;
@@ -77,27 +100,23 @@ extractWindowFeatures(const BlockStream &stream, size_t block_begin,
         static_cast<double>(taken) / static_cast<double>(branches);
 
     // Per-static aggregation runs in PC order: floating-point sums must
-    // not depend on hash-map iteration order.
-    std::vector<std::pair<uint64_t, const StaticBranch *>> ordered;
-    ordered.reserve(statics.size());
-    for (const auto &kv : statics)
-        ordered.emplace_back(kv.first, &kv.second);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
+    // not depend on table layout. The table is rebuilt next window.
+    std::sort(statics_.begin(), statics_.end(),
+              [](const StaticBranch &a, const StaticBranch &b) {
+                  return a.pc < b.pc;
               });
 
     uint64_t transitions = 0, transition_chances = 0;
     double entropy = 0.0;
-    for (const auto &[pc, s] : ordered) {
-        transitions += s->transitions;
-        transition_chances += s->occurrences - 1;
-        const double p = static_cast<double>(s->taken)
-            / static_cast<double>(s->occurrences);
-        entropy += static_cast<double>(s->occurrences)
+    for (const StaticBranch &s : statics_) {
+        transitions += s.transitions;
+        transition_chances += s.occurrences - 1;
+        const double p = static_cast<double>(s.taken)
+            / static_cast<double>(s.occurrences);
+        entropy += static_cast<double>(s.occurrences)
             * binaryEntropy(p);
-        f.signature[mixPc(pc) % kPhaseSignatureBins] +=
-            static_cast<double>(s->occurrences);
+        f.signature[mixPc(s.pc) % kPhaseSignatureBins] +=
+            static_cast<double>(s.occurrences);
     }
     if (transition_chances > 0) {
         f.transitionRate = static_cast<double>(transitions)

@@ -24,6 +24,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace ev8
 {
@@ -61,13 +62,40 @@ struct WindowFeatures
 };
 
 /**
- * Extracts the feature vector of blocks [block_begin, block_end) of
- * @p stream. Deterministic: aggregation over static branches runs in
- * PC order regardless of container iteration order.
+ * Extracts window feature vectors. The per-static-branch tallies live
+ * in a flat open-addressed table that one extractor reuses across
+ * windows, so tiling a stream allocates it once rather than per window.
  */
-WindowFeatures extractWindowFeatures(const BlockStream &stream,
-                                     size_t block_begin,
-                                     size_t block_end);
+class WindowFeatureExtractor
+{
+  public:
+    /**
+     * The feature vector of blocks [block_begin, block_end) of
+     * @p stream. Deterministic: aggregation over static branches runs
+     * in PC order regardless of table layout.
+     */
+    WindowFeatures extract(const BlockStream &stream, size_t block_begin,
+                           size_t block_end);
+
+  private:
+    /** One static branch's tallies within the current window. */
+    struct StaticBranch
+    {
+        uint64_t pc = 0;
+        uint64_t occurrences = 0;
+        uint64_t taken = 0;
+        uint64_t transitions = 0;
+        bool lastTaken = false;
+    };
+
+    /** @p pc's tallies, inserted zeroed if the window has none yet. */
+    StaticBranch &lookup(uint64_t pc);
+    size_t home(uint64_t pc) const;
+
+    std::vector<StaticBranch> statics_; //!< this window's, first-seen order
+    //! 0 = empty, else index + 1 into statics_
+    std::vector<uint32_t> slots_ = std::vector<uint32_t>(1024);
+};
 
 /**
  * Euclidean distance between two feature vectors (scalar features and

@@ -38,15 +38,17 @@ buildPhaseMap(const BlockStream &stream, uint64_t window_branches,
     // exact (every block in exactly one window).
     const size_t nblocks = stream.blocks();
     size_t begin = 0;
+    uint64_t branch = 0; // running flat branch index at `begin`
     while (begin < nblocks) {
         PhaseWindow w;
         w.blockBegin = begin;
-        w.branchBegin = stream.branchBegin(begin);
+        w.branchBegin = branch;
         uint64_t branches = 0, instrs = 0;
         size_t b = begin;
         while (b < nblocks && branches < window_branches) {
-            branches += stream.numBranches(b);
-            instrs += stream.blockInstrs(b);
+            const BlockShape &shape = stream.blockShape(b);
+            branches += shape.numBranches;
+            instrs += shape.instrs;
             ++b;
         }
         w.blockEnd = b;
@@ -54,11 +56,13 @@ buildPhaseMap(const BlockStream &stream, uint64_t window_branches,
         w.instrs = instrs;
         map.windows.push_back(w);
         begin = b;
+        branch += branches;
     }
 
     PhaseClassifier classifier(max_phases);
+    WindowFeatureExtractor extractor;
     for (PhaseWindow &w : map.windows) {
-        const WindowFeatures f = extractWindowFeatures(
+        const WindowFeatures f = extractor.extract(
             stream, static_cast<size_t>(w.blockBegin),
             static_cast<size_t>(w.blockEnd));
         w.phaseId = classifier.classify(f);

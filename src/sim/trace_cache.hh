@@ -86,7 +86,7 @@ class TraceCache
      * both versions: a stream is only as valid as the trace it was
      * decoded from.
      */
-    static constexpr unsigned kStreamFormatVersion = 1;
+    static constexpr unsigned kStreamFormatVersion = 2;
 
     /** EV8_TRACE_CACHE_DIR, or "" (disk layer disabled). */
     static std::string defaultDir();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
 
 #include "trace/varint.hh"
@@ -45,52 +46,55 @@ writeTrace(std::ostream &out, const Trace &trace)
 }
 
 Trace
-readTrace(std::istream &in)
+readTrace(std::string_view bytes)
 {
-    char magic[4];
-    in.read(magic, sizeof(magic));
-    if (!in || std::char_traits<char>::compare(magic, kMagic, 4) != 0)
+    const std::string_view magic(kMagic, sizeof(kMagic));
+    if (bytes.substr(0, magic.size()) != magic)
         throw TraceIoError("bad magic");
-    const uint32_t version = getU32(in);
-    if (version != kVersion)
+    ByteCursor in(bytes.substr(magic.size()));
+    if (in.u32() != kVersion)
         throw TraceIoError("unsupported trace version");
 
-    const uint32_t name_len = getU32(in);
+    const uint32_t name_len = in.u32();
     if (name_len > (1u << 20))
         throw TraceIoError("implausible name length");
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
-    if (!in)
-        throw TraceIoError("truncated name");
+    std::string name(in.take(name_len, "truncated name"));
 
-    const uint64_t start_pc = getVarint(in) * kInstrBytes;
-    const uint64_t count = getVarint(in);
+    const uint64_t start_pc = in.varint() * kInstrBytes;
+    const uint64_t count = in.varint();
 
     Trace trace(std::move(name), start_pc);
-    // The count is untrusted input: cap the up-front reservation (a
-    // lying header fails at the first missing record, after bounded
-    // memory use, instead of triggering a giant allocation here).
-    trace.records().reserve(
-        static_cast<size_t>(std::min<uint64_t>(count, 1u << 20)));
+    // The count is untrusted input: a record takes at least 3 bytes
+    // (flags and two varints), so the bytes present bound the up-front
+    // reservation. A lying header fails at the first missing record,
+    // after bounded memory use.
+    trace.records().reserve(static_cast<size_t>(
+        std::min<uint64_t>(count, in.remaining() / 3)));
 
     uint64_t flow_pc = start_pc;
     for (uint64_t i = 0; i < count; ++i) {
-        const int flags = in.get();
-        if (flags == std::char_traits<char>::eof())
-            throw TraceIoError("truncated record");
+        const uint8_t flags = in.byte("truncated record");
         if ((flags & 0x07) > static_cast<int>(BranchType::Indirect))
             throw TraceIoError("bad branch type");
 
         BranchRecord rec;
         rec.type = static_cast<BranchType>(flags & 0x07);
         rec.taken = (flags & 0x08) != 0;
-        rec.pc = flow_pc + getVarint(in) * kInstrBytes;
+        rec.pc = flow_pc + in.varint() * kInstrBytes;
         rec.target = static_cast<uint64_t>(
-            static_cast<int64_t>(rec.pc) + unzigzag(getVarint(in)) * 4);
+            static_cast<int64_t>(rec.pc) + unzigzag(in.varint()) * 4);
         flow_pc = rec.nextPc();
         trace.append(rec);
     }
     return trace;
+}
+
+Trace
+readTrace(std::istream &in)
+{
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    return readTrace(std::string_view(bytes));
 }
 
 void
@@ -108,10 +112,16 @@ writeTraceFile(const std::string &path, const Trace &trace)
 Trace
 readTraceFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         throw TraceIoError("cannot open: " + path);
-    return readTrace(in);
+    const std::streamoff size = in.tellg();
+    std::string bytes(size > 0 ? static_cast<size_t>(size) : 0, '\0');
+    in.seekg(0);
+    in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (size < 0 || !in)
+        throw TraceIoError("read failure: " + path);
+    return readTrace(std::string_view(bytes));
 }
 
 } // namespace ev8

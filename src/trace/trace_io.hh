@@ -25,6 +25,7 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "trace/trace.hh"
 
@@ -46,10 +47,17 @@ void writeTrace(std::ostream &out, const Trace &trace);
 /** Serializes @p trace to @p path. */
 void writeTraceFile(const std::string &path, const Trace &trace);
 
-/** Parses a trace from a stream. Throws TraceIoError on malformed input. */
+/**
+ * Parses a serialized trace held in @p bytes. Throws TraceIoError on
+ * malformed or truncated input; the record count is untrusted, so the
+ * up-front allocation is bounded by the size of @p bytes.
+ */
+Trace readTrace(std::string_view bytes);
+
+/** Reads the rest of @p in into one buffer, then parses it as above. */
 Trace readTrace(std::istream &in);
 
-/** Parses a trace from @p path. */
+/** Reads the whole file with one call, then parses it as above. */
 Trace readTraceFile(const std::string &path);
 
 } // namespace ev8

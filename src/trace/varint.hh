@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <string>
 #include <string_view>
 
 #include "trace/trace_io.hh"
@@ -27,6 +28,17 @@ putVarint(std::ostream &out, uint64_t value)
         value >>= 7;
     }
     out.put(static_cast<char>(value));
+}
+
+/** putVarint() appending to an in-memory buffer. */
+inline void
+putVarint(std::string &out, uint64_t value)
+{
+    while (value >= 0x80) {
+        out += static_cast<char>((value & 0x7f) | 0x80);
+        value >>= 7;
+    }
+    out += static_cast<char>(value);
 }
 
 inline uint64_t
@@ -63,6 +75,14 @@ putU32(std::ostream &out, uint32_t value)
 {
     for (int i = 0; i < 4; ++i)
         out.put(static_cast<char>((value >> (8 * i)) & 0xff));
+}
+
+/** putU32() appending to an in-memory buffer. */
+inline void
+putU32(std::string &out, uint32_t value)
+{
+    for (int i = 0; i < 4; ++i)
+        out += static_cast<char>((value >> (8 * i)) & 0xff);
 }
 
 inline uint32_t

@@ -64,8 +64,9 @@ TEST(PhaseFeatures, DistanceIsSymmetricAndZeroOnSelf)
 {
     const BlockStream &s = testStream();
     const size_t mid = s.blocks() / 2;
-    const WindowFeatures a = extractWindowFeatures(s, 0, mid);
-    const WindowFeatures b = extractWindowFeatures(s, mid, s.blocks());
+    WindowFeatureExtractor x;
+    const WindowFeatures a = x.extract(s, 0, mid);
+    const WindowFeatures b = x.extract(s, mid, s.blocks());
     EXPECT_DOUBLE_EQ(featureDistance(a, a), 0.0);
     EXPECT_DOUBLE_EQ(featureDistance(b, b), 0.0);
     EXPECT_DOUBLE_EQ(featureDistance(a, b), featureDistance(b, a));
@@ -74,7 +75,8 @@ TEST(PhaseFeatures, DistanceIsSymmetricAndZeroOnSelf)
 TEST(PhaseFeatures, ScalarFeaturesAreNormalized)
 {
     const BlockStream &s = testStream();
-    const WindowFeatures f = extractWindowFeatures(s, 0, s.blocks());
+    const WindowFeatures f =
+        WindowFeatureExtractor().extract(s, 0, s.blocks());
     EXPECT_GE(f.takenRate, 0.0);
     EXPECT_LE(f.takenRate, 1.0);
     EXPECT_GE(f.transitionRate, 0.0);
@@ -92,9 +94,17 @@ TEST(PhaseFeatures, ScalarFeaturesAreNormalized)
 TEST(PhaseFeatures, ExtractionIsDeterministic)
 {
     const BlockStream &s = testStream();
-    const WindowFeatures a = extractWindowFeatures(s, 0, s.blocks());
-    const WindowFeatures b = extractWindowFeatures(s, 0, s.blocks());
+    // One extractor reused across windows, as buildPhaseMap does: a
+    // window in between must leave no trace in the next one.
+    WindowFeatureExtractor x;
+    const WindowFeatures a = x.extract(s, 0, s.blocks());
+    (void)x.extract(s, 0, s.blocks() / 3);
+    const WindowFeatures b = x.extract(s, 0, s.blocks());
     EXPECT_DOUBLE_EQ(featureDistance(a, b), 0.0);
+    EXPECT_DOUBLE_EQ(
+        featureDistance(a, WindowFeatureExtractor().extract(s, 0,
+                                                            s.blocks())),
+        0.0);
 }
 
 TEST(PhaseClassifier, FoundsDistinctPhasesForDistantFeatures)

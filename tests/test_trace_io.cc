@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "common/random.hh"
 #include "trace/trace_io.hh"
@@ -120,6 +121,25 @@ TEST(TraceIo, RejectsTruncatedRecords)
     data.resize(data.size() / 2); // chop the record stream
     std::stringstream cut(data);
     EXPECT_THROW(readTrace(cut), TraceIoError);
+}
+
+TEST(TraceIo, RejectsTruncationAtEveryOffset)
+{
+    // Every proper prefix of a valid file is rejected -- through the
+    // byte-span parser and the istream overload that buffers into it.
+    const Trace t = makeRandomTrace(11, 40);
+    std::stringstream buf;
+    writeTrace(buf, t);
+    const std::string data = buf.str();
+    EXPECT_EQ(readTrace(std::string_view(data)).records(), t.records());
+    for (size_t cut = 0; cut < data.size(); ++cut) {
+        EXPECT_THROW(readTrace(std::string_view(data).substr(0, cut)),
+                     TraceIoError)
+            << "cut at byte " << cut << " of " << data.size();
+        std::stringstream in(data.substr(0, cut));
+        EXPECT_THROW(readTrace(in), TraceIoError)
+            << "cut at byte " << cut << " of " << data.size();
+    }
 }
 
 TEST(TraceIo, RejectsUnsupportedVersion)
