@@ -36,7 +36,8 @@
  * The uniform bench surface applies: `--trace-out` captures the
  * serve.accept / serve.session_run / serve.snapshot phases (and the
  * sessions' cell and fused.walk spans) on the Perfetto timeline,
- * `--jobs` caps concurrently simulating sessions, and `--json`/`--csv`
+ * `--jobs` caps cell groups in flight across every session (a lone
+ * session fans out over all workers), and `--json`/`--csv`
  * write the (row-less) harness artifact with the usual telemetry block.
  *
  * Exit codes (the shared bench table):

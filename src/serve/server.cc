@@ -1,7 +1,9 @@
 #include "serve/server.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <sstream>
 #include <thread>
 
@@ -17,10 +19,11 @@ namespace ev8
 
 /**
  * One served session: a named grid run over the server's shared cached
- * BlockStreams by the shared cell core, one benchmark at a time on the
- * session's own thread. The session owns its outputs; the server's
- * scheduling (run slots, sibling sessions) cannot change a single byte
- * of them.
+ * BlockStreams by the shared cell core, its cell groups fanned out over
+ * the engine's pool. The session's own thread owns the lease, drain and
+ * Done state and waits for the groups. The session owns its outputs;
+ * the pool's scheduling (sibling sessions, worker count) cannot change
+ * a single byte of them.
  */
 class PredictionServer::Session
 {
@@ -186,14 +189,16 @@ class PredictionServer::Session
                 state_ = State::Running;
                 failNow = true;
             } else {
-                // Running: the session thread fails the remaining cells
-                // with the expiry reason at its next benchmark and
-                // settles to Done on its own (see runCells()).
+                // Running: every cell group not yet started fails with
+                // the expiry reason and the session settles to Done on
+                // its own (see runCells()).
                 cancel_.store(true, std::memory_order_release);
             }
         }
         if (failNow) {
-            failFrom(0, reason);
+            const std::vector<size_t> all = allCells();
+            fail(all, reason);
+            tally(all);
             failures_ = mergeGrid(outputs_, rows_, nbench_).failures;
             server_.noteSessionDone();
             {
@@ -227,6 +232,13 @@ class PredictionServer::Session
     {
         std::lock_guard<std::mutex> lock(mutex_);
         return state_ == State::Done;
+    }
+
+    bool
+    running()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return state_ == State::Running;
     }
 
     /**
@@ -300,14 +312,13 @@ class PredictionServer::Session
     }
 
     /**
-     * Session thread: run the grid one benchmark at a time through the
-     * shared executor, then publish the failures and settle to Done.
+     * Session thread: run the grid's cell groups on the engine's pool,
+     * then publish the failures and settle to Done.
      */
     void
     run()
     {
         SpanTracer::global().setThreadName("serve:" + name_);
-        server_.acquireRunSlot();
         {
             ScopedSpan span(SpanPhase::SessionRun, "serve.session_run");
             span.arg("session", name_);
@@ -315,7 +326,6 @@ class PredictionServer::Session
             span.arg("cells", static_cast<uint64_t>(cells()));
             runCells();
         }
-        server_.releaseRunSlot();
 
         // The batch merge's failure records; the session's rows carry
         // no sinks, so the merge touches nothing else.
@@ -333,49 +343,53 @@ class PredictionServer::Session
     void
     runCells()
     {
+        // Grouped exactly as the batch engine groups a grid, and run on
+        // the same pool, so sibling sessions and batch work share the
+        // --jobs cap.
+        const std::vector<std::vector<size_t>> groups = fuseGroups(
+            allCells(), requests_, ExperimentEngine::fusedLaneCap());
         CellExecutor executor;
-        const size_t laneCap = ExperimentEngine::fusedLaneCap();
-        for (size_t b = 0; b < nbench_; ++b) {
-            // A force-expiry lands between benchmarks: every cell not
-            // yet run fails with the expiry reason.
-            if (cancel_.load(std::memory_order_acquire)) {
-                failFrom(b, expireError());
-                return;
-            }
-            // This benchmark's cells, in row order, grouped exactly as
-            // the batch engine groups them.
-            std::vector<size_t> bench_cells;
-            bench_cells.reserve(rows_.size());
-            for (size_t r = 0; r < rows_.size(); ++r)
-                bench_cells.push_back(r * nbench_ + b);
-            for (const auto &group :
-                 fuseGroups(bench_cells, requests_, laneCap))
-                executor.runGroup(group, requests_, outputs_);
-            for (const size_t i : bench_cells) {
-                if (outputs_[i].failed)
-                    failedCells_.fetch_add(1,
-                                           std::memory_order_relaxed);
-            }
-            cellsDone_.fetch_add(bench_cells.size(),
-                                 std::memory_order_relaxed);
+        server_.runner_.engine().parallelFor(groups.size(), [&](size_t g) {
+            // A force-expiry lands between groups: every group not yet
+            // started fails with the expiry reason.
+            if (cancel_.load(std::memory_order_acquire))
+                fail(groups[g], expireError());
+            else
+                executor.runGroup(groups[g], requests_, outputs_);
+            tally(groups[g]);
+        });
+    }
+
+    /** Every cell index, in row-major order. */
+    std::vector<size_t>
+    allCells() const
+    {
+        std::vector<size_t> all(cells());
+        std::iota(all.begin(), all.end(), size_t{0});
+        return all;
+    }
+
+    /** Fails @p group's cells, which never ran, with @p error. */
+    void
+    fail(const std::vector<size_t> &group, const std::string &error)
+    {
+        for (const size_t i : group) {
+            CellOutput &out = outputs_[i];
+            out.failed = true;
+            out.attempts = 0;
+            out.error = error;
         }
     }
 
-    /** Fails every cell of benchmarks @p from_bench.. with @p error. */
+    /** Counts @p group's settled cells into the snapshot counters. */
     void
-    failFrom(size_t from_bench, const std::string &error)
+    tally(const std::vector<size_t> &group)
     {
-        for (size_t b = from_bench; b < nbench_; ++b) {
-            for (size_t r = 0; r < rows_.size(); ++r) {
-                CellOutput &out = outputs_[r * nbench_ + b];
-                out.failed = true;
-                out.attempts = 0;
-                out.error = error;
+        for (const size_t i : group) {
+            if (outputs_[i].failed)
                 failedCells_.fetch_add(1, std::memory_order_relaxed);
-            }
-            cellsDone_.fetch_add(rows_.size(),
-                                 std::memory_order_relaxed);
         }
+        cellsDone_.fetch_add(group.size(), std::memory_order_relaxed);
     }
 
     PredictionServer &server_;
@@ -425,7 +439,8 @@ PredictionServer::defaultLimits()
 
 PredictionServer::PredictionServer(ServeLimits limits, unsigned jobs)
     : limits_(limits),
-      jobs_(jobs != 0 ? jobs : ExperimentEngine::defaultJobs())
+      jobs_(jobs != 0 ? jobs : ExperimentEngine::defaultJobs()),
+      runner_(branchesPerBenchmark(), jobs_)
 {
     if (limits_.idleTimeoutMs > 0) {
         reaper_ = std::thread([this] {
@@ -505,7 +520,7 @@ PredictionServer::drainWait(uint64_t deadline_ms)
             // Deadline lapsed: force-expire the stragglers (their
             // remaining cells fail as structured records) and wait for
             // them to settle -- bounded, because a cancelled session
-            // stops at its next benchmark.
+            // starts no further cell group.
             std::vector<std::shared_ptr<Session>> laggards;
             {
                 std::lock_guard<std::mutex> lock(mutex_);
@@ -566,24 +581,6 @@ PredictionServer::findSession(const std::string &name)
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = sessions_.find(name);
     return it == sessions_.end() ? nullptr : it->second;
-}
-
-void
-PredictionServer::acquireRunSlot()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    slotFree_.wait(lock, [&] { return runningSlots_ < jobs_; });
-    ++runningSlots_;
-}
-
-void
-PredictionServer::releaseRunSlot()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        --runningSlots_;
-    }
-    slotFree_.notify_one();
 }
 
 void
@@ -827,7 +824,9 @@ PredictionServer::handleStats()
     w.key("sessions_shed");
     w.value(sessionsShed_);
     w.key("sessions_running");
-    w.value(static_cast<uint64_t>(runningSlots_));
+    w.value(static_cast<uint64_t>(std::count_if(
+        sessions_.begin(), sessions_.end(),
+        [](const auto &entry) { return entry.second->running(); })));
     w.key("max_sessions");
     w.value(static_cast<uint64_t>(limits_.maxSessions));
     w.key("jobs");

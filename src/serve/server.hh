@@ -6,13 +6,14 @@
  * trace/stream disk cache and in-memory decode -- N sessions over the
  * same profile pay for one synthesis and share one immutable
  * BlockStream per benchmark) and a set of named sessions. Each session
- * is one predictor grid evaluated over the suite on the session's own
- * thread, one benchmark at a time: it reads runner().blockStream(b)
- * directly, as ExperimentEngine::runGrid does, groups the benchmark's
- * cells with the same fuseGroups() and runs them through the same
- * CellExecutor -- fused lane groups, retry/backoff, fault hooks --
- * which is what makes a served session's cell outputs byte-identical to
- * a batch run of the same grid.
+ * is one predictor grid evaluated over the suite: like
+ * ExperimentEngine::runGrid, it groups all of its cells with the same
+ * fuseGroups(), reads runner().blockStream(b) directly and runs the
+ * groups through the same CellExecutor -- fused lane groups,
+ * retry/backoff, fault hooks -- on the runner's engine pool. That is
+ * what makes a served session's cell outputs byte-identical to a batch
+ * run of the same grid. The session's own thread only owns the lease,
+ * drain and Done state and waits for its groups.
  *
  * Concurrency and isolation:
  *
@@ -34,11 +35,13 @@
  *  - graceful drain: beginDrain() stops admitting (typed "draining"
  *    refusal) while in-flight sessions run to completion;
  *    drainWait(deadline) bounds the wait and force-expires stragglers.
- *    A force-expired running session stops at its next benchmark
- *    boundary.
- *  - `jobs` caps sessions simulating concurrently. Scheduling order
- *    cannot change any session's artifact -- outputs are per-session
- *    state.
+ *    A force-expired running session starts no further cell group:
+ *    the groups not yet started fail with the expiry reason.
+ *  - `--jobs` caps cell groups in flight, across batch and served
+ *    work: the engine's pool is the only scheduler, so a lone session
+ *    fans out over every worker and concurrent sessions share them.
+ *    Scheduling order cannot change any session's artifact -- outputs
+ *    are per-session state.
  *  - a session that dies (injected session_drop faults, an expired
  *    lease, a drain deadline) records structured CellFailures for its
  *    own cells only; sibling sessions and the server keep running.
@@ -107,7 +110,8 @@ class PredictionServer
 
     /**
      * @param limits admission/lease knobs (see defaultLimits()).
-     * @param jobs max sessions simulating concurrently; 0 picks
+     * @param jobs worker threads of the runner's engine pool, which
+     *        caps cell groups in flight across all sessions; 0 picks
      *        ExperimentEngine::defaultJobs(). Artifacts do not depend
      *        on it.
      */
@@ -144,8 +148,9 @@ class PredictionServer
 
     /**
      * Blocks until every session reached Done, or @p deadline_ms
-     * elapsed -- in which case the stragglers are force-expired (their
-     * not-yet-run benchmarks' cells failed as structured records) and
+     * elapsed -- in which case the stragglers are force-expired (the
+     * cells of their not-yet-started groups failed as structured
+     * records) and
      * waited for until they settle. Returns true when every session
      * finished on its own, false when any had to be force-expired.
      */
@@ -201,12 +206,6 @@ class PredictionServer
     /** One lease-reaper sweep: expire stale sessions, retire done ones. */
     void reapExpiredSessions();
 
-    /// @name Run-slot gate: at most jobs_ sessions simulate at once.
-    /// @{
-    void acquireRunSlot();
-    void releaseRunSlot();
-    /// @}
-
     /** Session completion tap (the "stats" op's sessions_done). */
     void noteSessionDone();
 
@@ -215,9 +214,7 @@ class PredictionServer
     SuiteRunner runner_;
 
     mutable std::mutex mutex_; //!< guards sessions_, counters, shutdown_
-    std::condition_variable slotFree_;
     std::map<std::string, std::shared_ptr<Session>> sessions_;
-    size_t runningSlots_ = 0;
     bool shutdown_ = false;
     bool draining_ = false;
 

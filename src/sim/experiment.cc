@@ -24,6 +24,9 @@ namespace ev8
 namespace
 {
 
+/** The engine whose pool runs the current thread; null elsewhere. */
+thread_local const ExperimentEngine *poolOwner = nullptr;
+
 /** Upper bound for parseJobs(): far above any sane pool or lane cap. */
 constexpr unsigned long long kMaxParsedJobs = 4096;
 
@@ -171,14 +174,8 @@ ExperimentEngine::ExperimentEngine(unsigned jobs)
     : jobs_(jobs != 0 ? jobs : defaultJobs()),
       cellDurationsMs_(cellDurationBoundsMs())
 {
-    queues_.reserve(jobs_);
-    for (unsigned i = 0; i < jobs_; ++i)
-        queues_.push_back(std::make_unique<TaskDeque>());
-    // The calling thread is participant 0; slots 1..jobs-1 are pool
-    // threads. jobs == 1 therefore spawns nothing and parallelFor is a
-    // plain loop over the same code path.
-    workers_.reserve(jobs_ - 1);
-    for (unsigned slot = 1; slot < jobs_; ++slot)
+    workers_.reserve(jobs_);
+    for (unsigned slot = 0; slot < jobs_; ++slot)
         workers_.emplace_back([this, slot] { workerLoop(slot); });
 }
 
@@ -193,75 +190,38 @@ ExperimentEngine::~ExperimentEngine()
         t.join();
 }
 
-bool
-ExperimentEngine::popTask(unsigned slot, size_t &task)
-{
-    {
-        TaskDeque &own = *queues_[slot];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.tasks.empty()) {
-            task = own.tasks.front();
-            own.tasks.pop_front();
-            return true;
-        }
-    }
-    // Steal from the back of the other deques, scanning from the next
-    // slot so victims spread instead of piling onto worker 0.
-    for (unsigned k = 1; k < jobs_; ++k) {
-        TaskDeque &victim = *queues_[(slot + k) % jobs_];
-        std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.tasks.empty()) {
-            task = victim.tasks.back();
-            victim.tasks.pop_back();
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-ExperimentEngine::drain(unsigned slot, const std::function<void(size_t)> &fn)
-{
-    size_t task;
-    while (popTask(slot, task)) {
-        try {
-            fn(task);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!firstError_)
-                firstError_ = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (--pending_ == 0)
-            batchDone_.notify_all();
-    }
-}
-
 void
 ExperimentEngine::workerLoop(unsigned slot)
 {
+    poolOwner = this;
     SpanTracer::global().setThreadName("worker-"
                                        + std::to_string(slot));
-    uint64_t seen = 0;
     for (;;) {
-        const std::function<void(size_t)> *fn;
+        Task task;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            workReady_.wait(lock, [&] {
-                return stop_ || (batchSeq_ != seen && batchFn_ != nullptr);
-            });
-            if (stop_)
+            workReady_.wait(lock,
+                            [&] { return stop_ || !tasks_.empty(); });
+            // Callers block until their tasks finish, so the queue is
+            // empty by the time the destructor sets stop_.
+            if (tasks_.empty())
                 return;
-            seen = batchSeq_;
-            fn = batchFn_;
-            ++busy_;
+            task = tasks_.front();
+            tasks_.pop_front();
         }
-        drain(slot, *fn);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--busy_ == 0)
-                batchDone_.notify_all();
+        std::exception_ptr error;
+        try {
+            (*task.fn)(task.index);
+        } catch (...) {
+            error = std::current_exception();
         }
+        // Notified under the lock: the caller cannot see pending == 0
+        // and pop its stack-held latch before this thread lets go.
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (error && !task.latch->error)
+            task.latch->error = error;
+        if (--task.latch->pending == 0)
+            taskDone_.notify_all();
     }
 }
 
@@ -271,39 +231,18 @@ ExperimentEngine::parallelFor(size_t n,
 {
     if (n == 0)
         return;
-    if (jobs_ == 1 || n == 1) {
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
+    if (poolOwner == this) {
+        throw std::logic_error("ExperimentEngine::parallelFor called "
+                               "from one of its own pool threads");
     }
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (size_t i = 0; i < n; ++i) {
-            TaskDeque &q = *queues_[i % jobs_];
-            std::lock_guard<std::mutex> qlock(q.mutex);
-            q.tasks.push_back(i);
-        }
-        batchFn_ = &fn;
-        pending_ = n;
-        firstError_ = nullptr;
-        ++batchSeq_;
-    }
-    workReady_.notify_all();
-
-    drain(0, fn);
-
+    Latch latch{n, nullptr};
     std::unique_lock<std::mutex> lock(mutex_);
-    // busy_ == 0 matters as much as pending_ == 0: a worker still inside
-    // drain() must not race a subsequent batch's queue refill with this
-    // batch's (about to dangle) fn.
-    batchDone_.wait(lock, [&] { return pending_ == 0 && busy_ == 0; });
-    batchFn_ = nullptr;
-    if (firstError_) {
-        std::exception_ptr e = firstError_;
-        firstError_ = nullptr;
-        std::rethrow_exception(e);
-    }
+    for (size_t i = 0; i < n; ++i)
+        tasks_.push_back(Task{&fn, i, &latch});
+    workReady_.notify_all();
+    taskDone_.wait(lock, [&] { return latch.pending == 0; });
+    if (latch.error)
+        std::rethrow_exception(latch.error);
 }
 
 GridOutcome

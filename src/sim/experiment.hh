@@ -5,8 +5,8 @@
  * Every figure and table of the paper is a grid of (benchmark x
  * configuration) simulations, and the cells are independent: each one
  * simulates a cold predictor over an immutable cached trace. The engine
- * executes those cells on a fixed pool of worker threads with
- * work-stealing scheduling, while keeping every observable output
+ * executes those cells on a fixed pool of worker threads fed from one
+ * FIFO task queue, while keeping every observable output
  * *deterministic*:
  *
  *  - results are index-stable: cell i writes slot i, so a grid's result
@@ -21,9 +21,11 @@
  *    pc -> behaviour-class map, so the emitted JSONL is byte-identical
  *    to a serial run.
  *
- * The pool is the calling thread plus (jobs - 1) workers; jobs = 1
- * degenerates to a plain serial loop with no threads, and any larger
- * width produces the same bytes.
+ * The pool is the only scheduler, for batch grids and served sessions
+ * (serve/server.hh) alike: `jobs` worker threads take cell-group tasks
+ * from the queue, so --jobs caps cell groups in flight across every
+ * caller. Callers only enqueue and wait; any width produces the same
+ * bytes.
  *
  * Fused execution: grid cells that share a benchmark and a history-walk
  * configuration (history mode, age, bank assignment, timing, sink
@@ -67,8 +69,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -118,11 +120,14 @@ class ExperimentEngine
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Runs fn(0) .. fn(n-1) across the pool and returns when all calls
-     * have finished. Indices are dealt round-robin to the per-worker
-     * deques; idle workers steal from the back of busy workers' deques.
-     * The first exception thrown by any call is rethrown here (the
-     * remaining jobs still run). Not reentrant: one batch at a time.
+     * Enqueues fn(0) .. fn(n-1) on the pool, in index order, and
+     * returns when all n calls have finished. Several threads may call
+     * it at once: their tasks share the one queue, so at most jobs()
+     * tasks run at a time across all callers, and each call waits for
+     * its own tasks only. The first exception thrown by one of this
+     * call's tasks is rethrown here (its remaining tasks still run).
+     * Called from one of this pool's own threads, it throws
+     * std::logic_error instead of deadlocking.
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 
@@ -176,18 +181,23 @@ class ExperimentEngine
     uint64_t gridCellCount() const { return gridCells_; }
 
   private:
-    struct TaskDeque
+    /** One parallelFor() call's completion state (on its stack). */
+    struct Latch
     {
-        std::mutex mutex;
-        std::deque<size_t> tasks;
+        size_t pending;           //!< tasks not yet finished
+        std::exception_ptr error; //!< first exception thrown
+    };
+
+    struct Task
+    {
+        const std::function<void(size_t)> *fn;
+        size_t index;
+        Latch *latch;
     };
 
     void workerLoop(unsigned slot);
-    void drain(unsigned slot, const std::function<void(size_t)> &fn);
-    bool popTask(unsigned slot, size_t &task);
 
     unsigned jobs_;
-    std::vector<std::unique_ptr<TaskDeque>> queues_;
     std::vector<std::thread> workers_;
 
     // Grid-scheduling tallies; only runGrid()'s calling thread writes
@@ -217,14 +227,10 @@ class ExperimentEngine
      */
     uint64_t batchIndex_ = 0;
 
-    std::mutex mutex_;
+    std::mutex mutex_; //!< guards tasks_, every Latch, stop_
     std::condition_variable workReady_;
-    std::condition_variable batchDone_;
-    uint64_t batchSeq_ = 0;
-    const std::function<void(size_t)> *batchFn_ = nullptr;
-    size_t pending_ = 0;   //!< tasks not yet completed in this batch
-    unsigned busy_ = 0;    //!< workers currently draining this batch
-    std::exception_ptr firstError_;
+    std::condition_variable taskDone_;
+    std::deque<Task> tasks_;
     bool stop_ = false;
 };
 

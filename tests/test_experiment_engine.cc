@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/event_trace.hh"
@@ -157,6 +160,81 @@ TEST(ExperimentEngine, SerialWidthRunsInline)
     std::vector<size_t> order;
     engine.parallelFor(5, [&](size_t i) { order.push_back(i); });
     EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ExperimentEngine, ConcurrentCallersShareOnePoolWithinJobs)
+{
+    ExperimentEngine engine(2);
+    constexpr size_t n = 40;
+    std::atomic<int> inFlight{0};
+    std::atomic<int> maxInFlight{0};
+    // Holds each task briefly so both callers' tasks overlap in the
+    // queue, and records the concurrency the pool allowed.
+    auto body = [&](std::vector<std::atomic<int>> &hits, size_t i) {
+        const int now = inFlight.fetch_add(1) + 1;
+        int seen = maxInFlight.load();
+        while (now > seen && !maxInFlight.compare_exchange_weak(seen, now))
+            ;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        hits[i].fetch_add(1);
+        inFlight.fetch_sub(1);
+    };
+
+    std::vector<std::atomic<int>> hitsA(n);
+    std::vector<std::atomic<int>> hitsB(n);
+    bool aThrew = false;
+    bool aComplete = false;
+    std::string bError;
+    bool bComplete = false;
+    std::thread a([&] {
+        try {
+            engine.parallelFor(n, [&](size_t i) { body(hitsA, i); });
+        } catch (...) {
+            aThrew = true;
+        }
+        // Returned only after every one of this call's tasks finished.
+        aComplete = std::all_of(hitsA.begin(), hitsA.end(),
+                                [](const auto &h) { return h == 1; });
+    });
+    std::thread b([&] {
+        try {
+            engine.parallelFor(n, [&](size_t i) {
+                if (i == 13)
+                    throw std::runtime_error("job 13 of call B failed");
+                body(hitsB, i);
+            });
+        } catch (const std::runtime_error &e) {
+            bError = e.what();
+        }
+        bComplete = true;
+        for (size_t i = 0; i < n; ++i) {
+            if (hitsB[i] != (i == 13 ? 0 : 1))
+                bComplete = false;
+        }
+    });
+    a.join();
+    b.join();
+
+    // The throw reached only its own caller.
+    EXPECT_FALSE(aThrew);
+    EXPECT_TRUE(aComplete);
+    EXPECT_EQ(bError, "job 13 of call B failed");
+    EXPECT_TRUE(bComplete);
+    EXPECT_LE(maxInFlight.load(), 2);
+}
+
+TEST(ExperimentEngine, ParallelForFromAPoolThreadThrows)
+{
+    ExperimentEngine engine(2);
+    std::string error;
+    engine.parallelFor(1, [&](size_t) {
+        try {
+            engine.parallelFor(2, [](size_t) {});
+        } catch (const std::logic_error &e) {
+            error = e.what();
+        }
+    });
+    EXPECT_NE(error.find("pool threads"), std::string::npos) << error;
 }
 
 /** One suite run with full observability, at the given pool width. */

@@ -12,9 +12,11 @@
  *  - an injected session_drop kills exactly the targeted session's
  *    cells as structured CellFailures while a sibling session on the
  *    same server completes clean;
- *  - a drain deadline cancels a running session between benchmarks:
+ *  - a drain deadline cancels a running session between cell groups:
  *    the cells not yet run fail with the deadline reason, the ones
  *    that ran keep their exact records;
+ *  - a lone session fanned out over two workers returns the same cell
+ *    bytes as on one, and the stats op counts running sessions;
  *  - the EV8_SERVE_* env knobs parse strictly (garbage exits 2).
  */
 
@@ -466,11 +468,56 @@ TEST(Serve, StatsOpReportsCountersAndLimits)
 {
     ScopedEnv scale("EV8_BRANCHES_PER_BENCH", kTinyScale);
     ScopedEnv noFault("EV8_FAULT_SPEC", nullptr);
+    ScopedEnv noCkpt("EV8_CHECKPOINT_DIR", nullptr);
     PredictionServer server(ServeLimits{}, 2);
     runSession(server, "s1");
     const JsonValue stats = callOk(server, "{\"op\":\"stats\"}");
     EXPECT_EQ(stats.at("sessions_opened").number, 1.0);
     EXPECT_EQ(stats.at("sessions_done").number, 1.0);
+    EXPECT_EQ(stats.at("sessions_running").number, 0.0);
+    EXPECT_EQ(stats.at("jobs").number, 2.0);
+
+    // sessions_running counts the sessions in state Running: an opened
+    // but unstarted session is not one; a started session held in
+    // retry backoff (one failed attempt of its first cell) is.
+    const std::string spec = "session_drop/=held/g0/r0/"
+        + specint95Suite().front().profile.name + "+1";
+    ScopedEnv fault("EV8_FAULT_SPEC", spec.c_str());
+    ScopedEnv slow("EV8_RETRY_BASE_MS", "300");
+    callOk(server, openReq("idle"));
+    callOk(server, openReq("held"));
+    callOk(server, sessionReq("start", "held"));
+    const JsonValue busy = callOk(server, "{\"op\":\"stats\"}");
+    EXPECT_EQ(busy.at("sessions_running").number, 1.0);
+    const JsonValue done = callOk(server, sessionReq("wait", "held"));
+    EXPECT_TRUE(done.at("failures").items.empty());
+    const JsonValue after = callOk(server, "{\"op\":\"stats\"}");
+    EXPECT_EQ(after.at("sessions_running").number, 0.0);
+    EXPECT_EQ(after.at("sessions_done").number, 2.0);
+}
+
+TEST(Serve, LoneSessionCellsMatchAcrossPoolWidths)
+{
+    ScopedEnv scale("EV8_BRANCHES_PER_BENCH", kTinyScale);
+    ScopedEnv noFault("EV8_FAULT_SPEC", nullptr);
+    ScopedEnv noCkpt("EV8_CHECKPOINT_DIR", nullptr);
+
+    // The same session on one worker and fanned out over two: the
+    // reply's cell records must be byte-identical.
+    JsonValue replies[2];
+    for (const unsigned jobs : {1u, 2u}) {
+        PredictionServer server(ServeLimits{}, jobs);
+        callOk(server, openReq("lone", false, "fig8"));
+        callOk(server, sessionReq("start", "lone"));
+        replies[jobs - 1] = callOk(server, sessionReq("wait", "lone"));
+        EXPECT_TRUE(replies[jobs - 1].at("failures").items.empty());
+    }
+    const JsonValue &serial = replies[0].at("cells");
+    const JsonValue &fanned = replies[1].at("cells");
+    ASSERT_FALSE(serial.items.empty());
+    ASSERT_EQ(serial.items.size(), fanned.items.size());
+    for (size_t i = 0; i < serial.items.size(); ++i)
+        EXPECT_EQ(serial.items[i].text, fanned.items[i].text) << i;
 }
 
 TEST(Serve, DefaultLimitsParseStrictly)
@@ -672,12 +719,17 @@ TEST(Serve, DrainDeadlineCancelsARunningSessionBetweenBenchmarks)
         clean = runSession(server, "cut");
     }
 
-    // Two failed attempts of one first-benchmark cell hold the session
-    // in retry backoff far past the drain deadline; the cell heals on
-    // its next attempt, fused or not.
+    // Two failed attempts of each benchmark's first cell hold every
+    // worker in retry backoff far past the drain deadline, however the
+    // pool deals the groups; each cell heals on its next attempt, fused
+    // or not.
     const std::vector<Benchmark> &suite = specint95Suite();
-    const std::string spec =
-        "session_drop/=cut/g0/r0/" + suite.front().profile.name + "+2";
+    std::string spec;
+    for (const Benchmark &bench : suite) {
+        spec += (spec.empty() ? "" : ",")
+            + std::string("session_drop/=cut/g0/r0/") + bench.profile.name
+            + "+2";
+    }
     ScopedEnv fault("EV8_FAULT_SPEC", spec.c_str());
     ScopedEnv slow("EV8_RETRY_BASE_MS", "300");
     PredictionServer server(ServeLimits{}, 2);
@@ -721,8 +773,8 @@ TEST(Serve, DrainDeadlineCancelsARunningSessionBetweenBenchmarks)
         EXPECT_EQ(got.items[i].text, want.items[i].text) << i;
     }
     const size_t nfailed = done.at("failures").items.size();
-    EXPECT_GT(ran, 0u);     // the first benchmark finished
-    EXPECT_GT(nfailed, 0u); // the later ones were cancelled
+    EXPECT_GT(ran, 0u);     // the held groups finished
+    EXPECT_GT(nfailed, 0u); // the unstarted ones were cancelled
     EXPECT_EQ(ran + nfailed, total);
     EXPECT_EQ(server.failedCellsTotal(), nfailed);
 }
