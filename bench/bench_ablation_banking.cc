@@ -19,7 +19,6 @@
 #include "bench_common.hh"
 #include "common/table.hh"
 #include "frontend/bank_scheduler.hh"
-#include "frontend/fetch_block.hh"
 #include "frontend/pipeline.hh"
 
 using namespace ev8;
@@ -33,6 +32,7 @@ main(int argc, char **argv)
                                              "access");
 
     SuiteRunner &runner = ctx.runner();
+    runner.prepareStreams();
     TextTable table;
     table.header({"benchmark", "blocks", "naive conflicts", "naive %",
                   "EV8 conflicts", "line accuracy", "fetch IPC"});
@@ -41,21 +41,19 @@ main(int argc, char **argv)
         if (!benchQuiet())
             std::fprintf(stderr, "  running %s ...\n",
                          runner.name(i).c_str());
-        const Trace &trace = runner.trace(i);
+        const BlockStream &stream = runner.blockStream(i);
 
-        uint64_t blocks = 0, naive_conflicts = 0, ev8_conflicts = 0;
+        const uint64_t blocks = stream.blocks();
+        uint64_t naive_conflicts = 0, ev8_conflicts = 0;
         unsigned prev_naive = 99, prev_ev8 = 99;
         BankScheduler sched;
         FrontEndPipeline pipeline;
         std::array<uint64_t, 4> usage{};
 
-        FetchBlockBuilder builder;
-        builder.begin(trace.startPc());
-        auto sink = [&](const FetchBlock &block) {
-            ++blocks;
-            const unsigned naive =
-                static_cast<unsigned>((block.address >> 5) & 3);
-            const unsigned ev8 = sched.assign(block.address);
+        for (size_t b = 0; b < blocks; ++b) {
+            const uint64_t addr = stream.blockAddr(b);
+            const unsigned naive = static_cast<unsigned>((addr >> 5) & 3);
+            const unsigned ev8 = sched.assign(addr);
             ++usage[ev8];
             if (prev_naive != 99 && naive == prev_naive)
                 ++naive_conflicts;
@@ -63,11 +61,8 @@ main(int argc, char **argv)
                 ++ev8_conflicts;
             prev_naive = naive;
             prev_ev8 = ev8;
-            pipeline.onBlock(block, false);
-        };
-        for (const auto &rec : trace.records())
-            builder.feed(rec, sink);
-        builder.flush(sink);
+            pipeline.onBlock(addr, stream.blockInstrs(b), false);
+        }
 
         sched.publishMetrics(ctx.metrics(), "frontend.banks");
         table.row({runner.name(i), std::to_string(blocks),

@@ -331,7 +331,6 @@ BenchContext::buildTelemetry() const
     if (runner_) {
         TraceCache &cache = runner_->traceCache();
         tel.traceRequests = cache.traceRequestCount();
-        tel.traceDiskHits = cache.diskHitCount();
         tel.tracesGenerated = cache.generatedCount();
         tel.streamRequests = cache.streamRequestCount();
         tel.streamDiskHits = cache.streamDiskHitCount();

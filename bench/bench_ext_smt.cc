@@ -19,9 +19,10 @@
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "common/table.hh"
 #include "core/ev8_predictor.hh"
+#include "obs/trace_span.hh"
 #include "sim/smt.hh"
+#include "sim/trace_cache.hh"
 #include "workloads/synthetic_program.hh"
 
 using namespace ev8;
@@ -29,16 +30,33 @@ using namespace ev8;
 namespace
 {
 
+/**
+ * Runs @p threads over a fresh shared EV8 predictor under @p config,
+ * as one cell span, and records the per-thread misp/KI plus their
+ * arithmetic mean as row @p label.
+ */
 void
-report(BenchContext &ctx, const char *label, const char *title,
-       const std::vector<SmtThreadResult> &threads)
+runMix(BenchContext &ctx, const char *label, const char *title,
+       const std::vector<const BlockStream *> &threads,
+       const SmtConfig &config)
 {
+    if (!benchQuiet())
+        std::fprintf(stderr, "  %s ...\n", label);
+    std::vector<SmtThreadResult> results;
+    {
+        ScopedSpan span(SpanPhase::Cell);
+        span.rename(std::string("smt:") + label);
+        span.arg("threads", static_cast<uint64_t>(threads.size()));
+        Ev8Predictor predictor;
+        results = simulateSmt(threads, predictor, config);
+    }
+
     if (!benchQuiet())
         std::printf("%s\n", title);
     double sum = 0;
     std::vector<std::string> columns;
     std::vector<double> values;
-    for (const auto &t : threads) {
+    for (const auto &t : results) {
         if (!benchQuiet())
             std::printf(
                 "    %-10s %8.3f misp/KI  (%llu branches)\n",
@@ -48,7 +66,7 @@ report(BenchContext &ctx, const char *label, const char *title,
         columns.push_back(t.name);
         values.push_back(t.sim.stats.mispKI());
     }
-    const double amean = sum / double(threads.size());
+    const double amean = sum / double(results.size());
     if (!benchQuiet())
         std::printf("    %-10s %8.3f misp/KI\n\n", "amean", amean);
     columns.push_back("amean");
@@ -68,22 +86,23 @@ main(int argc, char **argv)
 
     const uint64_t branches = branchesPerBenchmark() / 2;
     if (!benchQuiet())
-        std::fprintf(stderr, "  generating traces ...\n");
-    const Trace gcc = generateTrace(findBenchmark("gcc").profile,
-                                    branches);
-    const Trace go = generateTrace(findBenchmark("go").profile, branches);
-    const Trace perl = generateTrace(findBenchmark("perl").profile,
-                                     branches);
-    const Trace vortex = generateTrace(findBenchmark("vortex").profile,
-                                       branches);
+        std::fprintf(stderr, "  loading streams ...\n");
+    TraceCache &cache = ctx.runner().traceCache();
+    auto stream = [&](const char *name) {
+        return &cache.stream(findBenchmark(name).profile, branches);
+    };
+    const BlockStream *gcc = stream("gcc");
+    const BlockStream *go = stream("go");
+    const BlockStream *perl = stream("perl");
+    const BlockStream *vortex = stream("vortex");
 
     // A second instance of gcc as a parallel thread of the same
     // program: identical static CFG, different dynamic input (run
     // seed), so the threads share static branches -- the constructive
     // aliasing case of [10].
-    SyntheticProgram gcc_program(findBenchmark("gcc").profile);
-    Trace gcc2 = gcc_program.run(branches, /*run_seed=*/1);
-    gcc2.setName("gcc-t2");
+    const BlockStream gcc2 = synthesizeBlockStream(
+        SyntheticProgram(findBenchmark("gcc").profile), "gcc-t2", branches,
+        /*run_seed=*/1);
 
     SmtConfig per_thread;
     per_thread.sim = SimConfig::ev8();
@@ -92,50 +111,22 @@ main(int argc, char **argv)
     SmtConfig shared_hist = per_thread;
     shared_hist.perThreadHistory = false;
 
-    {
-        if (!benchQuiet())
-            std::fprintf(stderr, "  single-thread baselines ...\n");
-        Ev8Predictor p1;
-        report(ctx, "1T gcc", "single thread, gcc:",
-               simulateSmt({&gcc}, p1, per_thread));
-        Ev8Predictor p2;
-        report(ctx, "1T go", "single thread, go:",
-               simulateSmt({&go}, p2, per_thread));
-    }
-    {
-        if (!benchQuiet())
-            std::fprintf(stderr, "  2 threads, per-thread history ...\n");
-        Ev8Predictor p;
-        report(ctx, "2T gcc+go per-thread hist",
-               "2 independent threads (gcc+go), per-thread histories:",
-               simulateSmt({&gcc, &go}, p, per_thread));
-    }
-    {
-        if (!benchQuiet())
-            std::fprintf(stderr, "  2 threads, shared history ...\n");
-        Ev8Predictor p;
-        report(ctx, "2T gcc+go shared hist",
-               "2 independent threads (gcc+go), ONE shared history "
-               "(straw man):",
-               simulateSmt({&gcc, &go}, p, shared_hist));
-    }
-    {
-        if (!benchQuiet())
-            std::fprintf(stderr, "  4 threads ...\n");
-        Ev8Predictor p;
-        report(ctx, "4T per-thread hist",
-               "4 independent threads, per-thread histories:",
-               simulateSmt({&gcc, &go, &perl, &vortex}, p, per_thread));
-    }
-    {
-        if (!benchQuiet())
-            std::fprintf(stderr, "  parallel threads of one program ...\n");
-        Ev8Predictor p;
-        report(ctx, "2T gcc parallel",
-               "2 parallel threads of gcc (same program), per-thread "
-               "histories:",
-               simulateSmt({&gcc, &gcc2}, p, per_thread));
-    }
+    runMix(ctx, "1T gcc", "single thread, gcc:", {gcc}, per_thread);
+    runMix(ctx, "1T go", "single thread, go:", {go}, per_thread);
+    runMix(ctx, "2T gcc+go per-thread hist",
+           "2 independent threads (gcc+go), per-thread histories:",
+           {gcc, go}, per_thread);
+    runMix(ctx, "2T gcc+go shared hist",
+           "2 independent threads (gcc+go), ONE shared history "
+           "(straw man):",
+           {gcc, go}, shared_hist);
+    runMix(ctx, "4T per-thread hist",
+           "4 independent threads, per-thread histories:",
+           {gcc, go, perl, vortex}, per_thread);
+    runMix(ctx, "2T gcc parallel",
+           "2 parallel threads of gcc (same program), per-thread "
+           "histories:",
+           {gcc, &gcc2}, per_thread);
 
     printShapeNotes({
         "independent threads sharing the 352 Kbit tables lose only "

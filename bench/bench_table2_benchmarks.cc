@@ -2,7 +2,8 @@
  * @file
  * Table 2 reproduction: benchmark characteristics of the synthetic
  * SPECINT95 suite -- dynamic and static conditional branch counts --
- * side by side with the paper's numbers for the real Atom traces.
+ * side by side with the paper's numbers for the real Atom traces,
+ * computed from each benchmark's fetch-block stream.
  */
 
 #include <cstdio>
@@ -39,6 +40,7 @@ main(int argc, char **argv)
     BenchContext ctx(argc, argv, "Table 2", "Benchmark characteristics");
 
     SuiteRunner &runner = ctx.runner();
+    runner.prepareStreams();
     TextTable table;
     table.header({"benchmark", "dyn. cond. (x1000)", "static cond.",
                   "paper dyn. (x1000)", "paper static", "taken rate",
@@ -46,9 +48,9 @@ main(int argc, char **argv)
 
     for (size_t i = 0; i < runner.size(); ++i) {
         if (!benchQuiet())
-            std::fprintf(stderr, "  generating %s ...\n",
+            std::fprintf(stderr, "  loading %s ...\n",
                          runner.name(i).c_str());
-        const TraceStats s = runner.trace(i).stats();
+        const TraceStats s = runner.blockStream(i).stats();
         table.row({runner.name(i),
                    fmt(double(s.dynamicCondBranches) / 1000.0, 0),
                    std::to_string(s.staticCondBranches),

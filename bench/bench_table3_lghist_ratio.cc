@@ -31,6 +31,7 @@ main(int argc, char **argv)
                                 "represented per history bit)");
 
     SuiteRunner &runner = ctx.runner();
+    runner.prepareStreams();
     TextTable table;
     table.header({"benchmark", "lghist/ghist", "paper", "fetch blocks",
                   "lghist bits"});
@@ -40,8 +41,9 @@ main(int argc, char **argv)
             std::fprintf(stderr, "  running %s ...\n",
                          runner.name(i).c_str());
         BimodalPredictor dummy(10); // the predictor is irrelevant here
-        const SimResult r = simulateTrace(
-            runner.trace(i), dummy, ctx.instrument(SimConfig::ev8()));
+        const SimResult r =
+            simulateStream(runner.blockStream(i), dummy,
+                           ctx.instrument(SimConfig::ev8()));
         table.row({runner.name(i), fmt(r.lghistRatio(), 2),
                    fmt(kPaperRatio[i], 2),
                    std::to_string(r.fetchBlocks),

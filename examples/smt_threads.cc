@@ -16,6 +16,7 @@
 #include "common/table.hh"
 #include "core/ev8_predictor.hh"
 #include "sim/smt.hh"
+#include "sim/trace_cache.hh"
 #include "workloads/suite.hh"
 
 using namespace ev8;
@@ -35,15 +36,13 @@ main(int argc, char **argv)
                 "shared 352 Kbit EV8 predictor\n\n",
                 names.size(), static_cast<unsigned long long>(branches));
 
-    std::vector<Trace> traces;
-    std::vector<const Trace *> thread_ptrs;
+    TraceCache cache("");
+    std::vector<const BlockStream *> threads;
     for (const auto &name : names) {
         std::fprintf(stderr, "  generating %s ...\n", name.c_str());
-        traces.push_back(
-            generateTrace(findBenchmark(name).profile, branches));
+        threads.push_back(
+            &cache.stream(findBenchmark(name).profile, branches));
     }
-    for (const auto &t : traces)
-        thread_ptrs.push_back(&t);
 
     TextTable table;
     table.header({"thread", "alone", "SMT per-thread hist",
@@ -51,10 +50,10 @@ main(int argc, char **argv)
 
     // Baselines: each thread alone on its own predictor.
     std::vector<double> alone;
-    for (const auto &t : traces) {
+    for (const BlockStream *t : threads) {
         Ev8Predictor p;
         alone.push_back(
-            simulateTrace(t, p, SimConfig::ev8()).stats.mispKI());
+            simulateStream(*t, p, SimConfig::ev8()).stats.mispKI());
     }
 
     SmtConfig per_thread;
@@ -63,10 +62,10 @@ main(int argc, char **argv)
     shared.perThreadHistory = false;
 
     Ev8Predictor p1, p2;
-    const auto good = simulateSmt(thread_ptrs, p1, per_thread);
-    const auto bad = simulateSmt(thread_ptrs, p2, shared);
+    const auto good = simulateSmt(threads, p1, per_thread);
+    const auto bad = simulateSmt(threads, p2, shared);
 
-    for (size_t i = 0; i < traces.size(); ++i) {
+    for (size_t i = 0; i < threads.size(); ++i) {
         table.row({good[i].name, fmt(alone[i], 2),
                    fmt(good[i].sim.stats.mispKI(), 2),
                    fmt(bad[i].sim.stats.mispKI(), 2)});

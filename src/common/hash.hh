@@ -6,7 +6,7 @@
  * that can influence the derived artifact, so two keys that could name
  * different content hash differently, and the hash is identical across
  * platforms and process runs (no pointer values, no iteration over
- * unordered containers). Used by the trace cache (profile -> .ev8t/.ev8s
+ * unordered containers). Used by the trace cache (profile -> .ev8s/.ev8p
  * file names) and the experiment checkpoint (grid -> journal file name).
  */
 

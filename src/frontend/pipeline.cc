@@ -13,10 +13,11 @@ FrontEndPipeline::FrontEndPipeline(unsigned line_log2_entries,
 }
 
 void
-FrontEndPipeline::onBlock(const FetchBlock &block, bool branch_mispredicted)
+FrontEndPipeline::onBlock(uint64_t address, unsigned instrs,
+                          bool branch_mispredicted)
 {
     ++stats_.blocks;
-    stats_.instructions += block.numInstrs();
+    stats_.instructions += instrs;
 
     // Two fetch blocks per cycle: charge one cycle every other block.
     if (slotParity == 0)
@@ -26,15 +27,15 @@ FrontEndPipeline::onBlock(const FetchBlock &block, bool branch_mispredicted)
     // Line-prediction check: did the line predictor steer fetch from the
     // previous block to this one?
     if (havePrev) {
-        if (linePred.predict(prevAddr) != block.address) {
+        if (linePred.predict(prevAddr) != address) {
             ++stats_.lineMispredicts;
             stats_.cycles += lineRedirectPenalty;
             slotParity = 0; // redirect restarts the fetch pair
         }
-        linePred.train(prevAddr, block.address);
+        linePred.train(prevAddr, address);
     }
     havePrev = true;
-    prevAddr = block.address;
+    prevAddr = address;
 
     if (branch_mispredicted) {
         ++stats_.branchMispredicts;

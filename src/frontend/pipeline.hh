@@ -75,7 +75,18 @@ class FrontEndPipeline
      * whether the conditional branch predictor mispredicted any branch
      * in this block (the caller runs the predictor).
      */
-    void onBlock(const FetchBlock &block, bool branch_mispredicted);
+    void
+    onBlock(const FetchBlock &block, bool branch_mispredicted)
+    {
+        onBlock(block.address, block.numInstrs(), branch_mispredicted);
+    }
+
+    /**
+     * The same, for a block given by its start @p address and its
+     * @p instrs instructions (a BlockStream walk holds no FetchBlock).
+     */
+    void onBlock(uint64_t address, unsigned instrs,
+                 bool branch_mispredicted);
 
     const FrontEndStats &stats() const { return stats_; }
     const LinePredictor &linePredictor() const { return linePred; }

@@ -121,8 +121,6 @@ writeTelemetryMember(JsonWriter &w, const TelemetryExport &tel)
     w.beginObject();
     w.key("trace_requests");
     w.value(tel.traceRequests);
-    w.key("trace_disk_hits");
-    w.value(tel.traceDiskHits);
     w.key("traces_generated");
     w.value(tel.tracesGenerated);
     w.key("stream_requests");

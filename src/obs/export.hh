@@ -39,9 +39,9 @@
  *                     "cell_duration_ms": {"count": N, "sum": x,
  *                         "buckets": [{"le": b, "count": N}, ...]},
  *                     "trace_cache": {"trace_requests": N,
- *                         "trace_disk_hits": N, "traces_generated": N,
- *                         "stream_requests": N, "stream_disk_hits": N,
- *                         "streams_decoded": N, "stream_hit_ratio": x},
+ *                         "traces_generated": N, "stream_requests": N,
+ *                         "stream_disk_hits": N, "streams_decoded": N,
+ *                         "stream_hit_ratio": x},
  *                     "pool": {"workers": N, "grid_cells": N,
  *                              "busy_ns": N, "wall_ns": N,
  *                              "utilization": x}}

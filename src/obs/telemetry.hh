@@ -59,7 +59,6 @@ struct TelemetryExport
 
     /** Trace-cache effectiveness (stream layer ratio is the headline). */
     uint64_t traceRequests = 0;
-    uint64_t traceDiskHits = 0;
     uint64_t tracesGenerated = 0;
     uint64_t streamRequests = 0;
     uint64_t streamDiskHits = 0;

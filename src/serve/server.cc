@@ -348,8 +348,10 @@ class PredictionServer::Session
         // --jobs cap.
         const std::vector<std::vector<size_t>> groups = fuseGroups(
             allCells(), requests_, ExperimentEngine::fusedLaneCap());
+        ExperimentEngine &engine = server_.runner_.engine();
         CellExecutor executor;
-        server_.runner_.engine().parallelFor(groups.size(), [&](size_t g) {
+        engine.attachAccounting(executor);
+        engine.parallelFor(groups.size(), [&](size_t g) {
             // A force-expiry lands between groups: every group not yet
             // started fails with the expiry reason.
             if (cancel_.load(std::memory_order_acquire))

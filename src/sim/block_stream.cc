@@ -94,6 +94,40 @@ BlockStreamBuilder::tooManyBranches()
     throw TraceIoError("block stream exceeds 2^32-1 branches");
 }
 
+TraceStats
+BlockStream::stats() const
+{
+    TraceStats s;
+    s.dynamicCondBranches = branches();
+    s.instructions = instructions_;
+    // Per shape, the in-block slots that held a conditional branch.
+    std::vector<uint8_t> slots(shapes_.size(), 0);
+    uint32_t j = 0;
+    for (const uint32_t id : shapeId_) {
+        const BlockShape &shape = shapes_[id];
+        s.dynamicBranches += shape.endsTaken ? 1 : 0;
+        for (const uint32_t last = j + shape.numBranches; j < last; ++j) {
+            const uint8_t raw = branchSlot_[j];
+            slots[id] |= static_cast<uint8_t>(1u << (raw >> 1));
+            s.takenCondBranches += raw & 1;
+        }
+    }
+    s.dynamicBranches += s.dynamicCondBranches - s.takenCondBranches;
+
+    std::vector<uint64_t> pcs;
+    for (size_t id = 0; id < shapes_.size(); ++id) {
+        for (unsigned slot = 0; slot < kFetchBlockInstrs; ++slot) {
+            if ((slots[id] >> slot) & 1)
+                pcs.push_back(shapes_[id].address
+                              + uint64_t{slot} * kInstrBytes);
+        }
+    }
+    std::sort(pcs.begin(), pcs.end());
+    s.staticCondBranches = static_cast<uint64_t>(
+        std::unique(pcs.begin(), pcs.end()) - pcs.begin());
+    return s;
+}
+
 BlockStream
 decodeBlockStream(const Trace &trace)
 {

@@ -61,11 +61,10 @@
 
 #include "frontend/fetch_block.hh"
 #include "trace/branch_record.hh"
+#include "trace/trace.hh"
 
 namespace ev8
 {
-
-class Trace; // trace/trace.hh
 
 /** One distinct fetch-block shape: a block minus its branch outcomes. */
 struct BlockShape
@@ -158,6 +157,15 @@ class BlockStream
 
     /** Name of the trace this stream was decoded from. */
     const std::string &name() const { return name_; }
+
+    /**
+     * The Table 2 statistics of the trace this stream was built from,
+     * equal to its Trace::stats(), in one pass over the blocks. A
+     * branch PC is its shape's address + slot * kInstrBytes; every
+     * taken CTI ends a block, so the dynamic CTI count is the blocks
+     * ended taken plus the not-taken conditional branches.
+     */
+    TraceStats stats() const;
 
     /** The shape of block @p b. */
     const BlockShape &

@@ -245,6 +245,20 @@ ExperimentEngine::parallelFor(size_t n,
         std::rethrow_exception(latch.error);
 }
 
+void
+ExperimentEngine::attachAccounting(CellExecutor &executor)
+{
+    executor.noteBusyNs = [this](uint64_t ns) {
+        busyNs_.fetch_add(ns, std::memory_order_relaxed);
+    };
+    executor.noteCellMs = [this](double ms) {
+        cellDurationsMs_.observe(ms);
+    };
+    executor.noteRetried = [this] {
+        cellsRetried_.fetch_add(1, std::memory_order_relaxed);
+    };
+}
+
 GridOutcome
 ExperimentEngine::runGrid(SuiteRunner &runner,
                           const std::vector<GridRow> &rows)
@@ -261,8 +275,8 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
     gridCells_ += n;
 
     // The shared cell-execution core (sim/cell_executor.hh): served
-    // sessions run the exact same code; only the scheduling and the
-    // accounting hooks below are engine-specific.
+    // sessions run the exact same code with the same accounting hooks;
+    // only the scheduling and the checkpoint journal are batch-specific.
     CellExecutor executor;
 
     /**
@@ -334,15 +348,7 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
     executor.journal = [&checkpoint](size_t i, const CellOutput &out) {
         checkpoint.append(i, out.result, out.metrics, out.events);
     };
-    executor.noteBusyNs = [this](uint64_t ns) {
-        busyNs_.fetch_add(ns, std::memory_order_relaxed);
-    };
-    executor.noteCellMs = [this](double ms) {
-        cellDurationsMs_.observe(ms);
-    };
-    executor.noteRetried = [this] {
-        cellsRetried_.fetch_add(1, std::memory_order_relaxed);
-    };
+    attachAccounting(executor);
 
     // Schedule only the cells the checkpoint did not restore.
     std::vector<size_t> todo;

@@ -81,6 +81,8 @@
 namespace ev8
 {
 
+class CellExecutor; // sim/cell_executor.hh
+
 class ExperimentEngine
 {
   public:
@@ -142,6 +144,15 @@ class ExperimentEngine
      */
     GridOutcome runGrid(SuiteRunner &runner,
                         const std::vector<GridRow> &rows);
+
+    /**
+     * Points @p executor's accounting hooks at this engine: worker
+     * busy time (poolBusyNs()), completed-cell durations
+     * (cellDurations()) and re-attempts (the cells_retried counter).
+     * runGrid() and served sessions both call it, so served cells
+     * count in the same telemetry as batch ones.
+     */
+    void attachAccounting(CellExecutor &executor);
 
     /**
      * Publishes grid-scheduling counters under @p prefix:

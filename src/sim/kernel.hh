@@ -28,8 +28,9 @@
  * bits simply masks the shared register down. Per-lane work is laid
  * out struct-of-arrays: a dense predictor-pointer array and a dense
  * mispredict-tally array, with the per-branch snapshot built once per
- * branch instead of once per lane. simulator.cc owns the dispatch;
- * nothing else should include this header.
+ * branch instead of once per lane. simulator.cc owns the dispatch and
+ * smt.cc keeps one KernelWalkState per thread; nothing else should
+ * include this header.
  */
 
 #ifndef EV8_SIM_KERNEL_HH

@@ -4,9 +4,9 @@
  * windows, each labelled with a phase ID by the online classifier.
  *
  * A PhaseMap is a pure function of (stream content, window budget,
- * phase cap), which makes it cacheable next to the trace: TraceCache
+ * phase cap), which makes it cacheable next to the stream: TraceCache
  * persists it as a `phase-...` sidecar keyed by the same profile
- * content hash as the .ev8t/.ev8s files, with the same temp-file +
+ * content hash as the .ev8s files, with the same temp-file +
  * atomic-rename write discipline and the same trust-but-verify read
  * (name, branch total, window budget and phase cap must all match, or
  * the sidecar is discarded and rebuilt).

@@ -139,11 +139,11 @@ struct SimResult
 };
 
 /**
- * Runs @p predictor over @p trace under @p config. The predictor is NOT
- * reset first (callers decide whether warm state is wanted; the bench
- * harness always uses a fresh instance per run). Decodes the trace's
- * fetch blocks on the fly; grid runners that revisit the same trace
- * should decode once and call simulateStream() instead.
+ * Runs @p predictor over @p trace under @p config: simulateStream()
+ * over decodeBlockStream(@p trace). The predictor is NOT reset first
+ * (callers decide whether warm state is wanted; the bench harness
+ * always uses a fresh instance per run). The tests' reference for
+ * stream-based runs; nothing that can reach a cached stream needs it.
  */
 SimResult simulateTrace(const Trace &trace,
                         ConditionalBranchPredictor &predictor,

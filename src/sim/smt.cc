@@ -1,150 +1,94 @@
 #include "sim/smt.hh"
 
-#include <deque>
-#include <memory>
-
 #include "frontend/bank_scheduler.hh"
-#include "frontend/fetch_block.hh"
-#include "frontend/lghist.hh"
+#include "sim/kernel.hh"
 
 namespace ev8
 {
 
-namespace
-{
-
-/** Streaming fetch-block source over one trace (SMT interleaver). */
-class SmtBlockSource
-{
-  public:
-    explicit SmtBlockSource(const Trace &trace) : trace(trace)
-    {
-        builder.begin(trace.startPc());
-    }
-
-    /** Produces the next fetch block; false when the trace is done. */
-    bool
-    next(FetchBlock &out)
-    {
-        auto sink = [this](const FetchBlock &b) { queue.push_back(b); };
-        while (queue.empty()) {
-            if (pos < trace.records().size()) {
-                builder.feed(trace.records()[pos++], sink);
-            } else if (!flushed) {
-                builder.flush(sink);
-                flushed = true;
-            } else {
-                return false;
-            }
-        }
-        out = queue.front();
-        queue.pop_front();
-        return true;
-    }
-
-  private:
-    const Trace &trace;
-    size_t pos = 0;
-    bool flushed = false;
-    FetchBlockBuilder builder;
-    std::deque<FetchBlock> queue;
-};
-
-/** One thread's architectural history state (per-thread on EV8). */
-struct HistoryState
-{
-    HistoryState(bool lghist_path, unsigned age)
-        : lghist(lghist_path), delayed(age)
-    {}
-
-    HistoryRegister ghist;
-    LghistTracker lghist;
-    DelayedHistory delayed;
-    uint64_t pathZ = 0, pathY = 0, pathX = 0;
-};
-
-} // namespace
-
 std::vector<SmtThreadResult>
-simulateSmt(const std::vector<const Trace *> &threads,
+simulateSmt(const std::vector<const BlockStream *> &threads,
             ConditionalBranchPredictor &predictor, const SmtConfig &config)
 {
     const SimConfig &sim = config.sim;
     const bool lghist_mode = sim.history != HistoryMode::Ghist;
     const bool lghist_path = sim.history == HistoryMode::LghistPath;
 
+    /** A thread's next block and the flat index of its first branch. */
+    struct Cursor
+    {
+        size_t block = 0;
+        uint32_t branch = 0;
+    };
+
     std::vector<SmtThreadResult> results(threads.size());
-    std::vector<std::unique_ptr<SmtBlockSource>> streams;
-    std::vector<std::unique_ptr<HistoryState>> states;
-    std::vector<bool> alive(threads.size(), true);
+    std::vector<Cursor> cursors(threads.size());
+    std::vector<detail::KernelWalkState> walks(
+        threads.size(), detail::KernelWalkState(lghist_path, sim.historyAge));
+    for (size_t t = 0; t < threads.size(); ++t) {
+        results[t].name = threads[t]->name();
+        results[t].sim.stats.setInstructions(threads[t]->instructions());
+    }
 
     // The bank-number recurrence lives in the fetch hardware and spans
     // threads (fetch slots interleave on the real machine).
     BankScheduler bank_sched;
 
-    for (size_t t = 0; t < threads.size(); ++t) {
-        results[t].name = threads[t]->name();
-        results[t].sim.stats.setInstructions(
-            threads[t]->instructionCount());
-        streams.push_back(std::make_unique<SmtBlockSource>(*threads[t]));
-        states.push_back(std::make_unique<HistoryState>(
-            lghist_path, sim.historyAge));
-    }
-    // Shared-history straw man: every thread reads and writes state 0.
-    auto state_of = [&](size_t t) -> HistoryState & {
-        return config.perThreadHistory ? *states[t] : *states[0];
-    };
+    // One round gives every thread with blocks left one fetch block.
+    for (bool fetched = true; fetched;) {
+        fetched = false;
+        for (size_t t = 0; t < threads.size(); ++t) {
+            const BlockStream &stream = *threads[t];
+            Cursor &at = cursors[t];
+            if (at.block == stream.blocks())
+                continue;
+            fetched = true;
 
-    size_t running = threads.size();
-    size_t turn = 0;
-    while (running > 0) {
-        const size_t t = turn++ % threads.size();
-        if (!alive[t])
-            continue;
+            // Shared-history straw man: every thread reads and writes
+            // walk 0.
+            detail::KernelWalkState &walk =
+                walks[config.perThreadHistory ? t : 0];
+            SimResult &out = results[t].sim;
+            ++out.fetchBlocks;
 
-        FetchBlock block;
-        if (!streams[t]->next(block)) {
-            alive[t] = false;
-            --running;
-            continue;
+            const BlockShape &shape = stream.blockShape(at.block++);
+            BranchSnapshot snap;
+            snap.blockAddr = shape.address;
+            snap.hist.pathZ = walk.pathZ;
+            snap.hist.pathY = walk.pathY;
+            snap.hist.pathX = walk.pathX;
+            if (sim.assignBanks)
+                snap.bank = static_cast<uint8_t>(
+                    bank_sched.assign(shape.address));
+
+            const uint64_t block_hist = walk.delayed.view();
+            for (unsigned i = 0; i < shape.numBranches; ++i, ++at.branch) {
+                const bool taken = stream.branchTaken(at.branch);
+                snap.pc = shape.address
+                    + uint64_t{stream.branchSlot(at.branch)} * kInstrBytes;
+                snap.hist.ghist = walk.ghist.raw();
+                snap.hist.indexHist =
+                    lghist_mode ? block_hist : walk.ghist.raw();
+
+                const bool predicted = predictor.predict(snap);
+                out.stats.record(predicted, taken);
+                predictor.update(snap, taken, predicted);
+
+                walk.ghist.push(taken);
+                ++out.condBranches;
+            }
+
+            if (shape.numBranches > 0) {
+                walk.lghist.onBranchBlock(snap.pc,
+                                          stream.branchTaken(at.branch - 1));
+                ++out.lghistBits;
+            }
+            walk.delayed.advance(walk.lghist.value());
+
+            walk.pathX = walk.pathY;
+            walk.pathY = walk.pathZ;
+            walk.pathZ = shape.address;
         }
-
-        HistoryState &hs = state_of(t);
-        SimResult &out = results[t].sim;
-        ++out.fetchBlocks;
-
-        BranchSnapshot snap;
-        snap.blockAddr = block.address;
-        snap.hist.pathZ = hs.pathZ;
-        snap.hist.pathY = hs.pathY;
-        snap.hist.pathX = hs.pathX;
-        if (sim.assignBanks)
-            snap.bank = static_cast<uint8_t>(
-                bank_sched.assign(block.address));
-
-        const uint64_t block_hist = hs.delayed.view();
-        for (unsigned i = 0; i < block.numBranches; ++i) {
-            const BlockBranch &br = block.branches[i];
-            snap.pc = br.pc;
-            snap.hist.ghist = hs.ghist.raw();
-            snap.hist.indexHist =
-                lghist_mode ? block_hist : hs.ghist.raw();
-
-            const bool predicted = predictor.predict(snap);
-            out.stats.record(predicted, br.taken);
-            predictor.update(snap, br.taken, predicted);
-
-            hs.ghist.push(br.taken);
-            ++out.condBranches;
-        }
-
-        if (hs.lghist.onBlock(block))
-            ++out.lghistBits;
-        hs.delayed.advance(hs.lghist.value());
-
-        hs.pathX = hs.pathY;
-        hs.pathY = hs.pathZ;
-        hs.pathZ = block.address;
     }
     return results;
 }

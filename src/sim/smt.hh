@@ -8,7 +8,7 @@
  * whereas local-history schemes see both their history and prediction
  * tables polluted by independent threads.
  *
- * This module interleaves several traces fetch-block by fetch-block
+ * This module interleaves several fetch-block streams block by block
  * (round-robin, two blocks per cycle as on the EV8) into one shared
  * predictor, maintaining either per-thread history state (the EV8
  * design) or a single naively shared history (the straw man), and
@@ -22,8 +22,8 @@
 
 #include <vector>
 
+#include "sim/block_stream.hh"
 #include "sim/simulator.hh"
-#include "trace/trace.hh"
 
 namespace ev8
 {
@@ -50,13 +50,13 @@ struct SmtConfig
 };
 
 /**
- * Runs the given traces as simultaneous threads over ONE shared
+ * Runs the given streams as simultaneous threads over ONE shared
  * predictor instance (tables are shared; that is the point). Threads
  * are interleaved round-robin one fetch block at a time; a thread that
- * runs out of trace simply drops out. Immediate update, as everywhere.
+ * runs out of blocks simply drops out. Immediate update, as everywhere.
  */
 std::vector<SmtThreadResult> simulateSmt(
-    const std::vector<const Trace *> &threads,
+    const std::vector<const BlockStream *> &threads,
     ConditionalBranchPredictor &predictor, const SmtConfig &config);
 
 } // namespace ev8

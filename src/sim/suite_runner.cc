@@ -21,18 +21,17 @@ SuiteRunner::name(size_t i) const
     return specint95Suite()[i].profile.name;
 }
 
-const Trace &
-SuiteRunner::trace(size_t i)
-{
-    const Benchmark &bench = specint95Suite()[i];
-    return cache_.get(bench.profile, bench.branchesAt(baseBranches_));
-}
-
 const BlockStream &
 SuiteRunner::blockStream(size_t i)
 {
     const Benchmark &bench = specint95Suite()[i];
     return cache_.stream(bench.profile, bench.branchesAt(baseBranches_));
+}
+
+void
+SuiteRunner::prepareStreams()
+{
+    engine().parallelFor(size(), [this](size_t i) { blockStream(i); });
 }
 
 const SamplePlan *

@@ -1,8 +1,8 @@
 /**
  * @file
  * Runs predictors over the whole synthetic SPECINT95 suite. A thin
- * front over the parallel ExperimentEngine: trace synthesis goes
- * through the shared TraceCache (generated once per profile, optionally
+ * front over the parallel ExperimentEngine: stream synthesis goes
+ * through the shared TraceCache (built once per profile, optionally
  * persisted on disk) and every (benchmark, configuration) simulation is
  * a pool job, with results returned in suite order and observability
  * sinks merged deterministically -- a run's artifacts are byte-identical
@@ -22,7 +22,6 @@
 #include "sim/phase/sample_plan.hh"
 #include "sim/simulator.hh"
 #include "sim/trace_cache.hh"
-#include "trace/trace.hh"
 #include "workloads/suite.hh"
 
 namespace ev8
@@ -126,19 +125,21 @@ class SuiteRunner
     const std::string &name(size_t i) const;
 
     /**
-     * The i-th benchmark's trace; generated (or loaded from the on-disk
-     * cache) on first use. Thread-safe: concurrent callers for the same
-     * benchmark block until the single generation finishes.
-     */
-    const Trace &trace(size_t i);
-
-    /**
      * The i-th benchmark's pre-decoded fetch-block stream -- what the
-     * experiment engine actually simulates. Decoded (or loaded from the
-     * on-disk cache) on first use; with a warm disk cache the trace
-     * itself is never synthesized. Thread-safe like trace().
+     * experiment engine simulates and what the table binaries measure.
+     * Synthesized (or loaded from the on-disk cache) on first use.
+     * Thread-safe: concurrent callers for the same benchmark block
+     * until the single build finishes.
      */
     const BlockStream &blockStream(size_t i);
+
+    /**
+     * Builds (or loads) every benchmark's stream on the engine's pool,
+     * one benchmark per task, as a grid's first cells would. Binaries
+     * that walk the streams themselves call it before their serial
+     * loop over blockStream().
+     */
+    void prepareStreams();
 
     /**
      * Simulates a fresh predictor from @p factory on every benchmark
@@ -202,7 +203,7 @@ class SuiteRunner
      */
     ExperimentEngine *engineIfCreated() { return engine_.get(); }
 
-    /** The trace cache backing trace(). */
+    /** The trace cache backing blockStream(). */
     TraceCache &traceCache() { return cache_; }
 
     uint64_t baseBranches() const { return baseBranches_; }
@@ -225,7 +226,7 @@ class SuiteRunner
     /**
      * The i-th benchmark's stratified sample plan, or null when
      * sampling is off. Built (and its phase map loaded or computed)
-     * on first use; thread-safe like trace().
+     * on first use; thread-safe like blockStream().
      */
     const SamplePlan *samplePlan(size_t i);
 

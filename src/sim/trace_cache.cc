@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -14,7 +13,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
 #include "sim/fault_injection.hh"
-#include "trace/trace_io.hh"
 
 namespace ev8
 {
@@ -174,20 +172,6 @@ TraceCache::persist(
 }
 
 std::string
-TraceCache::filePath(const WorkloadProfile &profile,
-                     uint64_t branches) const
-{
-    if (dir_.empty())
-        return "";
-    char tail[96];
-    std::snprintf(tail, sizeof(tail), "-%016llx-b%llu-v%u.ev8t",
-                  static_cast<unsigned long long>(profileHash(profile)),
-                  static_cast<unsigned long long>(branches),
-                  kFormatVersion);
-    return dir_ + "/" + profile.name + tail;
-}
-
-std::string
 TraceCache::streamFilePath(const WorkloadProfile &profile,
                            uint64_t branches) const
 {
@@ -201,78 +185,18 @@ TraceCache::streamFilePath(const WorkloadProfile &profile,
     return dir_ + "/" + profile.name + tail;
 }
 
-namespace
-{
-
-/** generateTrace() fed straight into the builder: no Trace exists. */
 BlockStream
-synthesizeStream(const WorkloadProfile &profile, uint64_t branches)
+synthesizeBlockStream(const SyntheticProgram &program, std::string name,
+                      uint64_t branches, uint64_t run_seed)
 {
-    ScopedSpan span(SpanPhase::Decode);
-    span.rename("synthesize:" + profile.name);
-    span.arg("bench", profile.name);
-    const SyntheticProgram program(profile);
-    BlockStreamBuilder builder(profile.name, program.startPc(), branches);
-    program.run(branches, 0,
+    BlockStreamBuilder builder(std::move(name), program.startPc(),
+                               branches);
+    program.run(branches, run_seed,
                 [&builder](std::span<const BranchRecord> batch) {
                     for (const BranchRecord &rec : batch)
                         builder.feed(rec);
                 });
     return builder.finish();
-}
-
-} // namespace
-
-std::optional<Trace>
-TraceCache::readTraceDisk(const WorkloadProfile &profile,
-                          uint64_t branches) const
-{
-    const std::string path = filePath(profile, branches);
-    std::error_code ec;
-    if (path.empty() || !std::filesystem::exists(path, ec) || ec)
-        return std::nullopt;
-    try {
-        FaultInjector::global().maybeThrow(FaultPoint::CacheRead, path);
-        Trace trace = readTraceFile(path);
-        // Trust but verify: the key encodes the profile content, but a
-        // truncated write or a hand-edited file could still masquerade
-        // under the right name.
-        if (trace.name() == profile.name
-            && trace.stats().dynamicCondBranches == branches) {
-            diskHits_.fetch_add(1, std::memory_order_relaxed);
-            return trace;
-        }
-        noteReadError(path, "key/content mismatch");
-    } catch (const std::exception &err) {
-        noteReadError(path, err.what());
-    }
-    return std::nullopt;
-}
-
-Trace
-TraceCache::load(const WorkloadProfile &profile, uint64_t branches) const
-{
-    ScopedSpan span(SpanPhase::CacheLoad);
-    span.rename("cache:trace:" + profile.name);
-    span.arg("kind", "trace");
-    span.arg("bench", profile.name);
-
-    if (std::optional<Trace> trace = readTraceDisk(profile, branches)) {
-        span.arg("hit", uint64_t{1});
-        return std::move(*trace);
-    }
-
-    span.arg("hit", uint64_t{0});
-    Trace trace = generateTrace(profile, branches);
-    generated_.fetch_add(1, std::memory_order_relaxed);
-
-    const std::string path = filePath(profile, branches);
-    if (!path.empty()) {
-        persist(path, [&](const std::string &tmp) {
-            writeTraceFile(tmp, trace);
-        }, FaultPoint::CacheWrite);
-    }
-    return trace;
 }
 
 const Trace *
@@ -294,7 +218,8 @@ TraceCache::resolve(Entry &entry, const WorkloadProfile &profile,
                     uint64_t branches)
 {
     std::call_once(entry.once, [&] {
-        entry.trace = load(profile, branches);
+        entry.trace = generateTrace(profile, branches);
+        generated_.fetch_add(1, std::memory_order_relaxed);
     });
     return entry.trace;
 }
@@ -315,9 +240,9 @@ TraceCache::loadStream(const WorkloadProfile &profile, uint64_t branches)
                 FaultInjector::global().maybeThrow(
                     FaultPoint::CacheRead, path);
                 BlockStream stream = readBlockStreamFile(path);
-                // Trust but verify, as for traces: the branch count is
-                // the budget the key encodes, so a torn or hand-edited
-                // file cannot masquerade as a full-length stream.
+                // Trust but verify: the branch count is the budget the
+                // key encodes, so a torn or hand-edited file cannot
+                // masquerade as a full-length stream.
                 if (stream.name() == profile.name
                     && stream.branches() == branches) {
                     streamDiskHits_.fetch_add(
@@ -333,18 +258,18 @@ TraceCache::loadStream(const WorkloadProfile &profile, uint64_t branches)
     }
 
     // Stream miss. A Trace someone already asked get() for is decoded,
-    // never synthesized a second time; a warm .ev8t still skips
-    // synthesis. Otherwise synthesis feeds the builder directly, so the
-    // Trace never exists: it is neither held nor persisted.
+    // never synthesized a second time. Otherwise synthesis feeds the
+    // builder directly, so the Trace never exists.
     span.arg("hit", uint64_t{0});
     BlockStream stream;
     if (const Trace *held = heldTrace(profile, branches)) {
         stream = decodeBlockStream(*held);
-    } else if (std::optional<Trace> trace =
-                   readTraceDisk(profile, branches)) {
-        stream = decodeBlockStream(*trace);
     } else {
-        stream = synthesizeStream(profile, branches);
+        ScopedSpan synth(SpanPhase::Decode);
+        synth.rename("synthesize:" + profile.name);
+        synth.arg("bench", profile.name);
+        stream = synthesizeBlockStream(SyntheticProgram(profile),
+                                       profile.name, branches);
         generated_.fetch_add(1, std::memory_order_relaxed);
     }
     decoded_.fetch_add(1, std::memory_order_relaxed);
@@ -452,7 +377,6 @@ TraceCache::publishMetrics(MetricRegistry &registry,
         .inc(traceRequests_.load());
     registry.counter(prefix + ".traces_generated")
         .inc(generated_.load());
-    registry.counter(prefix + ".trace_disk_hits").inc(diskHits_.load());
     registry.counter(prefix + ".stream_requests")
         .inc(streamRequests_.load());
     registry.counter(prefix + ".streams_decoded").inc(decoded_.load());

@@ -1,36 +1,37 @@
 /**
  * @file
- * Thread-safe, once-per-profile trace cache with an optional persistent
- * on-disk layer.
+ * Thread-safe, once-per-profile cache of the suite's fetch-block
+ * streams, with an optional persistent on-disk layer.
  *
  * Trace synthesis dominates a bench binary's startup and every
- * experiment grid replays the same eight suite traces, so traces are
- * generated exactly once per (profile, branch budget) key no matter how
- * many worker threads ask concurrently: the first caller generates (or
- * loads), everyone else blocks on the same std::once_flag and then
- * shares the immutable Trace.
+ * experiment grid replays the same eight suite streams, so each
+ * (profile, branch budget) key is built exactly once no matter how many
+ * worker threads ask concurrently: the first caller builds (or loads),
+ * everyone else blocks on the same std::once_flag and then shares the
+ * immutable result.
  *
- * Most callers want the pre-decoded BlockStream, not the Trace. A
- * stream() miss synthesizes straight into a BlockStreamBuilder, so the
- * 24-byte-per-record Trace is never materialized: it is neither held
- * nor persisted, and a cold process holds only the stream. A miss
- * decodes from a Trace only when one is already at hand: get() was
- * called for the key (table2, table3, the banking ablation), or a
- * .ev8t file for it is on disk.
+ * Callers want the pre-decoded BlockStream. A stream() miss synthesizes
+ * straight into a BlockStreamBuilder, so the 24-byte-per-record Trace
+ * is never materialized: a cold process holds only the stream. get()
+ * still synthesizes an in-memory Trace for callers that time synthesis
+ * apart from decode; a later stream() miss for the same key decodes
+ * that held Trace instead of synthesizing it again. Traces are never
+ * written to disk.
  *
  * The disk layer (enabled by EV8_TRACE_CACHE_DIR or an explicit
- * directory argument) persists built streams (.ev8s) and the traces
- * get() generates (.ev8t, in the trace_io binary format) so repeated
- * bench invocations skip synthesis entirely. Cache keys are
- * collision-proofed against staleness on three axes:
+ * directory argument) persists built streams (.ev8s) and phase-map
+ * sidecars (.ev8p), so repeated bench invocations skip synthesis
+ * entirely. Cache keys are collision-proofed against staleness on
+ * three axes:
  *
  *  - a content hash over *every* field of the WorkloadProfile (name,
  *    seed, program shape, behaviour mix and tuning), so editing a
- *    benchmark's calibration invalidates its cached trace;
+ *    benchmark's calibration invalidates its cached stream;
  *  - the branch budget, so rescaled runs never alias;
- *  - kFormatVersion, bumped whenever trace generation semantics or the
- *    serialized format change, so old cache directories age out instead
- *    of silently corrupting experiments.
+ *  - kFormatVersion and kStreamFormatVersion, bumped whenever trace
+ *    generation, fetch-block decode or the serialized format change,
+ *    so old cache directories age out instead of silently corrupting
+ *    experiments.
  *
  * Unreadable, truncated or mismatched cache files are regenerated (and
  * rewritten) rather than trusted; disk writes go through a temp file +
@@ -55,7 +56,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -71,12 +71,21 @@ namespace ev8
 class MetricRegistry;  // obs/metrics.hh
 enum class FaultPoint; // sim/fault_injection.hh
 
+/**
+ * The stream of @p program's run(@p branches, @p run_seed), named
+ * @p name: synthesis feeds a BlockStreamBuilder record by record, so
+ * the Trace is never held.
+ */
+BlockStream synthesizeBlockStream(const SyntheticProgram &program,
+                                  std::string name, uint64_t branches,
+                                  uint64_t run_seed = 0);
+
 class TraceCache
 {
   public:
     /**
-     * Bump when generateTrace() semantics or the on-disk encoding
-     * change: stale files from older builds must miss, not load.
+     * Bump when generateTrace() semantics change: stream files
+     * synthesized by older builds must miss, not load.
      */
     static constexpr unsigned kFormatVersion = 1;
 
@@ -84,7 +93,7 @@ class TraceCache
      * Bump when fetch-block decode semantics (FetchBlockBuilder) or the
      * BlockStream on-disk encoding change. Stream cache file names carry
      * both versions: a stream is only as valid as the trace it was
-     * decoded from.
+     * synthesized from.
      */
     static constexpr unsigned kStreamFormatVersion = 2;
 
@@ -112,8 +121,9 @@ class TraceCache
 
     /**
      * The trace of @p profile at @p branches dynamic conditional
-     * branches. Thread-safe; the returned reference stays valid for the
-     * cache's lifetime.
+     * branches, synthesized in memory on first use (never read from or
+     * written to disk). Thread-safe; the returned reference stays valid
+     * for the cache's lifetime.
      */
     const Trace &get(const WorkloadProfile &profile, uint64_t branches);
 
@@ -121,8 +131,7 @@ class TraceCache
      * The pre-decoded fetch-block stream of @p profile at @p branches.
      * Built exactly once per key (same once_flag discipline as get()):
      * from a warm .ev8s file, else by decoding the key's Trace if get()
-     * holds it or a .ev8t file exists, else by synthesizing straight
-     * into the builder. Thread-safe; the reference stays valid for the
+     * holds it, else by synthesizing straight into the builder. Thread-safe; the reference stays valid for the
      * cache's lifetime.
      */
     const BlockStream &stream(const WorkloadProfile &profile,
@@ -145,17 +154,14 @@ class TraceCache
                            uint32_t max_phases);
 
     /**
-     * The cache file this (profile, budget) key maps to, or "" when the
-     * disk layer is disabled. Exposed for tests and tooling.
+     * The block-stream cache file (.ev8s) this (profile, budget) key
+     * maps to, or "" when the disk layer is disabled. Exposed for tests
+     * and tooling.
      */
-    std::string filePath(const WorkloadProfile &profile,
-                         uint64_t branches) const;
-
-    /** Like filePath(), for the pre-decoded block stream (.ev8s). */
     std::string streamFilePath(const WorkloadProfile &profile,
                                uint64_t branches) const;
 
-    /** Like filePath(), for the phase-map sidecar (.ev8p). */
+    /** Like streamFilePath(), for the phase-map sidecar (.ev8p). */
     std::string phaseFilePath(const WorkloadProfile &profile,
                               uint64_t branches,
                               uint64_t window_branches,
@@ -169,9 +175,6 @@ class TraceCache
      * hand). Exported as trace_cache.traces_generated.
      */
     uint64_t generatedCount() const { return generated_.load(); }
-
-    /** Traces read from the on-disk layer (.ev8t). */
-    uint64_t diskHitCount() const { return diskHits_.load(); }
 
     /** Block streams built by this cache (stream disk misses). */
     uint64_t decodedCount() const { return decoded_.load(); }
@@ -233,18 +236,7 @@ class TraceCache
         PhaseMap map;
     };
 
-    /**
-     * The key's verified .ev8t file, or nullopt when the disk layer is
-     * off, the file is absent, or it fails to read or verify (counted
-     * by noteReadError()). Counts a disk hit on success.
-     */
-    std::optional<Trace> readTraceDisk(const WorkloadProfile &profile,
-                                       uint64_t branches) const;
-
-    /** The .ev8t file, else synthesis (then persisted as .ev8t). */
-    Trace load(const WorkloadProfile &profile, uint64_t branches) const;
-
-    /** Waits for (or runs) @p entry's once-only load. */
+    /** Waits for (or runs) @p entry's once-only synthesis. */
     const Trace &resolve(Entry &entry, const WorkloadProfile &profile,
                          uint64_t branches);
 
@@ -266,7 +258,7 @@ class TraceCache
      * renamed to @p path. Any failure (including injected faults) is
      * counted, warned about once, and swallowed. @p write_point is the
      * fault-injection hook consulted before the write (CacheWrite for
-     * trace/stream files, SidecarWrite for phase sidecars).
+     * stream files, SidecarWrite for phase sidecars).
      */
     void persist(const std::string &path,
                  const std::function<void(const std::string &)> &write,
@@ -288,7 +280,6 @@ class TraceCache
              std::unique_ptr<PhaseEntry>>
         phaseEntries_;
     mutable std::atomic<uint64_t> generated_{0};
-    mutable std::atomic<uint64_t> diskHits_{0};
     mutable std::atomic<uint64_t> decoded_{0};
     mutable std::atomic<uint64_t> streamDiskHits_{0};
     mutable std::atomic<uint64_t> traceRequests_{0};

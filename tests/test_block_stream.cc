@@ -225,6 +225,27 @@ TEST(BlockStream, WideAddressesAndManyShapesRoundTripAndWalkLikeTheTrace)
               from_trace.stats.instructions());
 }
 
+TEST(BlockStream, StatsEqualTraceStatsForEverySuiteProfile)
+{
+    // Table 2's columns come from the stream; the trace they summarize
+    // is the oracle.
+    for (const Benchmark &bench : specint95Suite()) {
+        const Trace trace = generateTrace(bench.profile, 20000);
+        const TraceStats want = trace.stats();
+        const TraceStats got = decodeBlockStream(trace).stats();
+        EXPECT_EQ(got.dynamicCondBranches, want.dynamicCondBranches)
+            << bench.profile.name;
+        EXPECT_EQ(got.staticCondBranches, want.staticCondBranches)
+            << bench.profile.name;
+        EXPECT_EQ(got.takenCondBranches, want.takenCondBranches)
+            << bench.profile.name;
+        EXPECT_EQ(got.instructions, want.instructions)
+            << bench.profile.name;
+        EXPECT_EQ(got.dynamicBranches, want.dynamicBranches)
+            << bench.profile.name;
+    }
+}
+
 TEST(BlockStream, ReservationCoversEverySuiteProfile)
 {
     // The builder reserves kBlocksPerBranchReserve ids per expected

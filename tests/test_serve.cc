@@ -37,6 +37,7 @@
 #include "serve/server.hh"
 #include "serve/transport.hh"
 #include "sim/checkpoint.hh"
+#include "sim/experiment.hh"
 #include "sim/suite_runner.hh"
 
 #include "scoped_env.hh"
@@ -518,6 +519,26 @@ TEST(Serve, LoneSessionCellsMatchAcrossPoolWidths)
     ASSERT_EQ(serial.items.size(), fanned.items.size());
     for (size_t i = 0; i < serial.items.size(); ++i)
         EXPECT_EQ(serial.items[i].text, fanned.items[i].text) << i;
+}
+
+TEST(Serve, SessionCellsFeedTheEngineTallies)
+{
+    ScopedEnv scale("EV8_BRANCHES_PER_BENCH", kTinyScale);
+    ScopedEnv noFault("EV8_FAULT_SPEC", nullptr);
+    ScopedEnv noCkpt("EV8_CHECKPOINT_DIR", nullptr);
+
+    // A served session's cells count in the same engine telemetry as a
+    // batch grid's: worker busy time and one duration per cell.
+    PredictionServer server(ServeLimits{}, 2);
+    callOk(server, openReq("tallied", false, "fig8"));
+    callOk(server, sessionReq("start", "tallied"));
+    const JsonValue reply = callOk(server, sessionReq("wait", "tallied"));
+    const size_t cells = reply.at("cells").items.size();
+    ASSERT_GT(cells, 0u);
+
+    const ExperimentEngine &engine = server.runner().engine();
+    EXPECT_GT(engine.poolBusyNs(), 0u);
+    EXPECT_EQ(engine.cellDurations().count(), cells);
 }
 
 TEST(Serve, DefaultLimitsParseStrictly)

@@ -8,6 +8,7 @@
 #include "core/ev8_predictor.hh"
 #include "predictors/factory.hh"
 #include "sim/smt.hh"
+#include "sim/trace_cache.hh"
 #include "workloads/suite.hh"
 
 namespace ev8
@@ -15,21 +16,24 @@ namespace ev8
 namespace
 {
 
-Trace
-traceOf(const char *name, uint64_t branches)
+BlockStream
+streamOf(const char *name, uint64_t branches)
 {
-    return generateTrace(findBenchmark(name).profile, branches);
+    return synthesizeBlockStream(SyntheticProgram(findBenchmark(name).profile),
+                                 name, branches);
 }
 
 TEST(Smt, SingleThreadMatchesPlainSimulator)
 {
-    // One SMT "thread" must be bit-identical to simulateTrace.
-    const Trace t = traceOf("perl", 30000);
+    // One SMT "thread" must be bit-identical to simulateTrace over the
+    // trace its stream was built from.
+    const Trace t = generateTrace(findBenchmark("perl").profile, 30000);
+    const BlockStream stream = decodeBlockStream(t);
     SmtConfig cfg;
     cfg.sim = SimConfig::ev8();
 
     Ev8Predictor smt_pred;
-    const auto smt = simulateSmt({&t}, smt_pred, cfg);
+    const auto smt = simulateSmt({&stream}, smt_pred, cfg);
 
     Ev8Predictor plain_pred;
     const SimResult plain = simulateTrace(t, plain_pred, cfg.sim);
@@ -42,10 +46,45 @@ TEST(Smt, SingleThreadMatchesPlainSimulator)
     EXPECT_EQ(smt[0].sim.fetchBlocks, plain.fetchBlocks);
 }
 
+TEST(Smt, TwoThreadStreamsReproduceTheTraceInterleaverPins)
+{
+    // Per-thread tallies of gcc + go (20000 branches each) over one
+    // shared EV8, as the FetchBlockBuilder-over-Trace interleaver
+    // produced them before SMT walked BlockStreams.
+    struct Pin
+    {
+        uint64_t misp, lghistBits, blocks, instrs;
+    };
+    const Pin per_thread[2] = {{1860, 15800, 21032, 103850},
+                               {4352, 18389, 47154, 267830}};
+    const Pin shared[2] = {{3930, 15800, 21032, 103850},
+                           {5340, 18389, 47154, 267830}};
+
+    const BlockStream a = streamOf("gcc", 20000);
+    const BlockStream b = streamOf("go", 20000);
+    for (const bool per_thread_history : {true, false}) {
+        SmtConfig cfg;
+        cfg.sim = SimConfig::ev8();
+        cfg.perThreadHistory = per_thread_history;
+        Ev8Predictor p;
+        const auto results = simulateSmt({&a, &b}, p, cfg);
+        ASSERT_EQ(results.size(), 2u);
+        for (size_t t = 0; t < 2; ++t) {
+            const Pin &pin = per_thread_history ? per_thread[t] : shared[t];
+            const SimResult &r = results[t].sim;
+            EXPECT_EQ(r.stats.mispredictions(), pin.misp) << t;
+            EXPECT_EQ(r.condBranches, 20000u) << t;
+            EXPECT_EQ(r.lghistBits, pin.lghistBits) << t;
+            EXPECT_EQ(r.fetchBlocks, pin.blocks) << t;
+            EXPECT_EQ(r.stats.instructions(), pin.instrs) << t;
+        }
+    }
+}
+
 TEST(Smt, EveryThreadRunsToCompletion)
 {
-    const Trace a = traceOf("compress", 20000);
-    const Trace b = traceOf("vortex", 10000);
+    const BlockStream a = streamOf("compress", 20000);
+    const BlockStream b = streamOf("vortex", 10000);
     SmtConfig cfg;
     cfg.sim = SimConfig::ev8();
     Ev8Predictor p;
@@ -59,8 +98,8 @@ TEST(Smt, EveryThreadRunsToCompletion)
 
 TEST(Smt, DeterministicAcrossRuns)
 {
-    const Trace a = traceOf("go", 15000);
-    const Trace b = traceOf("li", 15000);
+    const BlockStream a = streamOf("go", 15000);
+    const BlockStream b = streamOf("li", 15000);
     SmtConfig cfg;
     cfg.sim = SimConfig::ev8();
     Ev8Predictor p1, p2;
@@ -76,14 +115,14 @@ TEST(Smt, SharingTablesDegradesGracefully)
 {
     // Section 3: independent threads compete for entries; the global
     // scheme must lose some accuracy but not collapse.
-    const Trace a = traceOf("gcc", 60000);
-    const Trace b = traceOf("go", 60000);
+    const BlockStream a = streamOf("gcc", 60000);
+    const BlockStream b = streamOf("go", 60000);
     SmtConfig cfg;
     cfg.sim = SimConfig::ev8();
 
     Ev8Predictor alone_pred;
     const double alone =
-        simulateTrace(a, alone_pred, cfg.sim).stats.mispKI();
+        simulateStream(a, alone_pred, cfg.sim).stats.mispKI();
 
     Ev8Predictor shared_pred;
     const auto both = simulateSmt({&a, &b}, shared_pred, cfg);
@@ -96,8 +135,8 @@ TEST(Smt, SharingTablesDegradesGracefully)
 TEST(Smt, PerThreadHistoryBeatsSharedHistory)
 {
     // The paper's core SMT argument: one history register per thread.
-    const Trace a = traceOf("gcc", 50000);
-    const Trace b = traceOf("go", 50000);
+    const BlockStream a = streamOf("gcc", 50000);
+    const BlockStream b = streamOf("go", 50000);
 
     SmtConfig per_thread;
     per_thread.sim = SimConfig::ev8();
@@ -120,8 +159,8 @@ TEST(Smt, PerThreadHistoryBeatsSharedHistory)
 
 TEST(Smt, WorksWithAnyPredictorScheme)
 {
-    const Trace a = traceOf("perl", 10000);
-    const Trace b = traceOf("li", 10000);
+    const BlockStream a = streamOf("perl", 10000);
+    const BlockStream b = streamOf("li", 10000);
     SmtConfig cfg;
     cfg.sim = SimConfig::ghist();
     auto gshare = makePredictor("gshare:14:12");

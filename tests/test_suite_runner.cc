@@ -31,10 +31,13 @@ TEST(SuiteRunner, CoversAllBenchmarksInOrder)
 TEST(SuiteRunner, TraceCachingIsStable)
 {
     SuiteRunner runner(kTinyScale);
-    const Trace &first = runner.trace(2);
-    const Trace &second = runner.trace(2);
-    EXPECT_EQ(&first, &second) << "trace must be generated once";
+    const BlockStream &first = runner.blockStream(2);
+    const BlockStream &second = runner.blockStream(2);
+    EXPECT_EQ(&first, &second) << "stream must be built once";
     EXPECT_EQ(first.name(), "go");
+    const TraceCache &cache = runner.traceCache();
+    EXPECT_EQ(cache.streamRequestCount(), 2u);
+    EXPECT_EQ(cache.decodedCount() + cache.streamDiskHitCount(), 1u);
 }
 
 TEST(SuiteRunner, RunsAreDeterministic)

@@ -2,18 +2,18 @@
  * @file
  * Tests for the trace cache: once-per-key generation (also under
  * concurrency), the stream path's choice of source (synthesis straight
- * into the builder, a Trace get() already holds, or a .ev8t file), the
- * persistent disk layer, and the staleness armour --
- * version-stamped file names keyed on a full profile-content hash, with
- * corrupt or mismatched files regenerated rather than trusted.
+ * into the builder, or a Trace get() already holds), the persistent
+ * .ev8s/.ev8p disk layer, and the staleness armour -- version-stamped
+ * file names keyed on a full profile-content hash, with corrupt or
+ * mismatched files regenerated rather than trusted.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +21,6 @@
 #include "sim/block_stream.hh"
 #include "sim/phase/phase_map.hh"
 #include "sim/trace_cache.hh"
-#include "trace/trace_io.hh"
 #include "workloads/suite.hh"
 
 #include "scoped_env.hh"
@@ -59,12 +58,15 @@ class ScratchDir
     std::filesystem::path path_;
 };
 
-std::string
-serialize(const Trace &trace)
+/** Every file name in @p dir, sorted. */
+std::vector<std::string>
+filesIn(const std::string &dir)
 {
-    std::ostringstream out;
-    writeTrace(out, trace);
-    return out.str();
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 TEST(TraceCache, GeneratesOncePerKey)
@@ -121,67 +123,32 @@ TEST(TraceCache, ProfileHashCoversContentNotJustName)
     EXPECT_EQ(TraceCache::profileHash(testProfile()), h0);
 }
 
-TEST(TraceCache, FilePathCarriesVersionStampAndBudget)
-{
-    TraceCache cache("/tmp/ev8-cache-naming-test");
-    const std::string path = cache.filePath(testProfile(), kTinyBranches);
-    EXPECT_NE(path.find("gcc-"), std::string::npos) << path;
-    EXPECT_NE(path.find("-b2000-"), std::string::npos) << path;
-    const std::string stamp =
-        "-v" + std::to_string(TraceCache::kFormatVersion) + ".ev8t";
-    EXPECT_NE(path.find(stamp), std::string::npos) << path;
-
-    TraceCache memory_only("");
-    EXPECT_EQ(memory_only.filePath(testProfile(), kTinyBranches), "");
-}
-
-TEST(TraceCache, DiskLayerPersistsAndReloads)
-{
-    ScratchDir dir("ev8_trace_cache_disk");
-
-    TraceCache writer(dir.str());
-    const Trace &generated = writer.get(testProfile(), kTinyBranches);
-    EXPECT_EQ(writer.generatedCount(), 1u);
-    EXPECT_EQ(writer.diskHitCount(), 0u);
-    const std::string path =
-        writer.filePath(testProfile(), kTinyBranches);
-    ASSERT_TRUE(std::filesystem::exists(path)) << path;
-
-    // A fresh cache over the same directory loads instead of
-    // regenerating, and serves the identical trace bytes.
-    TraceCache reader(dir.str());
-    const Trace &loaded = reader.get(testProfile(), kTinyBranches);
-    EXPECT_EQ(reader.generatedCount(), 0u);
-    EXPECT_EQ(reader.diskHitCount(), 1u);
-    EXPECT_EQ(serialize(loaded), serialize(generated));
-}
-
 TEST(TraceCache, ChangedProfileRegeneratesInsteadOfReusingStaleFile)
 {
     ScratchDir dir("ev8_trace_cache_stale");
 
     TraceCache first(dir.str());
-    first.get(testProfile(), kTinyBranches);
+    first.stream(testProfile(), kTinyBranches);
     EXPECT_EQ(first.generatedCount(), 1u);
 
     // Recalibrate the benchmark: same name, different behaviour. The
     // content hash moves, so the old file must not satisfy the new key.
     WorkloadProfile edited = testProfile();
     edited.shape.condFraction += 0.01;
-    EXPECT_NE(first.filePath(edited, kTinyBranches),
-              first.filePath(testProfile(), kTinyBranches));
+    EXPECT_NE(first.streamFilePath(edited, kTinyBranches),
+              first.streamFilePath(testProfile(), kTinyBranches));
 
     TraceCache second(dir.str());
-    const Trace &regenerated = second.get(edited, kTinyBranches);
-    EXPECT_EQ(second.diskHitCount(), 0u) << "stale file reused";
+    const BlockStream &regenerated = second.stream(edited, kTinyBranches);
+    EXPECT_EQ(second.streamDiskHitCount(), 0u) << "stale file reused";
     EXPECT_EQ(second.generatedCount(), 1u);
-    EXPECT_EQ(regenerated.stats().dynamicCondBranches, kTinyBranches);
+    EXPECT_EQ(regenerated.branches(), kTinyBranches);
 
     // Both variants now coexist on disk under distinct names.
     EXPECT_TRUE(std::filesystem::exists(
-        second.filePath(edited, kTinyBranches)));
+        second.streamFilePath(edited, kTinyBranches)));
     EXPECT_TRUE(std::filesystem::exists(
-        second.filePath(testProfile(), kTinyBranches)));
+        second.streamFilePath(testProfile(), kTinyBranches)));
 }
 
 TEST(TraceCache, StreamDecodedOncePerKeyAndMatchesDirectDecode)
@@ -228,33 +195,6 @@ TEST(TraceCache, StreamAfterGetDecodesTheHeldTraceInsteadOfResynthesizing)
     EXPECT_TRUE(stream == decodeBlockStream(trace));
 }
 
-TEST(TraceCache, TraceFileAloneServesStreamWithoutSynthesis)
-{
-    ScratchDir dir("ev8_stream_from_trace_file");
-    {
-        TraceCache writer(dir.str());
-        writer.get(testProfile(), kTinyBranches);
-    }
-    TraceCache reader(dir.str());
-    const std::string stream_path =
-        reader.streamFilePath(testProfile(), kTinyBranches);
-    ASSERT_TRUE(std::filesystem::exists(
-        reader.filePath(testProfile(), kTinyBranches)));
-    ASSERT_FALSE(std::filesystem::exists(stream_path));
-
-    const BlockStream &stream =
-        reader.stream(testProfile(), kTinyBranches);
-    EXPECT_EQ(reader.generatedCount(), 0u);
-    EXPECT_EQ(reader.diskHitCount(), 1u);
-    EXPECT_EQ(reader.decodedCount(), 1u);
-    EXPECT_EQ(reader.traceRequestCount(), 0u);
-    EXPECT_TRUE(stream
-                == decodeBlockStream(
-                    generateTrace(testProfile(), kTinyBranches)));
-    // The built stream is persisted for the next process.
-    EXPECT_TRUE(readBlockStreamFile(stream_path) == stream);
-}
-
 TEST(TraceCache, StreamFilePathCarriesBothVersionStamps)
 {
     TraceCache cache("/tmp/ev8-cache-naming-test");
@@ -284,10 +224,11 @@ TEST(TraceCache, WarmStreamDiskLayerSkipsSynthesisAndDecode)
     const std::string path =
         writer.streamFilePath(testProfile(), kTinyBranches);
     ASSERT_TRUE(std::filesystem::exists(path)) << path;
-    // The stream path never materializes the Trace, so nothing
-    // persists one either.
-    EXPECT_FALSE(std::filesystem::exists(
-        writer.filePath(testProfile(), kTinyBranches)));
+    // The stream path never materializes the Trace, so the stream is
+    // the only file.
+    EXPECT_EQ(filesIn(dir.str()),
+              std::vector<std::string>{
+                  std::filesystem::path(path).filename().string()});
 
     // A fresh cache over the warm directory serves the identical stream
     // without synthesizing the trace or re-decoding it.
@@ -331,24 +272,43 @@ TEST(TraceCache, CorruptCacheFileIsRegenerated)
     ScratchDir dir("ev8_trace_cache_corrupt");
 
     TraceCache writer(dir.str());
-    const std::string expected = serialize(
-        writer.get(testProfile(), kTinyBranches));
+    const BlockStream expected =
+        writer.stream(testProfile(), kTinyBranches);
     const std::string path =
-        writer.filePath(testProfile(), kTinyBranches);
+        writer.streamFilePath(testProfile(), kTinyBranches);
 
-    {
-        std::ofstream out(path, std::ios::trunc | std::ios::binary);
-        out << "EV8Tgarbage-not-a-trace";
-    }
+    // A well-formed stream of another budget under this key's name
+    // (e.g. a hand-copied file): it parses, so only the key check can
+    // reject it.
+    writeBlockStreamFile(path, writer.stream(testProfile(),
+                                             2 * kTinyBranches));
 
     TraceCache reader(dir.str());
-    const Trace &recovered = reader.get(testProfile(), kTinyBranches);
-    EXPECT_EQ(reader.diskHitCount(), 0u);
+    const BlockStream &recovered =
+        reader.stream(testProfile(), kTinyBranches);
+    EXPECT_EQ(reader.streamDiskHitCount(), 0u);
     EXPECT_EQ(reader.generatedCount(), 1u);
-    EXPECT_EQ(serialize(recovered), expected);
+    EXPECT_GE(reader.readErrorCount(), 1u);
+    EXPECT_TRUE(recovered == expected);
 
     // The regeneration also healed the on-disk copy.
-    EXPECT_EQ(serialize(readTraceFile(path)), expected);
+    EXPECT_TRUE(readBlockStreamFile(path) == expected);
+}
+
+TEST(TraceCache, TracesAreNeverWrittenToDisk)
+{
+    ScratchDir dir("ev8_trace_cache_no_traces");
+    TraceCache cache(dir.str());
+    cache.get(testProfile(), kTinyBranches);
+    cache.stream(testProfile(), kTinyBranches);
+    EXPECT_EQ(cache.generatedCount(), 1u);
+    // The held Trace fed the stream; only the stream reaches the disk.
+    EXPECT_EQ(filesIn(dir.str()),
+              std::vector<std::string>{
+                  std::filesystem::path(cache.streamFilePath(
+                                            testProfile(), kTinyBranches))
+                      .filename()
+                      .string()});
 }
 
 TEST(TraceCacheFaults, UnusableDirectoryDegradesToMemoryOperation)
@@ -364,29 +324,30 @@ TEST(TraceCacheFaults, UnusableDirectoryDegradesToMemoryOperation)
     TraceCache cache(file + "/sub");
     EXPECT_TRUE(cache.diskDisabled());
     EXPECT_TRUE(cache.dir().empty());
-    EXPECT_EQ(cache.filePath(testProfile(), kTinyBranches), "");
+    EXPECT_EQ(cache.streamFilePath(testProfile(), kTinyBranches), "");
 
-    // And it still serves traces, purely from memory.
-    const Trace &trace = cache.get(testProfile(), kTinyBranches);
-    EXPECT_EQ(trace.stats().dynamicCondBranches, kTinyBranches);
+    // And it still serves streams, purely from memory.
+    const BlockStream &stream = cache.stream(testProfile(), kTinyBranches);
+    EXPECT_EQ(stream.branches(), kTinyBranches);
     EXPECT_EQ(cache.generatedCount(), 1u);
 }
 
 TEST(TraceCacheFaults, InjectedReadFaultRegeneratesAndCounts)
 {
     ScratchDir dir("ev8_trace_cache_read_fault");
-    std::string expected;
+    BlockStream expected;
     {
         TraceCache writer(dir.str());
-        expected = serialize(writer.get(testProfile(), kTinyBranches));
+        expected = writer.stream(testProfile(), kTinyBranches);
     }
 
     // Every cache file's first read attempt fails.
     ScopedEnv spec("EV8_FAULT_SPEC", "cache_read/+1");
     TraceCache reader(dir.str());
-    const Trace &recovered = reader.get(testProfile(), kTinyBranches);
-    EXPECT_EQ(serialize(recovered), expected);
-    EXPECT_EQ(reader.diskHitCount(), 0u);
+    const BlockStream &recovered =
+        reader.stream(testProfile(), kTinyBranches);
+    EXPECT_TRUE(recovered == expected);
+    EXPECT_EQ(reader.streamDiskHitCount(), 0u);
     EXPECT_EQ(reader.generatedCount(), 1u);
     EXPECT_GE(reader.readErrorCount(), 1u);
     EXPECT_FALSE(reader.diskDisabled()); // read faults never disable disk
@@ -397,11 +358,11 @@ TEST(TraceCacheFaults, InjectedWriteFaultKeepsResultsInMemory)
     ScratchDir dir("ev8_trace_cache_write_fault");
     ScopedEnv spec("EV8_FAULT_SPEC", "cache_write+*");
     TraceCache cache(dir.str());
-    const Trace &trace = cache.get(testProfile(), kTinyBranches);
-    EXPECT_EQ(trace.stats().dynamicCondBranches, kTinyBranches);
+    const BlockStream &stream = cache.stream(testProfile(), kTinyBranches);
+    EXPECT_EQ(stream.branches(), kTinyBranches);
     EXPECT_GE(cache.writeErrorCount(), 1u);
     EXPECT_FALSE(std::filesystem::exists(
-        cache.filePath(testProfile(), kTinyBranches)));
+        cache.streamFilePath(testProfile(), kTinyBranches)));
 }
 
 TEST(TraceCacheFaults, CrashBeforeRenameLeavesNoVisibleCacheFile)
@@ -413,14 +374,14 @@ TEST(TraceCacheFaults, CrashBeforeRenameLeavesNoVisibleCacheFile)
         // atomic rename: the final path must never appear.
         ScopedEnv spec("EV8_FAULT_SPEC", "cache_rename+*");
         TraceCache cache(dir.str());
-        cache.get(testProfile(), kTinyBranches);
-        path = cache.filePath(testProfile(), kTinyBranches);
+        cache.stream(testProfile(), kTinyBranches);
+        path = cache.streamFilePath(testProfile(), kTinyBranches);
         EXPECT_FALSE(std::filesystem::exists(path)) << path;
         EXPECT_GE(cache.writeErrorCount(), 1u);
     }
     // A later fault-free cache simply regenerates and heals the disk.
     TraceCache healed(dir.str());
-    healed.get(testProfile(), kTinyBranches);
+    healed.stream(testProfile(), kTinyBranches);
     EXPECT_EQ(healed.generatedCount(), 1u);
     EXPECT_TRUE(std::filesystem::exists(path));
 }
