@@ -246,19 +246,12 @@ BenchContext::runner()
                                                 args_.jobs);
         // Strictly parsed (exit 2 on a bad knob) exactly once per
         // binary, whether the mode came from the command line or the
-        // environment. Active sampling also stamps the artifact's
-        // "sampling" block header.
+        // environment. The artifact's "sampling" block is stamped at
+        // export, and only if a grid ran sampled cells: table2, table3,
+        // the banking ablation and ext_smt never sample.
         const SampleSpec spec = sampleSpecFromEnv();
-        if (spec.active) {
+        if (spec.active)
             runner_->setSampleSpec(spec);
-            data_.sampling.active = true;
-            data_.sampling.mode = "phase";
-            data_.sampling.budget = spec.budget;
-            data_.sampling.windowBranches = spec.windowBranches;
-            data_.sampling.warmupBranches = spec.warmupBranches;
-            data_.sampling.seed = spec.seed;
-            data_.sampling.maxPhases = spec.maxPhases;
-        }
     }
     return *runner_;
 }
@@ -391,6 +384,16 @@ BenchContext::finish()
     // Terminate any live progress line before the "wrote ..." messages.
     ProgressMeter::global().finishLine();
 
+    if (runner_ && runner_->ranSampledGrid()) {
+        const SampleSpec &spec = runner_->sampleSpec();
+        data_.sampling.active = true;
+        data_.sampling.mode = "phase";
+        data_.sampling.budget = spec.budget;
+        data_.sampling.windowBranches = spec.windowBranches;
+        data_.sampling.warmupBranches = spec.warmupBranches;
+        data_.sampling.seed = spec.seed;
+        data_.sampling.maxPhases = spec.maxPhases;
+    }
     if (runner_) {
         for (const CellFailure &f : runner_->failures()) {
             BenchFailureExport e;

@@ -18,6 +18,7 @@
 
 #include "common/simd.hh"
 #include "core/ev8_predictor.hh"
+#include "obs/metrics.hh"
 #include "predictors/factory.hh"
 #include "sim/block_stream.hh"
 #include "sim/simulator.hh"
@@ -237,7 +238,7 @@ BM_FusedSweepGshareScalarSteppers(benchmark::State &state)
 }
 BENCHMARK(BM_FusedSweepGshareScalarSteppers)->Apply(applyDefaults);
 
-/** A fig6-style 2Bc-gskew lane set: the masked-bitplane hot path. */
+/** A fig6-style 2Bc-gskew lane set: the tabulated-policy hot path. */
 std::vector<PredictorPtr>
 gskewSweepLanePredictors()
 {
@@ -253,9 +254,9 @@ gskewSweepLanePredictors()
 }
 
 /**
- * Six 2Bc-gskew lanes as one fused walk, vector group stepper (the
- * default backend): four tables' counter reads, the e-gskew vote and
- * the masked bitplane counter updates all run as 4-lane vector ops.
+ * Six 2Bc-gskew lanes as one fused walk on the default backend: the
+ * shared index terms four slots at a time (AVX2), then one tabulated
+ * policy step per lane.
  */
 void
 BM_FusedSweep2BcGskew(benchmark::State &state)
@@ -286,6 +287,37 @@ BM_FusedSweep2BcGskewScalarSteppers(benchmark::State &state)
         static_cast<double>(branches), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FusedSweep2BcGskewScalarSteppers)->Apply(applyDefaults);
+
+/**
+ * fig10's fused 2Bc-gskew walk: the 512 Kbit and 8 Mbit lanes as one
+ * two-lane group with metrics attached, as every artifact-writing run
+ * steps them -- vote statistics on, counted per step key and folded
+ * into the pred.* counters when the walk ends.
+ */
+void
+BM_FusedLimits2BcGskewMetrics(benchmark::State &state)
+{
+    const BlockStream &stream = benchStream();
+    const SimConfig config = SimConfig::ghist();
+    uint64_t branches = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        const PredictorPtr small = make2BcGskew512K();
+        const PredictorPtr large = make2BcGskew4M();
+        MetricRegistry metrics[2];
+        const std::vector<FusedLane> lanes = {
+            {small.get(), &metrics[0], nullptr},
+            {large.get(), &metrics[1], nullptr}};
+        state.ResumeTiming();
+        for (const SimResult &r : simulateStreamFused(stream, lanes, config)) {
+            branches += r.condBranches;
+            benchmark::DoNotOptimize(r.stats.mispredictions());
+        }
+    }
+    state.counters["branches/s"] = benchmark::Counter(
+        static_cast<double>(branches), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FusedLimits2BcGskewMetrics)->Apply(applyDefaults);
 
 /** The same six-lane sweep as six one-lane walks (EV8_FUSED_LANES=1). */
 void

@@ -26,9 +26,24 @@ Ev8Predictor::tableIndex(TableId table, const BranchSnapshot &snap) const
     return ev8EntryIndex(table, indexInput(snap), snap.pc, cfg.wordline);
 }
 
-void
-Ev8Predictor::train(bool taken)
+bool
+Ev8Predictor::predict(const BranchSnapshot &snap)
 {
+    const Ev8IndexInput in = indexInput(snap);
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        last.idx[t] = ev8EntryIndex(static_cast<TableId>(t), in, snap.pc,
+                                    cfg.wordline);
+    }
+    computeGskewVotes(FlatBanks{arrays}, last);
+    lastKey_ = gskewVoteKey(last);
+    return last.overall;
+}
+
+void
+Ev8Predictor::update(const BranchSnapshot &snap, bool taken, bool)
+{
+    assert(last.idx[G1] == tableIndex(G1, snap));
+    (void)snap;
     if (statsEnabled())
         stats.note(last, taken);
     FlatBanks banks{arrays};
@@ -39,32 +54,22 @@ Ev8Predictor::train(bool taken)
 }
 
 bool
-Ev8Predictor::predict(const BranchSnapshot &snap)
-{
-    const Ev8IndexInput in = indexInput(snap);
-    for (unsigned t = 0; t < kNumTables; ++t) {
-        last.idx[t] = ev8EntryIndex(static_cast<TableId>(t), in, snap.pc,
-                                    cfg.wordline);
-    }
-    computeGskewVotes(FlatBanks{arrays}, last);
-    return last.overall;
-}
-
-void
-Ev8Predictor::update(const BranchSnapshot &snap, bool taken, bool)
-{
-    assert(last.idx[G1] == tableIndex(G1, snap));
-    (void)snap;
-    train(taken);
-}
-
-bool
 Ev8Predictor::predictAndUpdate(const BranchSnapshot &snap, bool taken)
 {
-    last.idx = ev8EntryIndices(indexInput(snap), snap.pc, cfg.wordline);
-    computeGskewVotes(FlatBanks{arrays}, last);
-    train(taken);
-    return last.overall;
+    const std::array<size_t, kNumTables> idx =
+        ev8EntryIndices(indexInput(snap), snap.pc, cfg.wordline);
+    GskewStepBits<uint8_t> bits = arrays.stepBits(idx);
+    const GskewStep s =
+        gskewStep(bits, gskewOutcomeKey(taken, cfg.partialUpdate));
+    lastKey_ = s.key;
+    if (statsEnabled()) {
+        ++keyHist_[s.key];
+        for (unsigned t = 0; t < kNumTables; ++t) {
+            arrays.addWordlineReads(static_cast<TableId>(t), idx[t],
+                                    s.t.predReadsOf(t));
+        }
+    }
+    return s.t.overall();
 }
 
 Ev8BlockPrediction
@@ -111,22 +116,33 @@ Ev8Predictor::name() const
 VoteSnapshot
 Ev8Predictor::lastVotes() const
 {
-    VoteSnapshot v;
-    v.valid = true;
-    v.bim = last.bimPred;
-    v.g0 = last.g0Pred;
-    v.g1 = last.g1Pred;
-    v.meta = last.metaPred;
-    v.majority = last.majority;
-    return v;
+    return gskewKeyVotes(lastKey_);
+}
+
+GskewVoteStats
+Ev8Predictor::voteStats() const
+{
+    GskewVoteStats votes = stats;
+    foldGskewVotes(keyHist_, votes);
+    return votes;
+}
+
+std::array<GskewAccessStats, kNumTables>
+Ev8Predictor::accessStats() const
+{
+    std::array<GskewAccessStats, kNumTables> access;
+    for (unsigned t = 0; t < kNumTables; ++t)
+        access[t] = arrays.accessStats(static_cast<TableId>(t));
+    foldGskewAccess(keyHist_, access);
+    return access;
 }
 
 void
 Ev8Predictor::publishMetrics(MetricRegistry &registry,
                              const std::string &prefix) const
 {
-    publishGskewVoteStats(registry, prefix, stats);
-    arrays.publishMetrics(registry, prefix + ".storage");
+    publishGskewVoteStats(registry, prefix, voteStats());
+    arrays.publishMetrics(registry, prefix + ".storage", accessStats());
 }
 
 void
@@ -134,6 +150,7 @@ Ev8Predictor::reset()
 {
     arrays.reset();
     stats = GskewVoteStats{};
+    keyHist_.fill(0);
 }
 
 } // namespace ev8

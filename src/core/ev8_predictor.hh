@@ -10,8 +10,9 @@
  *
  * The class exposes three equivalent access paths:
  *  - predictAndUpdate(), the production walk's stepper: all four flat
- *    indices from one lookup-table pass (ev8EntryIndices), then the
- *    votes and the training through the flat-index accessors;
+ *    indices from one lookup-table pass (ev8EntryIndices), then one
+ *    tabulated policy step (gskewStep()) on the arrays' bits, its
+ *    statistics kept as a histogram of step keys;
  *  - predict()/update(), the ConditionalBranchPredictor oracle the
  *    reference walk (EV8_GENERIC_KERNEL=1) runs: each table's index
  *    from its own ev8EntryIndex() evaluation of the Section 7
@@ -70,7 +71,8 @@ class Ev8Predictor final : public ConditionalBranchPredictor
     /**
      * Fused predict-and-train step for the production walk: the same
      * transitions, votes and storage tallies as predict(); update(),
-     * with the four indices from one ev8EntryIndices() pass.
+     * with the four indices from one ev8EntryIndices() pass and the
+     * policy from one kGskewPolicy lookup.
      */
     bool predictAndUpdate(const BranchSnapshot &snap, bool taken);
 
@@ -80,7 +82,7 @@ class Ev8Predictor final : public ConditionalBranchPredictor
     VoteSnapshot lastVotes() const override;
 
     /** Publishes vote/conflict tallies plus the physical arrays'
-     *  wordline access counts ("<prefix>.storage.*"). */
+     *  access and wordline counts ("<prefix>.storage.*"). */
     void publishMetrics(MetricRegistry &registry,
                         const std::string &prefix) const override;
 
@@ -105,55 +107,27 @@ class Ev8Predictor final : public ConditionalBranchPredictor
     const Ev8Config &config() const { return cfg; }
     const Ev8PhysicalStorage &storage() const { return arrays; }
 
+    /** Vote tallies of both paths: the oracle's per-update notes plus
+     *  the stepper's key histogram, folded. */
+    GskewVoteStats voteStats() const;
+
+    /** Array accesses of both paths, likewise (the storage's tracked
+     *  tallies plus the folded key histogram). */
+    std::array<GskewAccessStats, kNumTables> accessStats() const;
+
   private:
-    /** The shared 2Bc-gskew policy's Banks interface over the flat
+    /** The shared policy's Banks interface over the tracked flat
      *  accessors, one array access per hardware read or write. */
-    struct FlatBanks
-    {
-        Ev8PhysicalStorage &arrays;
-
-        bool
-        taken(TableId t, size_t idx) const
-        {
-            return arrays.readPred(t, idx);
-        }
-
-        /** Partial-update strengthen: copy the prediction bit into the
-         *  hysteresis bit -- a hysteresis-array-only write (Section
-         *  4.3). */
-        void
-        strengthen(TableId t, size_t idx)
-        {
-            arrays.writeHyst(t, idx, arrays.readPred(t, idx));
-        }
-
-        /** Full 2-bit counter step: read both bits, write back the
-         *  stepped state (a misprediction-path access, Section 4.3). */
-        void
-        update(TableId t, size_t idx, bool v)
-        {
-            const bool p = arrays.readPred(t, idx);
-            const bool h = arrays.readHyst(t, idx);
-            if (p == v) {
-                arrays.writeHyst(t, idx, p); // strengthen
-            } else if (h == p) {
-                arrays.writeHyst(t, idx, !p); // weaken
-            } else {
-                arrays.writePred(t, idx, v); // flip
-                arrays.writeHyst(t, idx, !v);
-            }
-        }
-    };
+    using FlatBanks = SplitBitBanks<Ev8PhysicalStorage>;
 
     static Ev8IndexInput indexInput(const BranchSnapshot &snap);
 
-    /** Notes and trains on `last` for the resolved outcome. */
-    void train(bool taken);
-
     Ev8Config cfg;
     Ev8PhysicalStorage arrays;
-    GskewLookup last;
-    GskewVoteStats stats;
+    GskewLookup last;   //!< cached between predict() and update()
+    unsigned lastKey_ = 0; //!< the last vote pass's key, for lastVotes()
+    GskewVoteStats stats; //!< the oracle's per-update notes
+    GskewKeyHistogram keyHist_{}; //!< the stepper's step keys
 };
 
 } // namespace ev8

@@ -54,14 +54,15 @@ Ev8PhysicalStorage::reset()
 }
 
 void
-Ev8PhysicalStorage::publishMetrics(MetricRegistry &registry,
-                                   const std::string &prefix) const
+Ev8PhysicalStorage::publishMetrics(
+    MetricRegistry &registry, const std::string &prefix,
+    const std::array<AccessStats, kNumTables> &tallies) const
 {
     static const char *const names[kNumTables] = {"bim", "g0", "g1",
                                                   "meta"};
     for (unsigned t = 0; t < kNumTables; ++t) {
         const std::string base = prefix + "." + names[t];
-        const AccessStats &a = access[t];
+        const AccessStats &a = tallies[t];
         registry.counter(base + ".pred_reads").inc(a.predReads);
         registry.counter(base + ".pred_writes").inc(a.predWrites);
         registry.counter(base + ".hyst_reads").inc(a.hystReads);

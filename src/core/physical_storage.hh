@@ -135,6 +135,32 @@ class Ev8PhysicalStorage
         hyst[table][idx & (hystEntries(table) - 1)] = value;
     }
 
+    /**
+     * The eight bits a gskewStep() at flat indices @p idx reads and
+     * may flip, untracked: the production stepper tallies per step
+     * key instead (see setTracking()).
+     */
+    GskewStepBits<uint8_t>
+    stepBits(const std::array<size_t, kNumTables> &idx)
+    {
+        GskewStepBits<uint8_t> bits{};
+        for (unsigned t = 0; t < kNumTables; ++t) {
+            const auto id = static_cast<TableId>(t);
+            assert(idx[t] < predEntries(id));
+            bits.word[t] = &pred[t][idx[t]];
+            bits.word[4 + t] = &hyst[t][idx[t] & (hystEntries(id) - 1)];
+        }
+        return bits;
+    }
+
+    /** Adds @p n prediction-array reads of flat index @p idx to its
+     *  wordline's tally, as @p n tracked readPred() calls would. */
+    void
+    addWordlineReads(TableId table, size_t idx, unsigned n)
+    {
+        wordlineReads_[table][ev8IndexWordline(idx)] += n;
+    }
+
     /** Reads one full 8-bit prediction word (one array access). */
     uint8_t readPredWord(TableId table, const Ev8WordCoords &c) const;
 
@@ -183,13 +209,7 @@ class Ev8PhysicalStorage
     void reset();
 
     /** Per-table access tallies (one count per read/write call). */
-    struct AccessStats
-    {
-        uint64_t predReads = 0;
-        uint64_t predWrites = 0;
-        uint64_t hystReads = 0;
-        uint64_t hystWrites = 0;
-    };
+    using AccessStats = GskewAccessStats;
 
     const AccessStats &accessStats(TableId table) const
     {
@@ -197,9 +217,12 @@ class Ev8PhysicalStorage
     }
 
     /**
-     * Enables the per-access tallies below. Off by default: the arrays
-     * sit on the prediction hot path, and the counters only matter when
-     * publishMetrics() will be called.
+     * Enables the per-access tallies of the tracked accessors
+     * (readPred() and kin, the predict()/update() oracle's path). Off
+     * by default, and the production stepper never counts per access:
+     * it steps through stepBits() and counts step keys, which Ev8Predictor folds into the same access
+     * totals at publish time (foldGskewAccess()). Only the wordline
+     * tallies move per step, through addWordlineReads().
      */
     void setTracking(bool on) { tracking = on; }
 
@@ -213,12 +236,13 @@ class Ev8PhysicalStorage
 
     /**
      * Publishes counters "<prefix>.<table>.{pred_reads,pred_writes,
-     * hyst_reads,hyst_writes}" and gauges
+     * hyst_reads,hyst_writes}" from @p tallies and gauges
      * "<prefix>.<table>.wordline_{max,mean}_reads" (table in
      * {bim,g0,g1,meta}).
      */
-    void publishMetrics(MetricRegistry &registry,
-                        const std::string &prefix) const;
+    void publishMetrics(
+        MetricRegistry &registry, const std::string &prefix,
+        const std::array<AccessStats, kNumTables> &tallies) const;
 
   private:
     // One byte per bit, in flat-index order.

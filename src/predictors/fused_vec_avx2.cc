@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX2 backend entry points: the fused_vec.hh steppers instantiated
+ * AVX2 backend entry points: the fused_vec.hh kernels instantiated
  * on simd::U64x4Avx2. This is the only translation unit built with
  * -mavx2 (see src/predictors/CMakeLists.txt); its interface to the
  * rest of the build is scalar-argument member functions, so no vector
@@ -8,7 +8,7 @@
  *
  * When the toolchain cannot compile -mavx2 the file is built plain and
  * defines nothing: EV8_HAVE_AVX2 is then unset, so the group steppers
- * compile their stepVecAvx2 calls away.
+ * compile their AVX2 entry-point calls away.
  */
 
 #include "predictors/fused_vec.hh"
@@ -19,10 +19,9 @@ namespace ev8
 #if defined(__AVX2__)
 
 void
-TwoBcGskewPredictor::FusedGroup::stepVecAvx2(const BranchSnapshot &snap,
-                                             bool taken, uint64_t *misp)
+TwoBcGskewPredictor::FusedGroup::slotsVecAvx2(const BranchSnapshot &snap)
 {
-    stepVec<simd::U64x4Avx2>(snap, taken, misp);
+    slotsVec<simd::U64x4Avx2>(snap);
 }
 
 void

@@ -9,6 +9,16 @@
  *     bool taken(TableId, size_t idx) const;
  *     void strengthen(TableId, size_t idx);   // hysteresis-only write
  *     void update(TableId, size_t idx, bool taken); // full 2-bit step
+ *
+ * The production steppers do not run these templates per branch. A
+ * step touches one prediction and one hysteresis bit per table, so the
+ * whole policy is a function of ten bits: the four prediction bits,
+ * the four hysteresis bits, the outcome and the policy. kGskewPolicy
+ * tabulates it once, at compile time, by running every such key
+ * through the templates below on a one-entry bank, and gskewStep()
+ * reads the bits, looks the key up and XORs the flips back. The
+ * templates stay the only statement of the policy; the predict() /
+ * update() oracles still run them directly.
  */
 
 #ifndef EV8_PREDICTORS_GSKEW_POLICY_HH
@@ -18,6 +28,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+
+#include "predictors/predictor.hh"
 
 namespace ev8
 {
@@ -48,7 +60,7 @@ struct GskewLookup
 
 /** Fills the vote fields of @p look from the current bank contents. */
 template <typename Banks>
-inline void
+constexpr void
 computeGskewVotes(const Banks &banks, GskewLookup &look)
 {
     look.bimPred = banks.taken(BIM, look.idx[BIM]);
@@ -86,35 +98,32 @@ struct GskewVoteStats
     uint64_t metaSelectsGskew = 0; //!< chooser picked the majority side
     uint64_t mispredicts = 0;
 
+    /** Notes @p n updates that all saw @p look and @p taken. */
     void
-    note(const GskewLookup &look, bool taken)
+    note(const GskewLookup &look, bool taken, uint64_t n = 1)
     {
-        // Straight-line on purpose: this runs once per update on every
-        // metrics-observed lane, and a per-bank loop over a temporary
-        // vote array costs more than the bookkeeping itself in
-        // unoptimized builds. Branchless increments, same counters.
-        ++updates;
+        updates += n;
         PerBank &bb = bank[BIM];
-        ++bb.lookups;
-        bb.conflicts += look.bimPred != taken;
-        bb.agree += look.bimPred == look.overall;
+        bb.lookups += n;
+        bb.conflicts += n * (look.bimPred != taken);
+        bb.agree += n * (look.bimPred == look.overall);
         PerBank &b0 = bank[G0];
-        ++b0.lookups;
-        b0.conflicts += look.g0Pred != taken;
-        b0.agree += look.g0Pred == look.overall;
+        b0.lookups += n;
+        b0.conflicts += n * (look.g0Pred != taken);
+        b0.agree += n * (look.g0Pred == look.overall);
         PerBank &b1 = bank[G1];
-        ++b1.lookups;
-        b1.conflicts += look.g1Pred != taken;
-        b1.agree += look.g1Pred == look.overall;
+        b1.lookups += n;
+        b1.conflicts += n * (look.g1Pred != taken);
+        b1.agree += n * (look.g1Pred == look.overall);
         PerBank &bm = bank[META];
-        ++bm.lookups;
+        bm.lookups += n;
         const bool selected = look.metaPred ? look.majority : look.bimPred;
-        bm.conflicts += selected != taken;
-        bm.agree += selected == taken;
-        unanimous +=
-            look.bimPred == look.g0Pred && look.g0Pred == look.g1Pred;
-        metaSelectsGskew += look.metaPred;
-        mispredicts += look.overall != taken;
+        bm.conflicts += n * (selected != taken);
+        bm.agree += n * (selected == taken);
+        unanimous += n
+            * (look.bimPred == look.g0Pred && look.g0Pred == look.g1Pred);
+        metaSelectsGskew += n * look.metaPred;
+        mispredicts += n * (look.overall != taken);
     }
 };
 
@@ -133,7 +142,7 @@ namespace detail
 
 /** Strengthens every majority-vote participant that voted @p taken. */
 template <typename Banks>
-inline void
+constexpr void
 strengthenCorrectVoters(Banks &banks, const GskewLookup &look, bool taken)
 {
     if (look.bimPred == taken)
@@ -164,7 +173,7 @@ strengthenCorrectVoters(Banks &banks, const GskewLookup &look, bool taken)
  *   - when both predictions agreed (both wrong): update all banks.
  */
 template <typename Banks>
-inline void
+constexpr void
 gskewPartialUpdate(Banks &banks, const GskewLookup &look, bool taken)
 {
     if (look.overall == taken) {
@@ -204,7 +213,7 @@ gskewPartialUpdate(Banks &banks, const GskewLookup &look, bool taken)
 
 /** The reference total-update policy, for the update-policy ablation. */
 template <typename Banks>
-inline void
+constexpr void
 gskewTotalUpdate(Banks &banks, const GskewLookup &look, bool taken)
 {
     banks.update(BIM, look.idx[BIM], taken);
@@ -213,6 +222,317 @@ gskewTotalUpdate(Banks &banks, const GskewLookup &look, bool taken)
     if (look.majority != look.bimPred)
         banks.update(META, look.idx[META], look.majority == taken);
 }
+
+/**
+ * Per-table array accesses, one count per read or write of a
+ * prediction or hysteresis bit, as SplitBitBanks makes them.
+ */
+struct GskewAccessStats
+{
+    uint64_t predReads = 0;
+    uint64_t predWrites = 0;
+    uint64_t hystReads = 0;
+    uint64_t hystWrites = 0;
+};
+
+/**
+ * The Banks interface over split prediction/hysteresis bit arrays with
+ * readPred/readHyst/writePred/writeHyst accessors: one array access per
+ * hardware read or write (Section 4.3). The EV8 physical arrays and the
+ * policy table's one-entry bank both run the policy through it, so the
+ * table's access counts are the arrays' by construction.
+ */
+template <class Arrays>
+struct SplitBitBanks
+{
+    Arrays &arrays;
+
+    constexpr bool
+    taken(TableId t, size_t idx) const
+    {
+        return arrays.readPred(t, idx);
+    }
+
+    /** Partial-update strengthen: copy the prediction bit into the
+     *  hysteresis bit -- a hysteresis-array-only write. */
+    constexpr void
+    strengthen(TableId t, size_t idx)
+    {
+        arrays.writeHyst(t, idx, arrays.readPred(t, idx));
+    }
+
+    /** Full 2-bit counter step: read both bits, write back the
+     *  stepped state (a misprediction-path access). */
+    constexpr void
+    update(TableId t, size_t idx, bool v)
+    {
+        const bool p = arrays.readPred(t, idx);
+        const bool h = arrays.readHyst(t, idx);
+        if (p == v) {
+            arrays.writeHyst(t, idx, p); // strengthen
+        } else if (h == p) {
+            arrays.writeHyst(t, idx, !p); // weaken
+        } else {
+            arrays.writePred(t, idx, v); // flip
+            arrays.writeHyst(t, idx, !v);
+        }
+    }
+};
+
+/**
+ * Keys of the tabulated policy: prediction bits of BIM, G0, G1, Meta
+ * in bits 0-3, their hysteresis bits in bits 4-7, the outcome in bit 8
+ * and the policy (1 = partial update) in bit 9.
+ */
+constexpr unsigned kGskewKeys = 1024;
+
+/** The outcome and policy bits of a key. */
+constexpr unsigned
+gskewOutcomeKey(bool taken, bool partial_update)
+{
+    return (unsigned{taken} << 8) | (unsigned{partial_update} << 9);
+}
+
+/** One key's step: which bits flip and what the predictor voted. */
+struct GskewTransition
+{
+    uint8_t flips = 0;     //!< bit j: bit j of the key flips
+    uint8_t votes = 0;     //!< bit 0: overall, bit 1: majority
+    uint8_t predReads = 0; //!< bits [2t, 2t+2): table t's pred reads
+    //! Set on a key without hysteresis bits whose step reads and
+    //! writes no hysteresis and flips nothing, whatever the hysteresis
+    //! bits are (an all-agreeing correct partial update, Rationale 1).
+    bool quiet = false;
+
+    constexpr bool overall() const { return (votes & 1) != 0; }
+
+    /** Prediction-array reads of table @p t, votes included. */
+    constexpr unsigned
+    predReadsOf(unsigned t) const
+    {
+        return (predReads >> (2 * t)) & 3u;
+    }
+};
+
+/** One key's accesses to one table's arrays (each at most 3). */
+struct GskewAccessCounts
+{
+    uint8_t predReads = 0;
+    uint8_t predWrites = 0;
+    uint8_t hystReads = 0;
+    uint8_t hystWrites = 0;
+};
+
+/** The tabulated policy: the hot step, and the access counts. */
+struct GskewPolicyTable
+{
+    std::array<GskewTransition, kGskewKeys> step{};
+    std::array<std::array<GskewAccessCounts, kNumTables>, kGskewKeys>
+        access{};
+};
+
+namespace detail
+{
+
+/** One bit of prediction and one of hysteresis per table, every
+ *  access counted: the bank the policy table is enumerated on. */
+struct OneEntryArrays
+{
+    std::array<bool, kNumTables> pred{};
+    std::array<bool, kNumTables> hyst{};
+    std::array<GskewAccessCounts, kNumTables> count{};
+
+    constexpr bool
+    readPred(TableId t, size_t)
+    {
+        ++count[t].predReads;
+        return pred[t];
+    }
+    constexpr bool
+    readHyst(TableId t, size_t)
+    {
+        ++count[t].hystReads;
+        return hyst[t];
+    }
+    constexpr void
+    writePred(TableId t, size_t, bool v)
+    {
+        ++count[t].predWrites;
+        pred[t] = v;
+    }
+    constexpr void
+    writeHyst(TableId t, size_t, bool v)
+    {
+        ++count[t].hystWrites;
+        hyst[t] = v;
+    }
+};
+
+constexpr GskewPolicyTable
+buildGskewPolicyTable()
+{
+    GskewPolicyTable table;
+    for (unsigned key = 0; key < kGskewKeys; ++key) {
+        OneEntryArrays arrays;
+        for (unsigned t = 0; t < kNumTables; ++t) {
+            arrays.pred[t] = ((key >> t) & 1) != 0;
+            arrays.hyst[t] = ((key >> (4 + t)) & 1) != 0;
+        }
+        const bool taken = ((key >> 8) & 1) != 0;
+        SplitBitBanks<OneEntryArrays> banks{arrays};
+        GskewLookup look;
+        computeGskewVotes(banks, look);
+        if ((key >> 9) & 1)
+            gskewPartialUpdate(banks, look, taken);
+        else
+            gskewTotalUpdate(banks, look, taken);
+
+        GskewTransition &e = table.step[key];
+        unsigned state = 0;
+        for (unsigned t = 0; t < kNumTables; ++t) {
+            state |= (unsigned{arrays.pred[t]} << t)
+                | (unsigned{arrays.hyst[t]} << (4 + t));
+            // At most 3 (Meta: vote, update, re-read), so 2 bits.
+            e.predReads |= static_cast<uint8_t>(
+                arrays.count[t].predReads << (2 * t));
+        }
+        e.flips = static_cast<uint8_t>((state ^ key) & 0xff);
+        e.votes = static_cast<uint8_t>(unsigned{look.overall}
+                                       | (unsigned{look.majority} << 1));
+        table.access[key] = arrays.count;
+    }
+    for (unsigned key = 0; key < kGskewKeys; ++key) {
+        if (key & 0xf0)
+            continue;
+        bool quiet = true;
+        for (unsigned h = 0; h < 16; ++h) {
+            const unsigned k = key | (h << 4);
+            quiet = quiet && table.step[k].flips == 0;
+            for (unsigned t = 0; t < kNumTables; ++t) {
+                const GskewAccessCounts &c = table.access[k][t];
+                quiet = quiet && c.hystReads == 0 && c.hystWrites == 0
+                    && c.predWrites == 0;
+            }
+        }
+        table.step[key].quiet = quiet;
+    }
+    return table;
+}
+
+} // namespace detail
+
+/** The 2Bc-gskew policy, tabulated from the templates above. */
+inline constexpr GskewPolicyTable kGskewPolicy =
+    detail::buildGskewPolicyTable();
+
+/**
+ * The eight bits one step reads and may flip, in key order: the
+ * prediction bits of BIM, G0, G1 and Meta, then their hysteresis bits
+ * (at the possibly shared entry, Section 4.4). Each is a word and a
+ * bit position in it, so packed bitplanes (Word = uint64_t) and
+ * byte-per-bit arrays (Word = uint8_t, shift 0) step alike.
+ */
+template <class Word>
+struct GskewStepBits
+{
+    std::array<Word *, 8> word;
+    std::array<uint8_t, 8> shift;
+
+    /** The key of the four prediction bits, with @p outcome_key. */
+    unsigned
+    predKey(unsigned outcome_key) const
+    {
+        unsigned k = outcome_key;
+        for (unsigned j = 0; j < 4; ++j)
+            k |= static_cast<unsigned>((*word[j] >> shift[j]) & 1u) << j;
+        return k;
+    }
+
+    /** @p pred_key with the four hysteresis bits added. */
+    unsigned
+    key(unsigned pred_key) const
+    {
+        unsigned k = pred_key;
+        for (unsigned j = 4; j < 8; ++j)
+            k |= static_cast<unsigned>((*word[j] >> shift[j]) & 1u) << j;
+        return k;
+    }
+
+    /** XORs a transition's flips back into the bits. */
+    void
+    flip(unsigned flips)
+    {
+        for (unsigned j = 0; j < 8; ++j)
+            *word[j] ^= static_cast<Word>(Word((flips >> j) & 1u)
+                                          << shift[j]);
+    }
+};
+
+/** One tabulated step: the key it read, and its transition. */
+struct GskewStep
+{
+    unsigned key;
+    GskewTransition t;
+};
+
+/**
+ * Steps one 2Bc-gskew through kGskewPolicy: read the prediction bits;
+ * unless that key is quiet, read the hysteresis bits too, look the
+ * full key up and XOR its flips back. A quiet step keeps its key's
+ * hysteresis bits 0: every hysteresis value steps and counts the same
+ * there, and skipping the reads keeps the common correct step off the
+ * hysteresis arrays, as the templates' own accesses are. @p
+ * outcome_key is gskewOutcomeKey(taken, partial_update). Nothing is
+ * counted per access; callers tally per key (foldGskewVotes()).
+ */
+template <class Word>
+inline GskewStep
+gskewStep(GskewStepBits<Word> &bits, unsigned outcome_key)
+{
+    const unsigned pred_key = bits.predKey(outcome_key);
+    const GskewTransition &q = kGskewPolicy.step[pred_key];
+    if (q.quiet)
+        return {pred_key, q};
+    const unsigned key = bits.key(pred_key);
+    const GskewTransition e = kGskewPolicy.step[key];
+    if (e.flips != 0)
+        bits.flip(e.flips);
+    return {key, e};
+}
+
+/** The votes a key's step computed. */
+inline VoteSnapshot
+gskewKeyVotes(unsigned key)
+{
+    VoteSnapshot v;
+    v.valid = true;
+    v.bim = (key & 1) != 0;
+    v.g0 = ((key >> 1) & 1) != 0;
+    v.g1 = ((key >> 2) & 1) != 0;
+    v.meta = ((key >> 3) & 1) != 0;
+    v.majority = ((kGskewPolicy.step[key].votes >> 1) & 1) != 0;
+    return v;
+}
+
+/** The prediction-bit key of a vote pass, for gskewKeyVotes(). */
+constexpr unsigned
+gskewVoteKey(const GskewLookup &look)
+{
+    return unsigned{look.bimPred} | (unsigned{look.g0Pred} << 1)
+        | (unsigned{look.g1Pred} << 2) | (unsigned{look.metaPred} << 3);
+}
+
+/** A histogram of step keys, one bin per key. */
+using GskewKeyHistogram = std::array<uint64_t, kGskewKeys>;
+
+/** Adds the steps counted in @p hist into @p votes: the totals
+ *  per-step note() would have reached over those steps. */
+void foldGskewVotes(const GskewKeyHistogram &hist, GskewVoteStats &votes);
+
+/** Adds the array accesses of the steps counted in @p hist into
+ *  @p access, as per-access tracking would have counted them. */
+void foldGskewAccess(const GskewKeyHistogram &hist,
+                     std::array<GskewAccessStats, kNumTables> &access);
 
 } // namespace ev8
 

@@ -26,6 +26,40 @@ publishGskewVoteStats(MetricRegistry &registry, const std::string &prefix,
     registry.counter(prefix + ".mispredicts").inc(stats.mispredicts);
 }
 
+void
+foldGskewVotes(const GskewKeyHistogram &hist, GskewVoteStats &votes)
+{
+    for (unsigned key = 0; key < kGskewKeys; ++key) {
+        if (hist[key] == 0)
+            continue;
+        const GskewTransition &e = kGskewPolicy.step[key];
+        GskewLookup look;
+        look.bimPred = (key & 1) != 0;
+        look.g0Pred = ((key >> 1) & 1) != 0;
+        look.g1Pred = ((key >> 2) & 1) != 0;
+        look.metaPred = ((key >> 3) & 1) != 0;
+        look.majority = ((e.votes >> 1) & 1) != 0;
+        look.overall = e.overall();
+        votes.note(look, ((key >> 8) & 1) != 0, hist[key]);
+    }
+}
+
+void
+foldGskewAccess(const GskewKeyHistogram &hist,
+                std::array<GskewAccessStats, kNumTables> &access)
+{
+    for (unsigned key = 0; key < kGskewKeys; ++key) {
+        const uint64_t n = hist[key];
+        for (unsigned t = 0; n != 0 && t < kNumTables; ++t) {
+            const GskewAccessCounts &c = kGskewPolicy.access[key][t];
+            access[t].predReads += n * c.predReads;
+            access[t].predWrites += n * c.predWrites;
+            access[t].hystReads += n * c.hystReads;
+            access[t].hystWrites += n * c.hystWrites;
+        }
+    }
+}
+
 std::string
 formatKbits(uint64_t bits)
 {

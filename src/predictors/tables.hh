@@ -270,15 +270,11 @@ class SplitCounterArray
     uint8_t rawPred(size_t idx) const { return getBit(pred, idx); }
 
     /**
-     * Raw bitplane words, for the vector fused-group steppers: the
-     * vote pass gathers one packed prediction word per lane and
-     * extracts the bit in-register, and the vector update-policy pass
-     * applies the 2-bit transition as masked bitplane arithmetic on
-     * both planes (pred' = p^(d&e), hyst' = p^(d&~e) with d = p^v,
-     * e = h^p -- exactly update()'s three cases; strengthen() is the
-     * d = 0 instance). tests/test_simd.cc pins the equivalence.
+     * Raw bitplane words, 64 entries to a word, for the fused group
+     * stepper: it locates each step's eight bits once, reads them into
+     * a kGskewPolicy key and XORs the key's flips back (gskewStep() in
+     * gskew_policy.hh).
      */
-    const uint64_t *predWords() const { return pred.data(); }
     uint64_t *predWords() { return pred.data(); }
     uint64_t *hystWords() { return hyst.data(); }
 

@@ -131,6 +131,7 @@ bool
 TwoBcGskewPredictor::predict(const BranchSnapshot &snap)
 {
     last = lookup(snap);
+    lastKey_ = gskewVoteKey(last);
 #ifndef NDEBUG
     lastPc = snap.pc;
     lastIndexHist = snap.hist.indexHist;
@@ -158,13 +159,21 @@ TwoBcGskewPredictor::update(const BranchSnapshot &snap, bool taken, bool)
 TwoBcGskewPredictor::FusedGroup::FusedGroup(
     TwoBcGskewPredictor *const *preds, size_t nlanes)
 {
-    lanes_.assign(preds, preds + nlanes);
+    lanes_.resize(nlanes);
     statsOn_.resize(nlanes);
-    laneAddr_.resize(nlanes);
-    laneHist_.resize(nlanes);
     for (size_t l = 0; l < nlanes; ++l) {
-        TwoBcGskewPredictor &p = *lanes_[l];
+        TwoBcGskewPredictor &p = *preds[l];
+        Lane &lane = lanes_[l];
+        lane.pred = &p;
+        lane.outcomeKey = gskewOutcomeKey(false, p.cfg.partialUpdate);
+        for (unsigned t = 0; t < kNumTables; ++t) {
+            SplitCounterArray &bank = p.banksStorage[t];
+            lane.predWords[t] = bank.predWords();
+            lane.hystWords[t] = bank.hystWords();
+            lane.hystMask[t] = bank.hystSize() - 1;
+        }
         statsOn_[l] = p.statsEnabled() ? 1 : 0;
+        anyStats_ |= statsOn_[l] != 0;
         anyPathInfo_ |= p.cfg.usePathInfo;
         for (unsigned t = 0; t < kNumTables; ++t) {
             const TableGeometry &geo = p.cfg.tables[t];
@@ -175,15 +184,17 @@ TwoBcGskewPredictor::FusedGroup::FusedGroup(
             const uint8_t fold_kind = !p.cfg.usePathInfo ? 0
                                       : t == BIM         ? 1
                                                          : 2;
-            laneAddr_[l][t] =
-                addrSlot(static_cast<uint8_t>(t), fold_kind,
-                         static_cast<uint8_t>(geo.log2Pred));
-            laneHist_[l][t] =
-                histSlot(static_cast<uint8_t>(t),
-                         static_cast<uint8_t>(geo.log2Pred),
-                         static_cast<uint8_t>(geo.histLen));
+            lane.addr[t] = addrSlot(static_cast<uint8_t>(t), fold_kind,
+                                    static_cast<uint8_t>(geo.log2Pred));
+            lane.hist[t] = histSlot(static_cast<uint8_t>(t),
+                                    static_cast<uint8_t>(geo.log2Pred),
+                                    static_cast<uint8_t>(geo.histLen));
         }
     }
+    if (anyStats_)
+        keyHist_.assign(nlanes, GskewKeyHistogram{});
+    aVal_.assign(addrSlots_.size(), 0);
+    hVal_.assign(histSlots_.size(), 0);
     backend_ = simd::groupBackend(nlanes);
     if (backend_ != simd::Backend::Off)
         buildVectorState();
@@ -243,75 +254,13 @@ TwoBcGskewPredictor::FusedGroup::buildVectorState()
         for (unsigned c = 0; c < hChain_.size(); ++c)
             hChain_[c][i] = s.table > c ? ones : 0;
     }
-
-    // Per-lane staging. Padding lanes alias lane 0: their composed
-    // indices and word gathers read live memory harmlessly, and the
-    // scalar update pass only walks real lanes, so nothing is ever
-    // written through them.
-    paddedLanes_ = pad(lanes_.size());
-    laneAddr_.resize(paddedLanes_, laneAddr_[0]);
-    laneHist_.resize(paddedLanes_, laneHist_[0]);
-    for (unsigned t = 0; t < kNumTables; ++t) {
-        lanePredBase_[t].resize(paddedLanes_);
-        laneHystBase_[t].resize(paddedLanes_);
-        laneHystMask_[t].resize(paddedLanes_);
-        idxS_[t].resize(paddedLanes_);
-        for (size_t l = 0; l < paddedLanes_; ++l) {
-            const size_t src = l < lanes_.size() ? l : 0;
-            SplitCounterArray &bank = lanes_[src]->banksStorage[t];
-            lanePredBase_[t][l] =
-                reinterpret_cast<uintptr_t>(bank.predWords());
-            laneHystBase_[t][l] =
-                reinterpret_cast<uintptr_t>(bank.hystWords());
-            laneHystMask_[t][l] = bank.hystSize() - 1;
-        }
-    }
-    lanePartial_.resize(paddedLanes_);
-    for (size_t l = 0; l < paddedLanes_; ++l) {
-        const size_t src = l < lanes_.size() ? l : 0;
-        lanePartial_[l] = lanes_[src]->cfg.partialUpdate ? 1 : 0;
-    }
-    anyStats_ = false;
-    for (size_t l = 0; l < lanes_.size(); ++l)
-        anyStats_ |= statsOn_[l] != 0;
-    voteS_.resize(paddedLanes_);
-    if (anyStats_) {
-        for (unsigned k = 0; k < 3; ++k) {
-            accConf_[k].assign(paddedLanes_, 0);
-            accAgree_[k].assign(paddedLanes_, 0);
-        }
-        accUnan_.assign(paddedLanes_, 0);
-        accMetaSel_.assign(paddedLanes_, 0);
-        accMisp_.assign(paddedLanes_, 0);
-    }
 }
 
 TwoBcGskewPredictor::FusedGroup::~FusedGroup()
 {
-    // accSteps_ only advances in the vector steppers; after scalar
-    // stepping (or an unobserved walk) everything here is zero.
-    if (accSteps_ == 0)
-        return;
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        if (!statsOn_[l])
-            continue;
-        GskewVoteStats &st = lanes_[l]->stats;
-        st.updates += accSteps_;
-        for (unsigned k = 0; k < 3; ++k) {
-            GskewVoteStats::PerBank &bk = st.bank[k];
-            bk.lookups += accSteps_;
-            bk.conflicts += accConf_[k][l];
-            bk.agree += accAgree_[k][l];
-        }
-        // META's "selected component" is by definition the overall
-        // prediction, so its conflict count is the mispredict count.
-        GskewVoteStats::PerBank &bm = st.bank[META];
-        bm.lookups += accSteps_;
-        bm.conflicts += accMisp_[l];
-        bm.agree += accSteps_ - accMisp_[l];
-        st.unanimous += accUnan_[l];
-        st.metaSelectsGskew += accMetaSel_[l];
-        st.mispredicts += accMisp_[l];
+    for (size_t l = 0; l < keyHist_.size(); ++l) {
+        if (statsOn_[l])
+            foldGskewVotes(keyHist_[l], lanes_[l].pred->stats);
     }
 }
 
@@ -319,11 +268,25 @@ void
 TwoBcGskewPredictor::FusedGroup::step(const BranchSnapshot &snap,
                                       bool taken, uint64_t *misp)
 {
+    if (anyPathInfo_
+        && (snap.hist.pathZ != pathZ_ || snap.hist.pathY != pathY_
+            || snap.hist.pathX != pathX_)) {
+        pathZ_ = snap.hist.pathZ;
+        pathY_ = snap.hist.pathY;
+        pathX_ = snap.hist.pathX;
+        bimFold_ = bimPathFold(snap.hist);
+        gskewFold_ = gskewPathFold(snap.hist);
+    }
 #ifdef EV8_HAVE_AVX2
     if (backend_ == simd::Backend::Avx2)
-        return stepVecAvx2(snap, taken, misp);
+        slotsVecAvx2(snap);
+    else
 #endif
-    stepScalar(snap, taken, misp);
+        slotsScalar(snap);
+    if (anyStats_)
+        stepLanes<true>(snap, taken, misp);
+    else
+        stepLanes<false>(snap, taken, misp);
 }
 
 uint16_t
@@ -335,7 +298,7 @@ TwoBcGskewPredictor::FusedGroup::addrSlot(uint8_t table, uint8_t fold_kind,
         if (s.table == table && s.foldKind == fold_kind && s.n == n)
             return static_cast<uint16_t>(i);
     }
-    addrSlots_.push_back({table, fold_kind, n, 0});
+    addrSlots_.push_back({table, fold_kind, n});
     return static_cast<uint16_t>(addrSlots_.size() - 1);
 }
 
@@ -348,30 +311,20 @@ TwoBcGskewPredictor::FusedGroup::histSlot(uint8_t table, uint8_t n,
         if (s.table == table && s.n == n && s.len == len)
             return static_cast<uint16_t>(i);
     }
-    histSlots_.push_back({table, n, len, 0});
+    histSlots_.push_back({table, n, len});
     return static_cast<uint16_t>(histSlots_.size() - 1);
 }
 
 void
-TwoBcGskewPredictor::FusedGroup::stepScalar(const BranchSnapshot &snap,
-                                            bool taken, uint64_t *misp)
+TwoBcGskewPredictor::FusedGroup::slotsScalar(const BranchSnapshot &snap)
 {
-    if (anyPathInfo_
-        && (snap.hist.pathZ != pathZ_ || snap.hist.pathY != pathY_
-            || snap.hist.pathX != pathX_)) {
-        pathZ_ = snap.hist.pathZ;
-        pathY_ = snap.hist.pathY;
-        pathX_ = snap.hist.pathX;
-        bimFold_ = bimPathFold(snap.hist);
-        gskewFold_ = gskewPathFold(snap.hist);
-    }
-
     // Address-side terms: one XOR-fold plus H^table chain per distinct
     // slot, shared by every lane that subscripts it. The fold and H
     // loops are written out longhand: this is the innermost arithmetic
     // of a sweep, and in unoptimized builds the helper-call round trips
     // cost more than the arithmetic itself.
-    for (AddrSlot &s : addrSlots_) {
+    for (size_t i = 0; i < addrSlots_.size(); ++i) {
+        const AddrSlot &s = addrSlots_[i];
         const uint64_t fold = s.foldKind == 0
                                   ? 0
                                   : (s.foldKind == 1 ? bimFold_
@@ -384,18 +337,19 @@ TwoBcGskewPredictor::FusedGroup::stepScalar(const BranchSnapshot &snap,
             x ^= v & m;
             v >>= n;
         }
-        for (unsigned i = 0; i < s.table; ++i) {
+        for (unsigned c = 0; c < s.table; ++c) {
             const uint64_t fb = (x ^ (x >> (n - 1))) & 1;
             x = (x >> 1) | (fb << (n - 1));
         }
-        s.value = x;
+        aVal_[i] = x;
     }
 
     // History-side terms likewise, per distinct (table, width, length):
     // the masked history folded to n bits through the inverse chain
     // H'^table. In a history sweep these stay per-length, but the
     // address side above has already collapsed to one term per table.
-    for (HistSlot &s : histSlots_) {
+    for (size_t i = 0; i < histSlots_.size(); ++i) {
+        const HistSlot &s = histSlots_[i];
         if (s.len == 0)
             continue; // the address-only degenerate slot: constant 0
         const unsigned n = s.n;
@@ -406,53 +360,45 @@ TwoBcGskewPredictor::FusedGroup::stepScalar(const BranchSnapshot &snap,
             x ^= v & m;
             v >>= n;
         }
-        for (unsigned i = 0; i < s.table; ++i) {
+        for (unsigned c = 0; c < s.table; ++c) {
             const uint64_t top = (x >> (n - 1)) & 1;
             const uint64_t vtop = (x >> (n - 2)) & 1;
             x = ((x << 1) & m) | (top ^ vtop);
         }
-        s.value = x;
+        hVal_[i] = x;
     }
+}
 
-    // Per-lane remainder: assemble the four indices from the shared
-    // terms, then vote, note and train exactly as predict(); update().
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        TwoBcGskewPredictor &p = *lanes_[l];
-        const std::array<uint16_t, kNumTables> &as = laneAddr_[l];
-        const std::array<uint16_t, kNumTables> &hs = laneHist_[l];
-        // Filled in place: p.last is exactly the state predict() would
-        // cache, and the in-place fill saves a per-lane copy.
-        GskewLookup &look = p.last;
-        look.idx[BIM] = static_cast<size_t>(
-            addrSlots_[as[BIM]].value ^ histSlots_[hs[BIM]].value);
-        look.idx[G0] = static_cast<size_t>(
-            addrSlots_[as[G0]].value ^ histSlots_[hs[G0]].value);
-        look.idx[G1] = static_cast<size_t>(
-            addrSlots_[as[G1]].value ^ histSlots_[hs[G1]].value);
-        look.idx[META] = static_cast<size_t>(
-            addrSlots_[as[META]].value ^ histSlots_[hs[META]].value);
-        // computeGskewVotes() with the bank reads devirtualized: the
-        // facade indirection costs a call frame per read here, in the
-        // innermost loop of every fused sweep.
-        look.bimPred = p.banksStorage[BIM].taken(look.idx[BIM]);
-        look.g0Pred = p.banksStorage[G0].taken(look.idx[G0]);
-        look.g1Pred = p.banksStorage[G1].taken(look.idx[G1]);
-        look.metaPred = p.banksStorage[META].taken(look.idx[META]);
-        look.majority = (static_cast<int>(look.bimPred) + look.g0Pred
-                         + look.g1Pred) >= 2;
-        look.overall = look.metaPred ? look.majority : look.bimPred;
+template <bool kStats>
+void
+TwoBcGskewPredictor::FusedGroup::stepLanes(const BranchSnapshot &snap,
+                                           bool taken, uint64_t *misp)
+{
+    const size_t n = lanes_.size();
+    const unsigned taken_key = gskewOutcomeKey(taken, false);
+    for (size_t l = 0; l < n; ++l) {
+        const Lane &lane = lanes_[l];
+        GskewStepBits<uint64_t> bits;
+        for (unsigned t = 0; t < kNumTables; ++t) {
+            const uint64_t idx = aVal_[lane.addr[t]] ^ hVal_[lane.hist[t]];
+            const uint64_t hi = idx & lane.hystMask[t];
+            bits.word[t] = lane.predWords[t] + (idx >> 6);
+            bits.shift[t] = static_cast<uint8_t>(idx & 63);
+            bits.word[4 + t] = lane.hystWords[t] + (hi >> 6);
+            bits.shift[4 + t] = static_cast<uint8_t>(hi & 63);
+        }
+        const GskewStep s = gskewStep(bits, lane.outcomeKey | taken_key);
+        TwoBcGskewPredictor &p = *lane.pred;
+        p.lastKey_ = s.key;
+        if constexpr (kStats)
+            ++keyHist_[l][s.key];
+        misp[l] += s.t.overall() != taken;
 #ifndef NDEBUG
         p.lastPc = snap.pc;
         p.lastIndexHist = snap.hist.indexHist;
+#else
+        (void)snap;
 #endif
-        if (statsOn_[l])
-            p.stats.note(look, taken);
-        BankFacade facade{p.banksStorage};
-        if (p.cfg.partialUpdate)
-            gskewPartialUpdate(facade, look, taken);
-        else
-            gskewTotalUpdate(facade, look, taken);
-        misp[l] += look.overall != taken;
     }
 }
 
@@ -473,14 +419,7 @@ TwoBcGskewPredictor::name() const
 VoteSnapshot
 TwoBcGskewPredictor::lastVotes() const
 {
-    VoteSnapshot v;
-    v.valid = true;
-    v.bim = last.bimPred;
-    v.g0 = last.g0Pred;
-    v.g1 = last.g1Pred;
-    v.meta = last.metaPred;
-    v.majority = last.majority;
-    return v;
+    return gskewKeyVotes(lastKey_);
 }
 
 void

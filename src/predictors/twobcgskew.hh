@@ -123,25 +123,27 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
      * index width) term once per branch and each distinct (table,
      * width, history length) history term once per branch, instead of
      * once per lane; in a history sweep the address side collapses from
-     * 4*nlanes computations to 4. Table transitions, cached lookup
-     * state and statistics are exactly those of a per-lane
-     * predict(); update() pair.
+     * 4*nlanes computations to 4. The slot terms run scalar, or four
+     * slots at a time on AVX2 (fused_vec.hh).
+     *
+     * Each lane then composes its four indices from the slot terms and
+     * takes one tabulated policy step (gskewStep() over kGskewPolicy):
+     * read the eight prediction and hysteresis bits, one table load,
+     * XOR the flips back. Metrics-observed walks count each lane's step
+     * keys in a histogram, folded into its GskewVoteStats when the
+     * group is destroyed. Table transitions and statistics are exactly
+     * those of a per-lane predict(); update() pair.
      */
     class FusedGroup
     {
       public:
         FusedGroup(TwoBcGskewPredictor *const *preds, size_t nlanes);
 
-        // The vector staging below holds absolute pointers into this
-        // object's own slot-value arrays; copying would silently alias
-        // the source. The kernel constructs the group in place
-        // (guaranteed copy elision), so no copy or move is needed.
         FusedGroup(const FusedGroup &) = delete;
         FusedGroup &operator=(const FusedGroup &) = delete;
 
-        //! Flushes the vector steppers' per-walk vote-stat
-        //! accumulators into the lanes' GskewVoteStats (a no-op after
-        //! scalar stepping, which notes per step).
+        //! Folds the metrics-observed lanes' key histograms into their
+        //! GskewVoteStats.
         ~FusedGroup();
 
         /** Advances every lane over one branch; tallies into misp[l]. */
@@ -154,7 +156,6 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
             uint8_t table;    //!< H-chain length (the bank's bijection)
             uint8_t foldKind; //!< 0 = none, 1 = BIM path, 2 = gskew path
             uint8_t n;        //!< index width in bits
-            uint64_t value;   //!< recomputed every step()
         };
 
         /** One distinct history-side index term H'^table(fold(hist)). */
@@ -163,39 +164,57 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
             uint8_t table; //!< H'-chain length
             uint8_t n;     //!< index width in bits
             uint8_t len;   //!< history bits consumed (0 = constant 0)
-            uint64_t value;
+        };
+
+        /** One lane: its predictor, its bitplanes and its subscripts
+         *  into the slot values, per table. */
+        struct Lane
+        {
+            TwoBcGskewPredictor *pred;
+            std::array<uint64_t *, kNumTables> predWords;
+            std::array<uint64_t *, kNumTables> hystWords;
+            //! hystSize - 1: the Section 4.4 sharing mask
+            std::array<uint64_t, kNumTables> hystMask;
+            std::array<uint16_t, kNumTables> addr;
+            std::array<uint16_t, kNumTables> hist;
+            unsigned outcomeKey; //!< gskewOutcomeKey(false, partial)
         };
 
         uint16_t addrSlot(uint8_t table, uint8_t fold_kind, uint8_t n);
         uint16_t histSlot(uint8_t table, uint8_t n, uint8_t len);
 
-        /** The per-lane stepper; EV8_SIMD=0 and one-lane groups. */
-        void stepScalar(const BranchSnapshot &snap, bool taken,
-                        uint64_t *misp);
+        /** The slot terms, one at a time (EV8_SIMD=0, one lane). */
+        void slotsScalar(const BranchSnapshot &snap);
 
         /**
-         * The vector stepper, templated over a simd.hh vector type.
-         * Defined in fused_vec.hh; instantiated only by the -mavx2
-         * translation unit fused_vec_avx2.cc, which exposes it through
-         * the out-of-line entry point below so no intrinsic code leaks
-         * into TUs built without -mavx2.
+         * The slot terms four at a time, templated over a simd.hh
+         * vector type. Defined in fused_vec.hh; instantiated only by
+         * the -mavx2 translation unit fused_vec_avx2.cc, which exposes
+         * it through the out-of-line entry point below so no intrinsic
+         * code leaks into TUs built without -mavx2.
          */
         template <class Vec>
-        void stepVec(const BranchSnapshot &snap, bool taken,
-                     uint64_t *misp);
-        void stepVecAvx2(const BranchSnapshot &snap, bool taken,
-                         uint64_t *misp);
+        void slotsVec(const BranchSnapshot &snap);
+        void slotsVecAvx2(const BranchSnapshot &snap);
 
-        /** Builds the padded SoA staging the vector stepper consumes. */
+        /** Builds the padded SoA constants slotsVec() consumes. */
         void buildVectorState();
 
-        std::vector<TwoBcGskewPredictor *> lanes_;
+        /** The per-lane policy steps, with or without key counting. */
+        template <bool kStats>
+        void stepLanes(const BranchSnapshot &snap, bool taken,
+                       uint64_t *misp);
+
+        std::vector<Lane> lanes_;
         std::vector<uint8_t> statsOn_;
+        bool anyStats_ = false;
+        //! Per lane, the walk's step keys (metrics-observed walks).
+        std::vector<GskewKeyHistogram> keyHist_;
         std::vector<AddrSlot> addrSlots_;
         std::vector<HistSlot> histSlots_;
-        //! Per lane, per table: subscripts into the two slot tables.
-        std::vector<std::array<uint16_t, kNumTables>> laneAddr_;
-        std::vector<std::array<uint16_t, kNumTables>> laneHist_;
+        //! The slot terms, recomputed every step() (padded to the
+        //! vector width when the AVX2 path runs).
+        std::vector<uint64_t> aVal_, hVal_;
 
         //! Group-level path-fold cache, mirroring lookup()'s: the path
         //! registers move once per fetch block, and they are shared by
@@ -209,44 +228,18 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
         //! so in-process env overrides take effect.
         simd::Backend backend_ = simd::Backend::Off;
 
-        // ---- vector-path SoA staging (built when backend_ != Off),
-        // every array padded to a multiple of the vector width. The
-        // address-side slot constants (index width n, its chain
-        // companions n-1, the n-bit mask, all-ones fold-select masks
-        // per path-fold kind and per H-chain round) are splatted to
-        // one uint64_t per slot so the per-branch fold and chain
-        // loops run as unconditional masked vector arithmetic.
-        size_t paddedAddr_ = 0, paddedHist_ = 0, paddedLanes_ = 0;
+        // ---- AVX2 slot staging (built when backend_ != Off), every
+        // array padded to a multiple of the vector width: the slot
+        // constants (index width n, its chain companions, the n-bit
+        // mask, all-ones fold-select masks per path-fold kind and per
+        // H-chain round) splatted to one uint64_t per slot so the
+        // fold and chain loops run as unconditional masked vector
+        // arithmetic.
+        size_t paddedAddr_ = 0, paddedHist_ = 0;
         std::vector<uint64_t> aN_, aNm1_, aMask_, aSelBim_, aSelGskew_;
-        std::vector<uint64_t> aVal_;
         std::array<std::vector<uint64_t>, 3> aChain_;
         std::vector<uint64_t> hN_, hNm1_, hNm2_, hMask_, hLenMask_;
-        std::vector<uint64_t> hVal_;
         std::array<std::vector<uint64_t>, 3> hChain_;
-        //! Per table, per lane: bitplane base pointers and the
-        //! hysteresis index mask (hystSize-1, Section 4.4 sharing).
-        std::array<std::vector<uint64_t>, kNumTables> lanePredBase_;
-        std::array<std::vector<uint64_t>, kNumTables> laneHystBase_;
-        std::array<std::vector<uint64_t>, kNumTables> laneHystMask_;
-        //! All-ones for partial-update lanes, 0 for total-update ones.
-        std::vector<uint64_t> lanePartial_;
-        //! Per-branch scratch: composed indices for the vote+update
-        //! pass, and each lane's votes packed as bit 0 overall, then
-        //! BIM, G0, G1, META and majority (bits 1-5), for the
-        //! mispredict tally and a mispredicting lane's `last`.
-        std::array<std::vector<uint64_t>, kNumTables> idxS_;
-        std::vector<uint64_t> voteS_;
-        bool anyStats_ = false;
-
-        //! Per-walk vote-stat accumulators for metrics-observed
-        //! vector walks: every GskewVoteStats field is a sum of 0/1
-        //! lane predicates the vote pass already holds in registers,
-        //! so the vector steppers add them lane-wise per step and the
-        //! destructor flushes totals once, instead of running the
-        //! 20-odd scalar counter increments of note() per lane-step.
-        uint64_t accSteps_ = 0;
-        std::array<std::vector<uint64_t>, 3> accConf_, accAgree_;
-        std::vector<uint64_t> accUnan_, accMetaSel_, accMisp_;
     };
 
     /** Direct bank access for white-box tests. */
@@ -300,6 +293,7 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
     TwoBcGskewConfig cfg;
     std::array<SplitCounterArray, kNumTables> banksStorage;
     GskewLookup last; //!< cached between predict() and update()
+    unsigned lastKey_ = 0; //!< the last vote pass's key, for lastVotes()
     GskewVoteStats stats;
 
     /**

@@ -343,22 +343,21 @@ class PredictionServer::Session
     void
     runCells()
     {
-        // Grouped exactly as the batch engine groups a grid, and run on
-        // the same pool, so sibling sessions and batch work share the
-        // --jobs cap.
-        const std::vector<std::vector<size_t>> groups = fuseGroups(
-            allCells(), requests_, ExperimentEngine::fusedLaneCap());
+        // Grouped, counted and run exactly as the batch engine runs a
+        // grid, on the same pool, so sibling sessions and batch work
+        // share the --jobs cap and the grid tallies.
         ExperimentEngine &engine = server_.runner_.engine();
         CellExecutor executor;
         engine.attachAccounting(executor);
-        engine.parallelFor(groups.size(), [&](size_t g) {
+        engine.runGroups(allCells(), requests_,
+                         [&](const std::vector<size_t> &group) {
             // A force-expiry lands between groups: every group not yet
             // started fails with the expiry reason.
             if (cancel_.load(std::memory_order_acquire))
-                fail(groups[g], expireError());
+                fail(group, expireError());
             else
-                executor.runGroup(groups[g], requests_, outputs_);
-            tally(groups[g]);
+                executor.runGroup(group, requests_, outputs_);
+            tally(group);
         });
     }
 

@@ -161,9 +161,11 @@ void
 ExperimentEngine::publishMetrics(MetricRegistry &registry,
                                  const std::string &prefix) const
 {
-    registry.counter(prefix + ".grid_cells").inc(gridCells_);
-    registry.counter(prefix + ".fused_jobs").inc(fusedJobs_);
-    registry.counter(prefix + ".fused_lane_cells").inc(fusedLaneCells_);
+    registry.counter(prefix + ".grid_cells").inc(gridCellCount());
+    registry.counter(prefix + ".fused_jobs")
+        .inc(fusedJobs_.load(std::memory_order_relaxed));
+    registry.counter(prefix + ".fused_lane_cells")
+        .inc(fusedLaneCells_.load(std::memory_order_relaxed));
     registry.counter(prefix + ".cells_failed").inc(cellsFailed_);
     registry.counter(prefix + ".cells_retried")
         .inc(cellsRetried_.load(std::memory_order_relaxed));
@@ -259,6 +261,33 @@ ExperimentEngine::attachAccounting(CellExecutor &executor)
     };
 }
 
+void
+ExperimentEngine::runGroups(
+    const std::vector<size_t> &cells,
+    const std::vector<CellRequest> &requests,
+    const std::function<void(const std::vector<size_t> &)> &run_group)
+{
+    SpanTracer &tracer = SpanTracer::global();
+    const uint64_t startNs = tracer.nowNs();
+    std::vector<std::vector<size_t>> groups;
+    {
+        ScopedSpan grouping(SpanPhase::GridSetup, "grid.setup:fuse");
+        grouping.arg("cells", static_cast<uint64_t>(cells.size()));
+        groups = fuseGroups(cells, requests, fusedLaneCap());
+    }
+    gridCells_.fetch_add(cells.size(), std::memory_order_relaxed);
+    for (const auto &group : groups) {
+        if (group.size() > 1) {
+            fusedJobs_.fetch_add(1, std::memory_order_relaxed);
+            fusedLaneCells_.fetch_add(group.size(),
+                                      std::memory_order_relaxed);
+        }
+    }
+    parallelFor(groups.size(), [&](size_t g) { run_group(groups[g]); });
+    gridWallNs_.fetch_add(tracer.nowNs() - startNs,
+                          std::memory_order_relaxed);
+}
+
 GridOutcome
 ExperimentEngine::runGrid(SuiteRunner &runner,
                           const std::vector<GridRow> &rows)
@@ -267,12 +296,8 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
     const size_t n = rows.size() * nbench;
     const uint64_t batch = batchIndex_++;
 
-    SpanTracer &tracer = SpanTracer::global();
     ProgressMeter &progress = ProgressMeter::global();
-    const uint64_t gridStartNs = tracer.nowNs();
-
     std::vector<CellOutput> outputs(n);
-    gridCells_ += n;
 
     // The shared cell-execution core (sim/cell_executor.hh): served
     // sessions run the exact same code with the same accounting hooks;
@@ -358,21 +383,9 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
             todo.push_back(i);
     }
     progress.beginBatch(todo.size());
-
-    std::vector<std::vector<size_t>> groups;
-    {
-        ScopedSpan grouping(SpanPhase::GridSetup, "grid.setup:fuse");
-        grouping.arg("cells", static_cast<uint64_t>(todo.size()));
-        groups = fuseGroups(todo, requests, fusedLaneCap());
-    }
-    for (const auto &cells : groups) {
-        if (cells.size() > 1) {
-            ++fusedJobs_;
-            fusedLaneCells_ += cells.size();
-        }
-    }
-    parallelFor(groups.size(), [&](size_t g) {
-        executor.runGroup(groups[g], requests, outputs);
+    gridCells_.fetch_add(n - todo.size(), std::memory_order_relaxed);
+    runGroups(todo, requests, [&](const std::vector<size_t> &cells) {
+        executor.runGroup(cells, requests, outputs);
     });
 
     // Deterministic merge in submission order (sim/cell_executor.hh):
@@ -384,7 +397,6 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
     outcome.resumedCells = n - todo.size();
     cellsFailed_ += outcome.failures.size();
     progress.endBatch();
-    gridWallNs_ += tracer.nowNs() - gridStartNs;
     return outcome;
 }
 

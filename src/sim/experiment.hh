@@ -82,6 +82,7 @@ namespace ev8
 {
 
 class CellExecutor; // sim/cell_executor.hh
+struct CellRequest; // sim/cell_executor.hh
 
 class ExperimentEngine
 {
@@ -155,6 +156,19 @@ class ExperimentEngine
     void attachAccounting(CellExecutor &executor);
 
     /**
+     * The one group-execution path of batch grids and served sessions:
+     * fuses @p cells into walk groups (fuseGroups() under
+     * fusedLaneCap()), counts them into the grid tallies (grid cells,
+     * fused jobs, fused lane cells), runs @p run_group once per group
+     * on the pool and adds the wall of the whole call to gridWallNs().
+     * Several threads may call it at once (one per served session).
+     */
+    void runGroups(
+        const std::vector<size_t> &cells,
+        const std::vector<CellRequest> &requests,
+        const std::function<void(const std::vector<size_t> &)> &run_group);
+
+    /**
      * Publishes grid-scheduling counters under @p prefix:
      * "<prefix>.grid_cells" (cells executed), "<prefix>.fused_jobs"
      * (multi-lane jobs dispatched), "<prefix>.fused_lane_cells"
@@ -185,11 +199,21 @@ class ExperimentEngine
         return busyNs_.load(std::memory_order_relaxed);
     }
 
-    /** Wall time spent inside runGrid(), summed across batches, ns. */
-    uint64_t gridWallNs() const { return gridWallNs_; }
+    /** Wall time spent inside runGroups(), summed across its calls
+     *  (batches and served sessions), ns. */
+    uint64_t
+    gridWallNs() const
+    {
+        return gridWallNs_.load(std::memory_order_relaxed);
+    }
 
-    /** Cells submitted across batches (including restored ones). */
-    uint64_t gridCellCount() const { return gridCells_; }
+    /** Cells submitted across batches (including restored ones) and
+     *  served sessions. */
+    uint64_t
+    gridCellCount() const
+    {
+        return gridCells_.load(std::memory_order_relaxed);
+    }
 
   private:
     /** One parallelFor() call's completion state (on its stack). */
@@ -211,23 +235,22 @@ class ExperimentEngine
     unsigned jobs_;
     std::vector<std::thread> workers_;
 
-    // Grid-scheduling tallies; only runGrid()'s calling thread writes
-    // them (one batch at a time), so plain counters suffice --
-    // except cellsRetried_, which workers bump from inside jobs.
-    uint64_t gridCells_ = 0;
-    uint64_t fusedJobs_ = 0;
-    uint64_t fusedLaneCells_ = 0;
+    // Grid-scheduling tallies. runGroups() runs on batch and session
+    // threads alike, so its tallies are atomic; the rest are written
+    // only by runGrid()'s calling thread -- except cellsRetried_,
+    // which workers bump from inside jobs.
+    std::atomic<uint64_t> gridCells_{0};
+    std::atomic<uint64_t> fusedJobs_{0};
+    std::atomic<uint64_t> fusedLaneCells_{0};
     uint64_t cellsFailed_ = 0;
     uint64_t cellsResumed_ = 0;
     std::atomic<uint64_t> cellsRetried_{0};
 
     // Telemetry: completed-cell durations, worker busy time, and grid
-    // wall time (see the public accessors above). The histogram and
-    // busyNs_ are written by workers (thread-safe); gridWallNs_ only by
-    // runGrid()'s calling thread.
+    // wall time (see the public accessors above), all thread-safe.
     Histogram cellDurationsMs_;
     std::atomic<uint64_t> busyNs_{0};
-    uint64_t gridWallNs_ = 0;
+    std::atomic<uint64_t> gridWallNs_{0};
 
     /**
      * runGrid() invocations on this engine, in order: the batch index

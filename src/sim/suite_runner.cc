@@ -90,6 +90,7 @@ GridOutcome
 SuiteRunner::runGrid(const std::vector<GridRow> &rows)
 {
     GridOutcome outcome = engine().runGrid(*this, rows);
+    ranSampledGrid_ |= sampleSpec_.active;
     failures_.insert(failures_.end(), outcome.failures.begin(),
                      outcome.failures.end());
     resumedCells_ += outcome.resumedCells;

@@ -192,6 +192,10 @@ class SuiteRunner
     /** Cells restored from checkpoint journals, across batches. */
     uint64_t resumedCells() const { return resumedCells_; }
 
+    /** Whether some runGrid() call ran under an active sample spec:
+     *  the one condition for an artifact's "sampling" block. */
+    bool ranSampledGrid() const { return ranSampledGrid_; }
+
     /** The shared simulation engine (created on first use). */
     ExperimentEngine &engine();
 
@@ -251,6 +255,7 @@ class SuiteRunner
     std::unique_ptr<ExperimentEngine> engine_;
     std::vector<CellFailure> failures_; //!< cumulative across batches
     std::vector<SampledCell> sampledCells_; //!< cumulative, in order
+    bool ranSampledGrid_ = false;
     uint64_t resumedCells_ = 0;
     SampleSpec sampleSpec_;
     std::mutex planMutex_; //!< guards planEntries_ map shape only

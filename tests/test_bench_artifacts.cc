@@ -422,5 +422,45 @@ TEST(BenchArtifacts, WarmStreamCacheIsByteIdenticalToFreshDecode)
 #endif
 }
 
+/**
+ * The artifact's "sampling" block appears only when a grid ran sampled
+ * cells: table2 never samples, so the phase-mode flags leave its JSON
+ * byte-identical to an exact run's, while fig8 (a registry grid) gains
+ * the block under the same flags.
+ */
+TEST(BenchArtifacts, SamplingBlockOnlyWhenAGridSamples)
+{
+#ifndef EV8_BENCH_DIR
+    GTEST_SKIP() << "EV8_BENCH_DIR not configured";
+#else
+    const std::string dir = ::testing::TempDir();
+    auto json = [&](const std::string &bench, const std::string &tag,
+                    const std::string &flags) {
+        const std::string binary =
+            std::string(EV8_BENCH_DIR) + "/bench_" + bench;
+        if (!std::ifstream(binary).good())
+            return std::string();
+        const std::string path = dir + "ev8_sampling_" + bench + tag
+                                 + ".json";
+        const std::string cmd = binary + " --branches=2000 --jobs=1 "
+            + flags + " --json=" + path + " > /dev/null 2>&1";
+        EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+        return maskTimingDependent(slurp(path));
+    };
+    const std::string phase = "--sample-mode=phase --sample-budget=1000";
+
+    const std::string exact = json("table2_benchmarks", "_exact", "");
+    if (exact.empty())
+        GTEST_SKIP() << "bench_table2_benchmarks not built";
+    const std::string table2 = json("table2_benchmarks", "_phase", phase);
+    EXPECT_EQ(table2.find("\"sampling\""), std::string::npos);
+    EXPECT_EQ(exact, table2);
+
+    const std::string fig8 = json("fig8_table_sizes", "_phase", phase);
+    if (!fig8.empty())
+        EXPECT_NE(fig8.find("\"sampling\""), std::string::npos);
+#endif
+}
+
 } // namespace
 } // namespace ev8

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "obs/json.hh"
+#include "obs/metrics.hh"
 #include "serve/grids.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
@@ -539,6 +540,33 @@ TEST(Serve, SessionCellsFeedTheEngineTallies)
     const ExperimentEngine &engine = server.runner().engine();
     EXPECT_GT(engine.poolBusyNs(), 0u);
     EXPECT_EQ(engine.cellDurations().count(), cells);
+}
+
+TEST(Serve, SessionCellsFeedTheGridTallies)
+{
+    ScopedEnv scale("EV8_BRANCHES_PER_BENCH", kTinyScale);
+    ScopedEnv noFault("EV8_FAULT_SPEC", nullptr);
+    ScopedEnv noCkpt("EV8_CHECKPOINT_DIR", nullptr);
+    ScopedEnv lanes("EV8_FUSED_LANES", nullptr);
+
+    // A served session's groups run through the engine's one
+    // group-execution path, so they count as grid cells and fused
+    // jobs, and their wall is the pool-utilization denominator.
+    PredictionServer server(ServeLimits{}, 2);
+    callOk(server, openReq("grid", false, "fig8"));
+    callOk(server, sessionReq("start", "grid"));
+    const JsonValue reply = callOk(server, sessionReq("wait", "grid"));
+    const size_t cells = reply.at("cells").items.size();
+    ASSERT_GT(cells, 0u);
+
+    const ExperimentEngine &engine = server.runner().engine();
+    EXPECT_EQ(engine.gridCellCount(), cells);
+    EXPECT_GT(engine.gridWallNs(), 0u);
+    MetricRegistry registry;
+    engine.publishMetrics(registry, "engine");
+    // fig8's rows fuse per benchmark: every cell rides a fused walk.
+    EXPECT_GT(registry.counter("engine.fused_jobs").value(), 0u);
+    EXPECT_EQ(registry.counter("engine.fused_lane_cells").value(), cells);
 }
 
 TEST(Serve, DefaultLimitsParseStrictly)

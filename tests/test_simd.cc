@@ -6,10 +6,6 @@
  *    words, checked exhaustively against the scalar per-counter
  *    transition for all 4 states x mask patterns x slot positions
  *    (the check promised by the doc comments in predictors/tables.hh);
- *  - the split-counter bitplane transition formula (pred' = p^(d&e),
- *    hyst' = p^(d&~e) with d = p^v, e = h^p) against
- *    SplitCounterArray::update()'s three cases, per entry and as
- *    whole-word plane arithmetic;
  *  - the strict EV8_SIMD knob parse in simd::activeBackend().
  *
  * The AVX2 vector ops are checked against a per-lane scalar reference
@@ -169,112 +165,6 @@ TEST(MaskedBitplane, MatchesTableUpdateAcrossWholeTable)
                 << "word " << w << " taken=" << taken;
         }
     }
-}
-
-/**
- * The bitplane transition formula the vector update pass applies,
- * per entry: all 8 (p, h, v) combinations against update()'s cases,
- * and strengthen() as the d = 0 instance.
- */
-TEST(SplitBitplane, TransitionFormulaMatchesUpdatePerEntry)
-{
-    for (const size_t idx : {size_t{0}, size_t{63}, size_t{64}}) {
-        for (int bits = 0; bits < 8; ++bits) {
-            const bool p = bits & 1, h = bits & 2, v = bits & 4;
-            const bool d = p != v;      // mispredicted?
-            const bool e = h != p;      // weak?
-            const bool want_pred = p != (d && e);
-            const bool want_hyst = p != (d && !e);
-
-            SplitCounterArray counters(128, 128);
-            counters.setRaw(idx, p, h);
-            counters.update(idx, v);
-            EXPECT_EQ(counters.rawPred(idx) != 0, want_pred)
-                << "idx=" << idx << " p=" << p << " h=" << h
-                << " v=" << v;
-            EXPECT_EQ(counters.rawHyst(idx) != 0, want_hyst)
-                << "idx=" << idx << " p=" << p << " h=" << h
-                << " v=" << v;
-
-            // strengthen() is the formula at d = 0: pred stays,
-            // hysteresis snaps to the prediction bit.
-            SplitCounterArray strong(128, 128);
-            strong.setRaw(idx, p, h);
-            strong.strengthen(idx);
-            EXPECT_EQ(strong.rawPred(idx) != 0, p);
-            EXPECT_EQ(strong.rawHyst(idx) != 0, p);
-        }
-    }
-}
-
-/**
- * Whole-word plane arithmetic: one masked word step updates 64
- * counters at once exactly as 64 scalar update() calls do. Uses a
- * full-size hysteresis array -- plane word math needs a 1:1 pred/hyst
- * mapping, which is why the vector kernel gathers hysteresis through
- * hystIndex() when the arrays share entries.
- */
-TEST(SplitBitplane, TransitionFormulaMatchesUpdatePerWord)
-{
-    Rng rng;
-    for (int round = 0; round < 200; ++round) {
-        const uint64_t pw = rng.next();  // prediction plane word
-        const uint64_t hw = rng.next();  // hysteresis plane word
-        const uint64_t vw = rng.next();  // per-entry outcome bits
-        const uint64_t sel = rng.next(); // per-entry update mask
-
-        SplitCounterArray counters(64, 64);
-        for (size_t i = 0; i < 64; ++i)
-            counters.setRaw(i, (pw >> i) & 1, (hw >> i) & 1);
-        for (size_t i = 0; i < 64; ++i) {
-            if ((sel >> i) & 1)
-                counters.update(i, ((vw >> i) & 1) != 0);
-        }
-
-        const uint64_t d = pw ^ vw;
-        const uint64_t e = hw ^ pw;
-        const uint64_t pred2 = pw ^ (d & e & sel);
-        const uint64_t hyst2 =
-            ((pw ^ (d & ~e)) & sel) | (hw & ~sel);
-        EXPECT_EQ(counters.predWords()[0], pred2) << "round " << round;
-        EXPECT_EQ(counters.hystWords()[0], hyst2) << "round " << round;
-    }
-}
-
-/** Shared hysteresis: the formula holds through hystIndex() folding. */
-TEST(SplitBitplane, SharedHysteresisFollowsFormulaThroughFolding)
-{
-    constexpr size_t kPred = 128, kHyst = 32;
-    SplitCounterArray counters(kPred, kHyst);
-    uint64_t pred_model[2] = {0, 0};  // mirrors of the two planes
-    uint64_t hyst_model = ~uint64_t{0} & ((uint64_t{1} << kHyst) - 1);
-
-    Rng rng;
-    for (int step = 0; step < 2000; ++step) {
-        const size_t idx = rng.next() % kPred;
-        const bool v = (rng.next() & 1) != 0;
-        const size_t hi = counters.hystIndex(idx);
-        ASSERT_EQ(hi, idx % kHyst);
-
-        const bool p = (pred_model[idx / 64] >> (idx % 64)) & 1;
-        const bool h = (hyst_model >> hi) & 1;
-        const bool d = p != v, e = h != p;
-        const bool pred2 = p != (d && e);
-        const bool hyst2 = p != (d && !e);
-        pred_model[idx / 64] &= ~(uint64_t{1} << (idx % 64));
-        pred_model[idx / 64] |= uint64_t{pred2} << (idx % 64);
-        hyst_model &= ~(uint64_t{1} << hi);
-        hyst_model |= uint64_t{hyst2} << hi;
-
-        counters.update(idx, v);
-        ASSERT_EQ(counters.rawPred(idx) != 0, pred2) << "step " << step;
-        ASSERT_EQ(counters.rawHyst(idx) != 0, hyst2) << "step " << step;
-    }
-    EXPECT_EQ(counters.predWords()[0], pred_model[0]);
-    EXPECT_EQ(counters.predWords()[1], pred_model[1]);
-    EXPECT_EQ(counters.hystWords()[0] &
-                  ((uint64_t{1} << kHyst) - 1),
-              hyst_model);
 }
 
 /**
