@@ -299,10 +299,6 @@ struct GskewTransition
     uint8_t flips = 0;     //!< bit j: bit j of the key flips
     uint8_t votes = 0;     //!< bit 0: overall, bit 1: majority
     uint8_t predReads = 0; //!< bits [2t, 2t+2): table t's pred reads
-    //! Set on a key without hysteresis bits whose step reads and
-    //! writes no hysteresis and flips nothing, whatever the hysteresis
-    //! bits are (an all-agreeing correct partial update, Rationale 1).
-    bool quiet = false;
 
     constexpr bool overall() const { return (votes & 1) != 0; }
 
@@ -314,20 +310,11 @@ struct GskewTransition
     }
 };
 
-/** One key's accesses to one table's arrays (each at most 3). */
-struct GskewAccessCounts
-{
-    uint8_t predReads = 0;
-    uint8_t predWrites = 0;
-    uint8_t hystReads = 0;
-    uint8_t hystWrites = 0;
-};
-
 /** The tabulated policy: the hot step, and the access counts. */
 struct GskewPolicyTable
 {
     std::array<GskewTransition, kGskewKeys> step{};
-    std::array<std::array<GskewAccessCounts, kNumTables>, kGskewKeys>
+    std::array<std::array<GskewAccessStats, kNumTables>, kGskewKeys>
         access{};
 };
 
@@ -340,7 +327,7 @@ struct OneEntryArrays
 {
     std::array<bool, kNumTables> pred{};
     std::array<bool, kNumTables> hyst{};
-    std::array<GskewAccessCounts, kNumTables> count{};
+    std::array<GskewAccessStats, kNumTables> count{};
 
     constexpr bool
     readPred(TableId t, size_t)
@@ -401,21 +388,6 @@ buildGskewPolicyTable()
                                        | (unsigned{look.majority} << 1));
         table.access[key] = arrays.count;
     }
-    for (unsigned key = 0; key < kGskewKeys; ++key) {
-        if (key & 0xf0)
-            continue;
-        bool quiet = true;
-        for (unsigned h = 0; h < 16; ++h) {
-            const unsigned k = key | (h << 4);
-            quiet = quiet && table.step[k].flips == 0;
-            for (unsigned t = 0; t < kNumTables; ++t) {
-                const GskewAccessCounts &c = table.access[k][t];
-                quiet = quiet && c.hystReads == 0 && c.hystWrites == 0
-                    && c.predWrites == 0;
-            }
-        }
-        table.step[key].quiet = quiet;
-    }
     return table;
 }
 
@@ -438,22 +410,12 @@ struct GskewStepBits
     std::array<Word *, 8> word;
     std::array<uint8_t, 8> shift;
 
-    /** The key of the four prediction bits, with @p outcome_key. */
+    /** The key of the eight bits, with @p outcome_key. */
     unsigned
-    predKey(unsigned outcome_key) const
+    key(unsigned outcome_key) const
     {
         unsigned k = outcome_key;
-        for (unsigned j = 0; j < 4; ++j)
-            k |= static_cast<unsigned>((*word[j] >> shift[j]) & 1u) << j;
-        return k;
-    }
-
-    /** @p pred_key with the four hysteresis bits added. */
-    unsigned
-    key(unsigned pred_key) const
-    {
-        unsigned k = pred_key;
-        for (unsigned j = 4; j < 8; ++j)
+        for (unsigned j = 0; j < 8; ++j)
             k |= static_cast<unsigned>((*word[j] >> shift[j]) & 1u) << j;
         return k;
     }
@@ -476,41 +438,49 @@ struct GskewStep
 };
 
 /**
- * Steps one 2Bc-gskew through kGskewPolicy: read the prediction bits;
- * unless that key is quiet, read the hysteresis bits too, look the
- * full key up and XOR its flips back. A quiet step keeps its key's
- * hysteresis bits 0: every hysteresis value steps and counts the same
- * there, and skipping the reads keeps the common correct step off the
- * hysteresis arrays, as the templates' own accesses are. @p
- * outcome_key is gskewOutcomeKey(taken, partial_update). Nothing is
- * counted per access; callers tally per key (foldGskewVotes()).
+ * Steps one 2Bc-gskew through kGskewPolicy: read the eight bits, look
+ * the key up and XOR its flips back. @p outcome_key is
+ * gskewOutcomeKey(taken, partial_update). Nothing is counted per
+ * access; callers tally per key (foldGskewVotes()).
  */
 template <class Word>
 inline GskewStep
 gskewStep(GskewStepBits<Word> &bits, unsigned outcome_key)
 {
-    const unsigned pred_key = bits.predKey(outcome_key);
-    const GskewTransition &q = kGskewPolicy.step[pred_key];
-    if (q.quiet)
-        return {pred_key, q};
-    const unsigned key = bits.key(pred_key);
+    const unsigned key = bits.key(outcome_key);
     const GskewTransition e = kGskewPolicy.step[key];
     if (e.flips != 0)
         bits.flip(e.flips);
     return {key, e};
 }
 
+/** The vote fields of a GskewLookup as the step of @p key computed
+ *  them (the indices are left 0). */
+constexpr GskewLookup
+gskewKeyLookup(unsigned key)
+{
+    GskewLookup look;
+    look.bimPred = (key & 1) != 0;
+    look.g0Pred = ((key >> 1) & 1) != 0;
+    look.g1Pred = ((key >> 2) & 1) != 0;
+    look.metaPred = ((key >> 3) & 1) != 0;
+    look.majority = ((kGskewPolicy.step[key].votes >> 1) & 1) != 0;
+    look.overall = kGskewPolicy.step[key].overall();
+    return look;
+}
+
 /** The votes a key's step computed. */
 inline VoteSnapshot
 gskewKeyVotes(unsigned key)
 {
+    const GskewLookup look = gskewKeyLookup(key);
     VoteSnapshot v;
     v.valid = true;
-    v.bim = (key & 1) != 0;
-    v.g0 = ((key >> 1) & 1) != 0;
-    v.g1 = ((key >> 2) & 1) != 0;
-    v.meta = ((key >> 3) & 1) != 0;
-    v.majority = ((kGskewPolicy.step[key].votes >> 1) & 1) != 0;
+    v.bim = look.bimPred;
+    v.g0 = look.g0Pred;
+    v.g1 = look.g1Pred;
+    v.meta = look.metaPred;
+    v.majority = look.majority;
     return v;
 }
 

@@ -32,15 +32,7 @@ foldGskewVotes(const GskewKeyHistogram &hist, GskewVoteStats &votes)
     for (unsigned key = 0; key < kGskewKeys; ++key) {
         if (hist[key] == 0)
             continue;
-        const GskewTransition &e = kGskewPolicy.step[key];
-        GskewLookup look;
-        look.bimPred = (key & 1) != 0;
-        look.g0Pred = ((key >> 1) & 1) != 0;
-        look.g1Pred = ((key >> 2) & 1) != 0;
-        look.metaPred = ((key >> 3) & 1) != 0;
-        look.majority = ((e.votes >> 1) & 1) != 0;
-        look.overall = e.overall();
-        votes.note(look, ((key >> 8) & 1) != 0, hist[key]);
+        votes.note(gskewKeyLookup(key), ((key >> 8) & 1) != 0, hist[key]);
     }
 }
 
@@ -51,7 +43,7 @@ foldGskewAccess(const GskewKeyHistogram &hist,
     for (unsigned key = 0; key < kGskewKeys; ++key) {
         const uint64_t n = hist[key];
         for (unsigned t = 0; n != 0 && t < kNumTables; ++t) {
-            const GskewAccessCounts &c = kGskewPolicy.access[key][t];
+            const GskewAccessStats &c = kGskewPolicy.access[key][t];
             access[t].predReads += n * c.predReads;
             access[t].predWrites += n * c.predWrites;
             access[t].hystReads += n * c.hystReads;

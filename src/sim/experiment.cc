@@ -262,13 +262,38 @@ ExperimentEngine::attachAccounting(CellExecutor &executor)
 }
 
 void
+ExperimentEngine::beginGroupCall()
+{
+    std::lock_guard<std::mutex> lock(wallMutex_);
+    if (groupCallsInFlight_++ == 0)
+        activeSinceNs_ = SpanTracer::global().nowNs();
+}
+
+void
+ExperimentEngine::endGroupCall()
+{
+    std::lock_guard<std::mutex> lock(wallMutex_);
+    if (--groupCallsInFlight_ == 0)
+        gridWallNs_.fetch_add(SpanTracer::global().nowNs() - activeSinceNs_,
+                              std::memory_order_relaxed);
+}
+
+void
 ExperimentEngine::runGroups(
     const std::vector<size_t> &cells,
     const std::vector<CellRequest> &requests,
     const std::function<void(const std::vector<size_t> &)> &run_group)
 {
-    SpanTracer &tracer = SpanTracer::global();
-    const uint64_t startNs = tracer.nowNs();
+    struct InFlight
+    {
+        ExperimentEngine &engine;
+        explicit InFlight(ExperimentEngine &e) : engine(e)
+        {
+            engine.beginGroupCall();
+        }
+        ~InFlight() { engine.endGroupCall(); }
+    } inFlight(*this);
+
     std::vector<std::vector<size_t>> groups;
     {
         ScopedSpan grouping(SpanPhase::GridSetup, "grid.setup:fuse");
@@ -284,8 +309,6 @@ ExperimentEngine::runGroups(
         }
     }
     parallelFor(groups.size(), [&](size_t g) { run_group(groups[g]); });
-    gridWallNs_.fetch_add(tracer.nowNs() - startNs,
-                          std::memory_order_relaxed);
 }
 
 GridOutcome

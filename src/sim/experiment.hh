@@ -160,8 +160,8 @@ class ExperimentEngine
      * fuses @p cells into walk groups (fuseGroups() under
      * fusedLaneCap()), counts them into the grid tallies (grid cells,
      * fused jobs, fused lane cells), runs @p run_group once per group
-     * on the pool and adds the wall of the whole call to gridWallNs().
-     * Several threads may call it at once (one per served session).
+     * on the pool and counts its wall into gridWallNs(). Several
+     * threads may call it at once (one per served session).
      */
     void runGroups(
         const std::vector<size_t> &cells,
@@ -199,8 +199,10 @@ class ExperimentEngine
         return busyNs_.load(std::memory_order_relaxed);
     }
 
-    /** Wall time spent inside runGroups(), summed across its calls
-     *  (batches and served sessions), ns. */
+    /** Wall time during which at least one runGroups() call (a batch
+     *  or a served session) was in flight, ns: overlapping calls
+     *  count their shared time once, so busy / (workers x this) is
+     *  the pool's utilization while it had work. */
     uint64_t
     gridWallNs() const
     {
@@ -232,6 +234,12 @@ class ExperimentEngine
 
     void workerLoop(unsigned slot);
 
+    /** A runGroups() call starts / ends: the first of overlapping
+     *  calls opens the active-wall interval, the last closes it into
+     *  gridWallNs_. */
+    void beginGroupCall();
+    void endGroupCall();
+
     unsigned jobs_;
     std::vector<std::thread> workers_;
 
@@ -251,6 +259,9 @@ class ExperimentEngine
     Histogram cellDurationsMs_;
     std::atomic<uint64_t> busyNs_{0};
     std::atomic<uint64_t> gridWallNs_{0};
+    std::mutex wallMutex_;       //!< guards groupCallsInFlight_, activeSinceNs_
+    unsigned groupCallsInFlight_ = 0;
+    uint64_t activeSinceNs_ = 0; //!< when groupCallsInFlight_ left 0
 
     /**
      * runGrid() invocations on this engine, in order: the batch index

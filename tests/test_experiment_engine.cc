@@ -23,6 +23,7 @@
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "predictors/factory.hh"
+#include "sim/cell_executor.hh"
 #include "sim/experiment.hh"
 #include "sim/suite_runner.hh"
 #include "sim/sweep.hh"
@@ -221,6 +222,37 @@ TEST(ExperimentEngine, ConcurrentCallersShareOnePoolWithinJobs)
     EXPECT_EQ(bError, "job 13 of call B failed");
     EXPECT_TRUE(bComplete);
     EXPECT_LE(maxInFlight.load(), 2);
+}
+
+TEST(ExperimentEngine, OverlappingGroupCallsCountTheirWallOnce)
+{
+    ExperimentEngine engine(2);
+    const std::vector<size_t> cells{0};
+    const std::vector<CellRequest> requests(1);
+    std::atomic<int> entered{0};
+    // Each call's one group waits for the other's, so the two calls
+    // overlap for at least the hold that follows.
+    auto group = [&](const std::vector<size_t> &) {
+        entered.fetch_add(1);
+        while (entered.load() < 2)
+            std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    };
+    const auto start = std::chrono::steady_clock::now();
+    std::thread a([&] { engine.runGroups(cells, requests, group); });
+    std::thread b([&] { engine.runGroups(cells, requests, group); });
+    a.join();
+    b.join();
+    const uint64_t outerNs = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+
+    EXPECT_EQ(engine.gridCellCount(), 2u);
+    // The shared time counts once: never more than the span that
+    // covered both calls, though each call alone held 60 ms.
+    EXPECT_GE(engine.gridWallNs(), 60'000'000u);
+    EXPECT_LE(engine.gridWallNs(), outerNs);
 }
 
 TEST(ExperimentEngine, ParallelForFromAPoolThreadThrows)

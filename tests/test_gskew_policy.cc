@@ -323,7 +323,7 @@ splitArrays(size_t pred, size_t hyst)
 
 /**
  * Every key, on SplitCounterArrays with full-size and half-size
- * hysteresis: the table's flips, votes and quiet flag are what the
+ * hysteresis: the table's flips and votes are what the
  * templates do, and gskewStep() leaves the same bits behind.
  */
 TEST(GskewPolicyTable, MatchesTemplatesOnSplitCounterArraysPerKey)
@@ -356,17 +356,9 @@ TEST(GskewPolicyTable, MatchesTemplatesOnSplitCounterArraysPerKey)
             EXPECT_EQ(splitState(tab, idx), splitState(ref, idx))
                 << "key " << key << " hyst " << hyst;
             EXPECT_EQ(s.t.overall(), look.overall) << "key " << key;
-            // A quiet step reports its key without hysteresis bits.
-            const bool quiet = kGskewPolicy.step[key & 0x30f].quiet;
-            EXPECT_EQ(s.key, quiet ? key & 0x30f : key) << "key " << key;
+            EXPECT_EQ(s.key, key) << "key " << key;
         }
     }
-    // Rationale 1 is the quiet case: all agree, correct, partial.
-    EXPECT_TRUE(kGskewPolicy.step[0x007 | gskewOutcomeKey(true, true)].quiet);
-    EXPECT_FALSE(
-        kGskewPolicy.step[0x007 | gskewOutcomeKey(true, false)].quiet);
-    EXPECT_FALSE(
-        kGskewPolicy.step[0x007 | gskewOutcomeKey(false, true)].quiet);
 }
 
 /**
@@ -451,7 +443,7 @@ TEST(GskewPolicyTable, MatchesEv8ArraysAndAccessCountsPerKey)
             EXPECT_EQ(tab.readPred(id, idx[t]), pred);
             EXPECT_EQ(tab.readHyst(id, idx[t]), hyst);
 
-            const GskewAccessCounts &want = kGskewPolicy.access[key][t];
+            const GskewAccessStats &want = kGskewPolicy.access[key][t];
             const Ev8PhysicalStorage::AccessStats &got =
                 ref.accessStats(id);
             EXPECT_EQ(got.predReads, want.predReads) << "key " << key;

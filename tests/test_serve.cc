@@ -567,6 +567,28 @@ TEST(Serve, SessionCellsFeedTheGridTallies)
     // fig8's rows fuse per benchmark: every cell rides a fused walk.
     EXPECT_GT(registry.counter("engine.fused_jobs").value(), 0u);
     EXPECT_EQ(registry.counter("engine.fused_lane_cells").value(), cells);
+
+    // Two sessions at once: both count their cells, and their shared
+    // time counts once in the utilization denominator, so the grid
+    // wall grows by no more than the span that covered both.
+    const uint64_t wallBefore = engine.gridWallNs();
+    const auto start = std::chrono::steady_clock::now();
+    callOk(server, openReq("left", false, "fig8"));
+    callOk(server, openReq("right", false, "fig8"));
+    callOk(server, sessionReq("start", "left"));
+    callOk(server, sessionReq("start", "right"));
+    const JsonValue left = callOk(server, sessionReq("wait", "left"));
+    const JsonValue right = callOk(server, sessionReq("wait", "right"));
+    const uint64_t spanNs = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    EXPECT_EQ(engine.gridCellCount(), cells
+                  + left.at("cells").items.size()
+                  + right.at("cells").items.size());
+    EXPECT_GT(engine.gridWallNs(), wallBefore);
+    EXPECT_LE(engine.gridWallNs() - wallBefore, spanNs);
+    EXPECT_LE(engine.poolBusyNs(), engine.jobs() * engine.gridWallNs());
 }
 
 TEST(Serve, DefaultLimitsParseStrictly)
