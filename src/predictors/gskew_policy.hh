@@ -240,7 +240,8 @@ struct GskewAccessStats
  * readPred/readHyst/writePred/writeHyst accessors: one array access per
  * hardware read or write (Section 4.3). The EV8 physical arrays and the
  * policy table's one-entry bank both run the policy through it, so the
- * table's access counts are the arrays' by construction.
+ * one-entry bank's access counts (gskewKeyAccess()) are the arrays' by
+ * construction.
  */
 template <class Arrays>
 struct SplitBitBanks
@@ -310,12 +311,10 @@ struct GskewTransition
     }
 };
 
-/** The tabulated policy: the hot step, and the access counts. */
+/** The tabulated policy: one step per key. */
 struct GskewPolicyTable
 {
     std::array<GskewTransition, kGskewKeys> step{};
-    std::array<std::array<GskewAccessStats, kNumTables>, kGskewKeys>
-        access{};
 };
 
 namespace detail
@@ -355,25 +354,34 @@ struct OneEntryArrays
     }
 };
 
+/** Runs the templates once on a one-entry bank holding @p key's
+ *  bits; returns the bank after the step, every access counted, and
+ *  the votes in @p look. */
+constexpr OneEntryArrays
+stepOneEntry(unsigned key, GskewLookup &look)
+{
+    OneEntryArrays arrays;
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        arrays.pred[t] = ((key >> t) & 1) != 0;
+        arrays.hyst[t] = ((key >> (4 + t)) & 1) != 0;
+    }
+    const bool taken = ((key >> 8) & 1) != 0;
+    SplitBitBanks<OneEntryArrays> banks{arrays};
+    computeGskewVotes(banks, look);
+    if ((key >> 9) & 1)
+        gskewPartialUpdate(banks, look, taken);
+    else
+        gskewTotalUpdate(banks, look, taken);
+    return arrays;
+}
+
 constexpr GskewPolicyTable
 buildGskewPolicyTable()
 {
     GskewPolicyTable table;
     for (unsigned key = 0; key < kGskewKeys; ++key) {
-        OneEntryArrays arrays;
-        for (unsigned t = 0; t < kNumTables; ++t) {
-            arrays.pred[t] = ((key >> t) & 1) != 0;
-            arrays.hyst[t] = ((key >> (4 + t)) & 1) != 0;
-        }
-        const bool taken = ((key >> 8) & 1) != 0;
-        SplitBitBanks<OneEntryArrays> banks{arrays};
         GskewLookup look;
-        computeGskewVotes(banks, look);
-        if ((key >> 9) & 1)
-            gskewPartialUpdate(banks, look, taken);
-        else
-            gskewTotalUpdate(banks, look, taken);
-
+        const OneEntryArrays arrays = stepOneEntry(key, look);
         GskewTransition &e = table.step[key];
         unsigned state = 0;
         for (unsigned t = 0; t < kNumTables; ++t) {
@@ -386,7 +394,6 @@ buildGskewPolicyTable()
         e.flips = static_cast<uint8_t>((state ^ key) & 0xff);
         e.votes = static_cast<uint8_t>(unsigned{look.overall}
                                        | (unsigned{look.majority} << 1));
-        table.access[key] = arrays.count;
     }
     return table;
 }
@@ -396,6 +403,18 @@ buildGskewPolicyTable()
 /** The 2Bc-gskew policy, tabulated from the templates above. */
 inline constexpr GskewPolicyTable kGskewPolicy =
     detail::buildGskewPolicyTable();
+
+/**
+ * The per-table array accesses @p key's step makes, counted by running
+ * the templates on a one-entry bank. Only the histogram fold asks for
+ * them, at publish time, so they are not tabulated.
+ */
+constexpr std::array<GskewAccessStats, kNumTables>
+gskewKeyAccess(unsigned key)
+{
+    GskewLookup look;
+    return detail::stepOneEntry(key, look).count;
+}
 
 /**
  * The eight bits one step reads and may flip, in key order: the

@@ -42,8 +42,12 @@ foldGskewAccess(const GskewKeyHistogram &hist,
 {
     for (unsigned key = 0; key < kGskewKeys; ++key) {
         const uint64_t n = hist[key];
-        for (unsigned t = 0; n != 0 && t < kNumTables; ++t) {
-            const GskewAccessStats &c = kGskewPolicy.access[key][t];
+        if (n == 0)
+            continue;
+        const std::array<GskewAccessStats, kNumTables> counts =
+            gskewKeyAccess(key);
+        for (unsigned t = 0; t < kNumTables; ++t) {
+            const GskewAccessStats &c = counts[t];
             access[t].predReads += n * c.predReads;
             access[t].predWrites += n * c.predWrites;
             access[t].hystReads += n * c.hystReads;

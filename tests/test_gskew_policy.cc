@@ -432,6 +432,8 @@ TEST(GskewPolicyTable, MatchesEv8ArraysAndAccessCountsPerKey)
         EXPECT_EQ(s.t.overall(), look.overall) << "key " << key;
 
         const GskewTransition &e = kGskewPolicy.step[key];
+        const std::array<GskewAccessStats, kNumTables> access =
+            gskewKeyAccess(key);
         for (unsigned t = 0; t < kNumTables; ++t) {
             const auto id = static_cast<TableId>(t);
             const bool pred = ref.readPred(id, idx[t]);
@@ -443,7 +445,7 @@ TEST(GskewPolicyTable, MatchesEv8ArraysAndAccessCountsPerKey)
             EXPECT_EQ(tab.readPred(id, idx[t]), pred);
             EXPECT_EQ(tab.readHyst(id, idx[t]), hyst);
 
-            const GskewAccessStats &want = kGskewPolicy.access[key][t];
+            const GskewAccessStats &want = access[t];
             const Ev8PhysicalStorage::AccessStats &got =
                 ref.accessStats(id);
             EXPECT_EQ(got.predReads, want.predReads) << "key " << key;
