@@ -8,29 +8,21 @@
  * Faithful to the Section 8.2 methodology, the best length is found by
  * sweeping at the current trace scale (the optimum grows with trace
  * length; the paper swept its 100M-instruction traces).
+ *
+ * The sweep is the "fig6" registry grid (serve/grids.hh): every
+ * scheme's candidate lengths and its log2(size) point run as one grid
+ * batch, and each scheme's summary row reads its slice of the results.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <span>
 
 #include "bench_common.hh"
 #include "common/table.hh"
-#include "predictors/factory.hh"
-#include "predictors/twobcgskew.hh"
-#include "sim/sweep.hh"
+#include "serve/grids.hh"
 
 using namespace ev8;
-
-namespace
-{
-
-struct Scheme
-{
-    const char *label;
-    unsigned log2Size;       //!< the conventional history length
-    HistoryFactory make;     //!< predictor at a candidate history length
-};
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -40,39 +32,18 @@ main(int argc, char **argv)
                                "length = log2(table size) instead of "
                                "best");
 
-    SuiteRunner &runner = ctx.runner();
-    const SimConfig ghist = ctx.instrument(SimConfig::ghist());
-    const std::vector<unsigned> lengths{8, 12, 16, 20, 24, 28};
-
-    // For 2Bc-gskew, one length parameter scales all three history
-    // lengths with the paper's proportions (G0 ~ 0.62 L, Meta ~ 0.74 L,
-    // G1 = L; e.g. L=27 gives 17/20/27, the paper's 512Kb lengths).
-    auto gskew = [](unsigned log2_entries) {
-        return [log2_entries](unsigned len) -> PredictorPtr {
-            const unsigned g0 = std::max(2u, len * 62 / 100);
-            const unsigned meta = std::max(2u, len * 74 / 100);
-            return std::make_unique<TwoBcGskewPredictor>(
-                TwoBcGskewConfig::symmetric(log2_entries, 0, g0, meta,
-                                            len, "2bcgskew"));
-        };
-    };
-
-    const std::vector<Scheme> schemes = {
-        {"2Bc-gskew 256Kb", 15, gskew(15)},
-        {"2Bc-gskew 512Kb", 16, gskew(16)},
-        {"gshare 2Mb", 20,
-         [](unsigned len) {
-             return makePredictor("gshare:20:" + std::to_string(len));
-         }},
-        {"YAGS 288Kb", 14,
-         [](unsigned len) {
-             return makePredictor("yags:14:14:" + std::to_string(len));
-         }},
-        {"bi-mode 544Kb", 17,
-         [](unsigned len) {
-             return makePredictor("bimode:17:14:" + std::to_string(len));
-         }},
-    };
+    const GridSpec *grid = findGrid("fig6");
+    if (!benchQuiet()) {
+        std::fprintf(stderr, "  sweeping %zu schemes (%zu rows) ...\n",
+                     fig6Sweeps().size(), grid->rows.size());
+    }
+    const auto results =
+        ctx.runner()
+            .runGrid(buildGridRows(*grid, ctx.instrument(SimConfig{})))
+            .results;
+    std::vector<double> means;
+    for (const auto &row : results)
+        means.push_back(SuiteRunner::averageMispKI(row));
 
     TextTable table;
     std::vector<std::string> header{"configuration", "best len",
@@ -82,40 +53,26 @@ main(int argc, char **argv)
 
     std::vector<std::string> extra_labels;
     std::vector<double> extra_values;
-    for (const auto &scheme : schemes) {
-        if (!benchQuiet())
-            std::fprintf(stderr, "  sweeping %s ...\n", scheme.label);
-        // The log2(size) point rides in the same sweep -- and so in
-        // the same fused lane group -- as the candidate lengths: one
-        // more lane on the shared suite walk, where a separate sweep
-        // call would walk the whole suite again for that single
-        // configuration. Appending keeps the point order (and every
-        // artifact) identical to the two-call form.
-        std::vector<unsigned> sweep_lengths = lengths;
-        bool have_log2 = false;
-        for (unsigned len : lengths)
-            have_log2 |= len == scheme.log2Size;
-        if (!have_log2)
-            sweep_lengths.push_back(scheme.log2Size);
-        auto points = sweepHistoryLengths(runner, scheme.make,
-                                          sweep_lengths, ghist);
-
-        const SweepPoint &best = bestPoint(points);
-        double log2_value = 0;
-        for (const auto &p : points) {
-            if (p.histLen == scheme.log2Size)
-                log2_value = p.avgMispKI;
-        }
-        const double extra = log2_value - best.avgMispKI;
-        table.row({scheme.label, std::to_string(best.histLen),
-                   fmt(best.avgMispKI, 3), std::to_string(scheme.log2Size),
+    size_t first = 0;
+    for (const HistorySweep &sweep : fig6Sweeps()) {
+        const std::vector<unsigned> &lengths = sweep.lengths;
+        const std::span<const double> slice(means.data() + first,
+                                            lengths.size());
+        first += lengths.size();
+        const size_t best = SuiteRunner::bestMeanIndex(slice);
+        const double log2_value =
+            slice[std::find(lengths.begin(), lengths.end(), sweep.log2Size)
+                  - lengths.begin()];
+        const double extra = log2_value - slice[best];
+        table.row({sweep.label, std::to_string(lengths[best]),
+                   fmt(slice[best], 3), std::to_string(sweep.log2Size),
                    fmt(log2_value, 3), fmt(extra, 3)});
-        ctx.recordRow(scheme.label, 0,
+        ctx.recordRow(sweep.label, 0,
                       {"best_len", "best_mispki", "log2_len",
                        "log2_mispki", "extra_mispki"},
-                      {double(best.histLen), best.avgMispKI,
-                       double(scheme.log2Size), log2_value, extra});
-        extra_labels.push_back(scheme.label);
+                      {double(lengths[best]), slice[best],
+                       double(sweep.log2Size), log2_value, extra});
+        extra_labels.push_back(sweep.label);
         extra_values.push_back(extra);
     }
 

@@ -4,76 +4,71 @@
  * find every scheme's "best history length". Prints the sweep curve for
  * a gshare and for the 2Bc-gskew G1 length, demonstrating that the
  * optimum sits beyond log2(table size) for large predictors as the
- * trace grows (Section 5.3).
- *
- * Lengths can be overridden: EV8_SWEEP_LENGTHS="4,8,12,16" (comma
- * separated, each in [1, 64]; anything else exits 2).
+ * trace grows (Section 5.3). Both sweeps run as one grid batch.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
+#include <span>
 #include <string>
 
 #include "bench_common.hh"
-#include "common/env.hh"
 #include "common/table.hh"
 #include "predictors/factory.hh"
 #include "predictors/twobcgskew.hh"
-#include "sim/sweep.hh"
 
 using namespace ev8;
 
 namespace
 {
 
-std::vector<unsigned>
-sweepLengths()
+/** The swept history lengths, shared by both sweeps. */
+const std::vector<unsigned> kLengths{4, 8, 12, 16, 20, 24};
+
+/** One sweep: a predictor built at every length of kLengths. */
+struct Sweep
 {
-    const char *env = std::getenv("EV8_SWEEP_LENGTHS");
-    if (env == nullptr)
-        return {4, 8, 12, 16, 20, 24};
-    // Every comma-separated token must be a history length the 64-bit
-    // history register can hold; an empty token is an error too.
-    const std::string text = env;
-    std::vector<unsigned> lengths;
-    try {
-        for (size_t pos = 0;;) {
-            const size_t comma = text.find(',', pos);
-            lengths.push_back(static_cast<unsigned>(
-                parseStrictU64(text.substr(pos, comma - pos), 1, 64)));
-            if (comma == std::string::npos)
-                return lengths;
-            pos = comma + 1;
-        }
-    } catch (const std::invalid_argument &err) {
-        std::fprintf(stderr, "EV8_SWEEP_LENGTHS: %s\n", err.what());
-        std::exit(2);
-    }
-}
+    const char *label; //!< export row label
+    const char *title; //!< bar chart title
+    PredictorPtr (*make)(unsigned len);
+};
+
+const Sweep kSweeps[] = {
+    {"gshare-64K",
+     "gshare 64K entries, suite-average misp/KI by history length:",
+     [](unsigned len) {
+         return makePredictor("gshare:16:" + std::to_string(len));
+     }},
+    {"2bcgskew-G1",
+     "2Bc-gskew 4*64K, G1 history length sweep (G0=13, Meta=15):",
+     [](unsigned len) -> PredictorPtr {
+         return std::make_unique<TwoBcGskewPredictor>(
+             TwoBcGskewConfig::symmetric(
+                 16, 0, 13, 15, len, "2bcgskew-G1h" + std::to_string(len)));
+     }},
+};
 
 void
-printCurve(BenchContext &ctx, const char *label, const char *title,
-           const std::vector<SweepPoint> &points)
+printCurve(BenchContext &ctx, const Sweep &sweep,
+           std::span<const double> means)
 {
     std::vector<std::string> labels;
     std::vector<std::string> columns;
     std::vector<double> values;
-    for (const auto &p : points) {
-        labels.push_back("h=" + std::to_string(p.histLen));
-        columns.push_back("h" + std::to_string(p.histLen));
-        values.push_back(p.avgMispKI);
+    for (size_t i = 0; i < kLengths.size(); ++i) {
+        labels.push_back("h=" + std::to_string(kLengths[i]));
+        columns.push_back("h" + std::to_string(kLengths[i]));
+        values.push_back(means[i]);
     }
+    const size_t best = SuiteRunner::bestMeanIndex(means);
     if (!benchQuiet()) {
         std::printf("%s\n",
-                    renderBarChart(title, labels, values).c_str());
-        std::printf("  best length: %u (%.3f misp/KI)\n\n",
-                    bestPoint(points).histLen,
-                    bestPoint(points).avgMispKI);
+                    renderBarChart(sweep.title, labels, values).c_str());
+        std::printf("  best length: %u (%.3f misp/KI)\n\n", kLengths[best],
+                    means[best]);
     }
     columns.push_back("best_len");
-    values.push_back(bestPoint(points).histLen);
-    ctx.recordRow(label, 0, std::move(columns), std::move(values));
+    values.push_back(kLengths[best]);
+    ctx.recordRow(sweep.label, 0, std::move(columns), std::move(values));
 }
 
 } // namespace
@@ -84,38 +79,27 @@ main(int argc, char **argv)
     BenchContext ctx(argc, argv,
                      "Methodology (Section 8)", "History-length sweeps");
 
-    const auto lengths = sweepLengths();
-    SuiteRunner &runner = ctx.runner();
     const SimConfig ghist = ctx.instrument(SimConfig::ghist());
-
+    std::vector<GridRow> rows;
+    for (const Sweep &sweep : kSweeps) {
+        for (unsigned len : kLengths) {
+            rows.push_back({[make = sweep.make, len] { return make(len); },
+                            ghist,
+                            std::string(sweep.label) + " h="
+                                + std::to_string(len)});
+        }
+    }
     if (!benchQuiet())
-        std::fprintf(stderr, "  sweeping gshare 64K ...\n");
-    const auto gshare = sweepHistoryLengths(
-        runner,
-        [](unsigned len) {
-            return makePredictor("gshare:16:" + std::to_string(len));
-        },
-        lengths, ghist);
-    printCurve(ctx, "gshare-64K",
-               "gshare 64K entries, suite-average misp/KI by history "
-               "length:",
-               gshare);
+        std::fprintf(stderr, "  sweeping gshare 64K and 2Bc-gskew G1 ...\n");
+    std::vector<double> means;
+    for (const auto &row : ctx.runner().runGrid(rows).results)
+        means.push_back(SuiteRunner::averageMispKI(row));
 
-    if (!benchQuiet())
-        std::fprintf(stderr, "  sweeping 2Bc-gskew G1 length ...\n");
-    const auto g1 = sweepHistoryLengths(
-        runner,
-        [](unsigned len) {
-            return std::make_unique<TwoBcGskewPredictor>(
-                TwoBcGskewConfig::symmetric(
-                    16, 0, 13, 15, len,
-                    "2bcgskew-G1h" + std::to_string(len)));
-        },
-        lengths, ghist);
-    printCurve(ctx, "2bcgskew-G1",
-               "2Bc-gskew 4*64K, G1 history length sweep (G0=13, "
-               "Meta=15):",
-               g1);
+    for (size_t s = 0; s < std::size(kSweeps); ++s) {
+        printCurve(ctx, kSweeps[s],
+                   std::span<const double>(means).subspan(
+                       s * kLengths.size(), kLengths.size()));
+    }
 
     printShapeNotes({
         "the gshare curve is U-shaped: too little history misses "

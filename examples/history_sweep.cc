@@ -22,7 +22,7 @@
 
 #include "common/table.hh"
 #include "predictors/factory.hh"
-#include "sim/sweep.hh"
+#include "sim/suite_runner.hh"
 
 using namespace ev8;
 
@@ -57,16 +57,17 @@ main(int argc, char **argv)
         argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 300000;
 
     SuiteRunner runner(branches);
-    auto make = [&](unsigned len) {
+    std::vector<GridRow> rows;
+    for (unsigned len : lengths) {
         std::string spec = tmpl;
         spec.replace(at, 1, std::to_string(len));
-        return makePredictor(spec);
-    };
+        rows.push_back({[spec] { return makePredictor(spec); },
+                        SimConfig::ghist(), spec});
+    }
 
     std::fprintf(stderr, "sweeping %zu lengths over the suite ...\n",
                  lengths.size());
-    const auto points =
-        sweepHistoryLengths(runner, make, lengths, SimConfig::ghist());
+    const auto results = runner.runGrid(rows).results;
 
     TextTable table;
     std::vector<std::string> header{"history"};
@@ -74,15 +75,18 @@ main(int argc, char **argv)
         header.push_back(runner.name(i));
     header.push_back("amean");
     table.header(std::move(header));
-    for (const auto &p : points) {
-        std::vector<std::string> cells{std::to_string(p.histLen)};
-        for (const auto &r : p.perBench)
+    std::vector<double> means;
+    for (size_t i = 0; i < lengths.size(); ++i) {
+        means.push_back(SuiteRunner::averageMispKI(results[i]));
+        std::vector<std::string> cells{std::to_string(lengths[i])};
+        for (const auto &r : results[i])
             cells.push_back(fmt(r.sim.stats.mispKI(), 2));
-        cells.push_back(fmt(p.avgMispKI, 3));
+        cells.push_back(fmt(means[i], 3));
         table.row(std::move(cells));
     }
     std::printf("%s\n", table.render().c_str());
+    const size_t best = SuiteRunner::bestMeanIndex(means);
     std::printf("best history length: %u (%.3f misp/KI average)\n",
-                bestPoint(points).histLen, bestPoint(points).avgMispKI);
+                lengths[best], means[best]);
     return 0;
 }

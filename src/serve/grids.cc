@@ -17,57 +17,74 @@ namespace
 {
 
 /**
- * The fig6 sweep rows for one scheme: the candidate history lengths
- * plus the scheme's log2(size) point when the sweep does not already
- * contain it -- the same point set (and order) bench_fig6_history_length
- * walks, served as one labelled row per point.
+ * A fig6 2Bc-gskew predictor at history length @p len: one length
+ * scales all three history lengths with the paper's proportions
+ * (G0 ~ 0.62 L, Meta ~ 0.74 L, G1 = L; e.g. L=27 gives 17/20/27, the
+ * paper's 512Kb lengths). Every sweep lane carries one label, so its
+ * metrics fold under one "2bcgskew" prefix.
  */
-void
-appendSweepRows(std::vector<GridRow> &rows, const std::string &label,
-                unsigned log2_size,
-                const std::function<std::string(unsigned)> &spec)
+PredictorPtr
+gskewSweep(unsigned log2_entries, unsigned len)
+{
+    const unsigned g0 = std::max(2u, len * 62 / 100);
+    const unsigned meta = std::max(2u, len * 74 / 100);
+    return std::make_unique<TwoBcGskewPredictor>(TwoBcGskewConfig::symmetric(
+        log2_entries, 0, g0, meta, len, "2bcgskew"));
+}
+
+/** One fig6 scheme: its label, log2(size) and predictor at a length. */
+struct Fig6Scheme
+{
+    const char *label;
+    unsigned log2Size;
+    PredictorPtr (*make)(unsigned len);
+};
+
+const Fig6Scheme kFig6Schemes[] = {
+    {"2Bc-gskew 256Kb", 15, [](unsigned len) { return gskewSweep(15, len); }},
+    {"2Bc-gskew 512Kb", 16, [](unsigned len) { return gskewSweep(16, len); }},
+    {"gshare 2Mb", 20,
+     [](unsigned len) {
+         return makePredictor("gshare:20:" + std::to_string(len));
+     }},
+    {"YAGS 288Kb", 14,
+     [](unsigned len) {
+         return makePredictor("yags:14:14:" + std::to_string(len));
+     }},
+    {"bi-mode 544Kb", 17,
+     [](unsigned len) {
+         return makePredictor("bimode:17:14:" + std::to_string(len));
+     }},
+};
+
+/**
+ * A fig6 scheme's swept lengths: the candidates, plus the scheme's
+ * log2(size) point when they lack it. The log2 point rides in the same
+ * batch -- and so in the same fused walk -- as the candidates.
+ */
+std::vector<unsigned>
+fig6Lengths(unsigned log2_size)
 {
     std::vector<unsigned> lengths{8, 12, 16, 20, 24, 28};
     if (std::find(lengths.begin(), lengths.end(), log2_size)
         == lengths.end())
         lengths.push_back(log2_size);
-    for (unsigned len : lengths) {
-        rows.push_back({[s = spec(len)] { return makePredictor(s); },
-                        SimConfig::ghist(),
-                        label + " L=" + std::to_string(len)});
-    }
+    return lengths;
 }
 
-/** The fig6 2Bc-gskew length scaling (G0 ~ 0.62 L, Meta ~ 0.74 L). */
-std::string
-gskewSweepSpec(unsigned log2_entries, unsigned len)
-{
-    const unsigned g0 = std::max(2u, len * 62 / 100);
-    const unsigned meta = std::max(2u, len * 74 / 100);
-    return "2bcgskew:" + std::to_string(log2_entries) + ":0:"
-        + std::to_string(g0) + ":" + std::to_string(meta) + ":"
-        + std::to_string(len);
-}
-
+/** fig6's rows: per scheme, one row per swept length. */
 std::vector<GridRow>
 fig6Rows()
 {
     std::vector<GridRow> rows;
-    appendSweepRows(rows, "2Bc-gskew 256Kb", 15, [](unsigned len) {
-        return gskewSweepSpec(15, len);
-    });
-    appendSweepRows(rows, "2Bc-gskew 512Kb", 16, [](unsigned len) {
-        return gskewSweepSpec(16, len);
-    });
-    appendSweepRows(rows, "gshare 2Mb", 20, [](unsigned len) {
-        return "gshare:20:" + std::to_string(len);
-    });
-    appendSweepRows(rows, "YAGS 288Kb", 14, [](unsigned len) {
-        return "yags:14:14:" + std::to_string(len);
-    });
-    appendSweepRows(rows, "bi-mode 544Kb", 17, [](unsigned len) {
-        return "bimode:17:14:" + std::to_string(len);
-    });
+    for (const Fig6Scheme &scheme : kFig6Schemes) {
+        for (unsigned len : fig6Lengths(scheme.log2Size)) {
+            rows.push_back({[make = scheme.make, len] { return make(len); },
+                            SimConfig::ghist(),
+                            std::string(scheme.label) + " L="
+                                + std::to_string(len)});
+        }
+    }
     return rows;
 }
 
@@ -324,6 +341,20 @@ registry()
 }
 
 } // namespace
+
+const std::vector<HistorySweep> &
+fig6Sweeps()
+{
+    static const std::vector<HistorySweep> sweeps = [] {
+        std::vector<HistorySweep> out;
+        for (const Fig6Scheme &scheme : kFig6Schemes) {
+            out.push_back({scheme.label, scheme.log2Size,
+                           fig6Lengths(scheme.log2Size)});
+        }
+        return out;
+    }();
+    return sweeps;
+}
 
 const GridSpec *
 findGrid(const std::string &id)

@@ -39,6 +39,21 @@ struct GridSpec
     std::vector<GridRow> rows; //!< uninstrumented configs (no sinks)
 };
 
+/**
+ * One scheme of the "fig6" grid: a contiguous run of its rows, one per
+ * swept history length, in row order. The conventional log2(size)
+ * length is always among them.
+ */
+struct HistorySweep
+{
+    std::string label;             //!< the scheme ("2Bc-gskew 256Kb")
+    unsigned log2Size = 0;         //!< the conventional history length
+    std::vector<unsigned> lengths; //!< one grid row per length
+};
+
+/** The "fig6" grid's schemes, in row order. */
+const std::vector<HistorySweep> &fig6Sweeps();
+
 /** The registry. @returns null for an unknown id. */
 const GridSpec *findGrid(const std::string &id);
 

@@ -1,5 +1,6 @@
 #include "sim/suite_runner.hh"
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -124,6 +125,22 @@ SuiteRunner::averageMispKI(const std::vector<BenchResult> &results)
     if (completed == 0)
         return std::numeric_limits<double>::quiet_NaN();
     return sum / static_cast<double>(completed);
+}
+
+size_t
+SuiteRunner::bestMeanIndex(std::span<const double> means)
+{
+    if (means.empty())
+        throw std::invalid_argument("bestMeanIndex of no means");
+    size_t best = 0;
+    bool found = false;
+    for (size_t i = 0; i < means.size(); ++i) {
+        if (std::isfinite(means[i]) && (!found || means[i] < means[best])) {
+            best = i;
+            found = true;
+        }
+    }
+    return best;
 }
 
 } // namespace ev8

@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,7 @@ struct BenchResult
     /**
      * The cell exhausted its retries and produced no result: sim is
      * empty, the cell appears in the grid's CellFailure list, and
-     * aggregates (averageMispKI, sweeps) skip it.
+     * aggregates (averageMispKI) skip it.
      */
     bool failed = false;
 };
@@ -57,7 +58,7 @@ struct GridRow
     SimConfig config;
 
     /**
-     * Human-readable row name ("2Bc-gskew 512Kb", "len16", ...); feeds
+     * Human-readable row name ("2Bc-gskew 512Kb L=16", ...); feeds
      * CellFailure reports and the checkpoint grid hash. Optional --
      * anonymous rows just report by index.
      */
@@ -240,6 +241,14 @@ class SuiteRunner
      * JSON null / CSV "--"); 0.0 on an empty set.
      */
     static double averageMispKI(const std::vector<BenchResult> &results);
+
+    /**
+     * The best-history-length rule (Section 8.2) over suite means from
+     * averageMispKI(): the index of the lowest finite mean. A NaN mean
+     * (every cell failed) never wins; if every mean is NaN, 0. Throws
+     * std::invalid_argument on an empty set.
+     */
+    static size_t bestMeanIndex(std::span<const double> means);
 
   private:
     struct PlanEntry

@@ -1,8 +1,9 @@
 /**
  * @file
- * LEB128 varint / zigzag stream helpers shared by the binary trace and
- * block-stream serializers. All multi-byte integers in those formats go
- * through these, so the encodings cannot drift apart.
+ * LEB128 varint / zigzag stream helpers shared by the binary
+ * serializers (the .ev8s block streams and the .ev8p phase maps), and
+ * the error their readers throw. All multi-byte integers in those
+ * formats go through these, so the encodings cannot drift apart.
  */
 
 #ifndef EV8_TRACE_VARINT_HH
@@ -12,13 +13,21 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
-#include "trace/trace_io.hh"
-
 namespace ev8
 {
+
+/** Error raised on malformed or truncated serialized files. */
+class TraceIoError : public std::runtime_error
+{
+  public:
+    explicit TraceIoError(const std::string &what)
+        : std::runtime_error(what)
+    {}
+};
 
 inline void
 putVarint(std::ostream &out, uint64_t value)

@@ -23,7 +23,6 @@
 #include "predictors/factory.hh"
 #include "sim/block_stream.hh"
 #include "sim/simulator.hh"
-#include "trace/trace_io.hh"
 #include "trace/varint.hh"
 #include "workloads/suite.hh"
 

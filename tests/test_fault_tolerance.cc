@@ -19,6 +19,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
@@ -363,7 +364,7 @@ TEST_F(BenchE2E, PartialRunExitsThreeAndReportsTheFailure)
     ASSERT_TRUE(failures->isArray());
     ASSERT_EQ(failures->items.size(), 1u);
     const JsonValue &f = failures->items.front();
-    EXPECT_EQ(f.at("row_label").text, "len8");
+    EXPECT_EQ(f.at("row_label").text, "2Bc-gskew 256Kb L=8");
     EXPECT_EQ(f.at("bench").text, "gcc");
     EXPECT_EQ(f.at("attempts").number, 3.0);
     EXPECT_NE(f.at("error").text.find("injected job fault"),
@@ -372,7 +373,7 @@ TEST_F(BenchE2E, PartialRunExitsThreeAndReportsTheFailure)
     const std::string csv = slurp(tmp.path() + "/part.csv");
     EXPECT_NE(csv.find("\nfailures\nrow_label,bench,attempts,error\n"),
               std::string::npos);
-    EXPECT_NE(csv.find("len8,gcc,3,"), std::string::npos);
+    EXPECT_NE(csv.find("2Bc-gskew 256Kb L=8,gcc,3,"), std::string::npos);
 
     const std::string events = slurp(tmp.path() + "/part.jsonl");
     EXPECT_NE(events.find("\"type\":\"cell_failure\""),
@@ -395,11 +396,13 @@ TEST_F(BenchE2E, KilledRunResumesToByteIdenticalArtifacts)
               3);
 
     // The same run, checkpointed, SIGKILLed deterministically when the
-    // gshare sweep (batch g3) first schedules its (len8, compress)
-    // cell. Depending on whether the shell exec'd the binary, the kill
-    // surfaces as a signal death or as exit code 128+9.
+    // grid's last fused group (vortex, the eighth benchmark) first
+    // schedules its row-0 cell: at --jobs=4 it starts only after four
+    // groups have finished and journaled their cells. Depending on
+    // whether the shell exec'd the binary, the kill surfaces as a
+    // signal death or as exit code 128+9.
     const std::string die_env = base
-        + " EV8_FAULT_SPEC='job/=g0/r0/gcc+*,die/=g3/r0/compress@1'"
+        + " EV8_FAULT_SPEC='job/=g0/r0/gcc+*,die/=g0/r0/vortex@1'"
         + ckpt;
     const int status = runRaw(
         die_env, fig6_, artifactArgs(tmp.path(), "killed") + " --jobs=4");
@@ -408,14 +411,18 @@ TEST_F(BenchE2E, KilledRunResumesToByteIdenticalArtifacts)
         || (WIFEXITED(status) && WEXITSTATUS(status) == 128 + SIGKILL);
     ASSERT_TRUE(killed) << "raw wait status " << status;
 
-    // The kill left journals behind (batches before g3 completed).
+    // The kill left journaled cells behind (the groups that finished
+    // before vortex's started): records after each journal's header.
     ASSERT_TRUE(fs::exists(ckpt_dir));
     size_t journals = 0;
+    size_t records = 0;
     for (const auto &entry : fs::directory_iterator(ckpt_dir)) {
-        (void)entry;
         ++journals;
+        const std::string text = slurp(entry.path().string());
+        records += std::count(text.begin(), text.end(), '\n') - 1;
     }
     EXPECT_GT(journals, 0u);
+    EXPECT_GT(records, 0u);
 
     // Resume (die disarmed, the permanent cell fault still armed):
     // finishes partial as before, and every artifact byte matches the

@@ -20,7 +20,7 @@
 #include "sim/phase/features.hh"
 #include "sim/phase/phase_map.hh"
 #include "sim/phase/sample_plan.hh"
-#include "trace/trace_io.hh"
+#include "trace/varint.hh"
 #include "workloads/suite.hh"
 
 namespace ev8

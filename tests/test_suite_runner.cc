@@ -1,13 +1,17 @@
 /**
  * @file
- * Tests for the suite runner and history-length sweep harness.
+ * Tests for the suite runner and the history-length sweep rule.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "predictors/factory.hh"
 #include "sim/suite_runner.hh"
-#include "sim/sweep.hh"
 
 namespace ev8
 {
@@ -82,25 +86,61 @@ TEST(SuiteRunner, AverageMispKi)
     EXPECT_DOUBLE_EQ(SuiteRunner::averageMispKI({}), 0.0);
 }
 
+/** gshare:<log2e>:<len> rows, one per length, as one grid batch. */
+std::vector<double>
+sweepMeans(SuiteRunner &runner, unsigned log2e,
+           const std::vector<unsigned> &lengths,
+           std::vector<std::vector<BenchResult>> *results = nullptr)
+{
+    std::vector<GridRow> rows;
+    for (unsigned len : lengths) {
+        const std::string spec =
+            "gshare:" + std::to_string(log2e) + ":" + std::to_string(len);
+        rows.push_back({[spec] { return makePredictor(spec); },
+                        SimConfig::ghist(), spec});
+    }
+    GridOutcome outcome = runner.runGrid(rows);
+    EXPECT_TRUE(outcome.ok());
+    std::vector<double> means;
+    for (const auto &row : outcome.results)
+        means.push_back(SuiteRunner::averageMispKI(row));
+    if (results != nullptr)
+        *results = std::move(outcome.results);
+    return means;
+}
+
+TEST(SuiteRunner, BestMeanIndexSkipsFailedPoints)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    // The finite minimum wins, wherever it sits.
+    EXPECT_EQ(SuiteRunner::bestMeanIndex(std::vector{5.0, 3.0, 4.0}), 1u);
+    EXPECT_EQ(SuiteRunner::bestMeanIndex(std::vector{2.0, 3.0, 4.0}), 0u);
+    // Ties keep the first (the shorter history length).
+    EXPECT_EQ(SuiteRunner::bestMeanIndex(std::vector{4.0, 3.0, 3.0}), 1u);
+    // A NaN point (every cell failed) never wins, even where a `<`
+    // chain started at it would stall.
+    EXPECT_EQ(SuiteRunner::bestMeanIndex(std::vector{nan, 5.0, 4.0}), 2u);
+    EXPECT_EQ(SuiteRunner::bestMeanIndex(std::vector{5.0, nan, 4.0}), 2u);
+    EXPECT_EQ(SuiteRunner::bestMeanIndex(std::vector{3.0, nan, 4.0}), 0u);
+    // Every point failed: the first is returned.
+    EXPECT_EQ(SuiteRunner::bestMeanIndex(std::vector{nan, nan, nan}), 0u);
+    EXPECT_THROW(SuiteRunner::bestMeanIndex(std::vector<double>{}),
+                 std::invalid_argument);
+}
+
 TEST(Sweep, EvaluatesAllLengthsAndFindsMinimum)
 {
     SuiteRunner runner(kTinyScale);
-    const auto points = sweepHistoryLengths(
-        runner,
-        [](unsigned len) {
-            return makePredictor("gshare:12:" + std::to_string(len));
-        },
-        {0, 6, 12}, SimConfig::ghist());
-    ASSERT_EQ(points.size(), 3u);
-    EXPECT_EQ(points[0].histLen, 0u);
-    EXPECT_EQ(points[2].histLen, 12u);
-    for (const auto &p : points) {
-        EXPECT_GT(p.avgMispKI, 0.0);
-        EXPECT_EQ(p.perBench.size(), 8u);
+    std::vector<std::vector<BenchResult>> results;
+    const auto means = sweepMeans(runner, 12, {0, 6, 12}, &results);
+    ASSERT_EQ(means.size(), 3u);
+    for (size_t i = 0; i < means.size(); ++i) {
+        EXPECT_GT(means[i], 0.0);
+        EXPECT_EQ(results[i].size(), 8u);
     }
-    const SweepPoint &best = bestPoint(points);
-    for (const auto &p : points)
-        EXPECT_LE(best.avgMispKI, p.avgMispKI);
+    const size_t best = SuiteRunner::bestMeanIndex(means);
+    for (const double mean : means)
+        EXPECT_LE(means[best], mean);
 }
 
 TEST(Sweep, HistoryHelpsOnTheSuite)
@@ -108,13 +148,8 @@ TEST(Sweep, HistoryHelpsOnTheSuite)
     // Even at tiny scale, *some* history must beat no history for a
     // gshare of adequate size -- the suite is correlation-rich.
     SuiteRunner runner(20000);
-    const auto points = sweepHistoryLengths(
-        runner,
-        [](unsigned len) {
-            return makePredictor("gshare:14:" + std::to_string(len));
-        },
-        {0, 10}, SimConfig::ghist());
-    EXPECT_LT(points[1].avgMispKI, points[0].avgMispKI);
+    const auto means = sweepMeans(runner, 14, {0, 10});
+    EXPECT_LT(means[1], means[0]);
 }
 
 } // namespace
