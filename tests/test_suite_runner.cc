@@ -86,11 +86,10 @@ TEST(SuiteRunner, AverageMispKi)
     EXPECT_DOUBLE_EQ(SuiteRunner::averageMispKI({}), 0.0);
 }
 
-/** gshare:<log2e>:<len> rows, one per length, as one grid batch. */
-std::vector<double>
-sweepMeans(SuiteRunner &runner, unsigned log2e,
-           const std::vector<unsigned> &lengths,
-           std::vector<std::vector<BenchResult>> *results = nullptr)
+/** A gshare history-length sweep: one row per length, one batch. */
+std::vector<std::vector<BenchResult>>
+gshareSweep(SuiteRunner &runner, unsigned log2e,
+            const std::vector<unsigned> &lengths)
 {
     std::vector<GridRow> rows;
     for (unsigned len : lengths) {
@@ -101,12 +100,7 @@ sweepMeans(SuiteRunner &runner, unsigned log2e,
     }
     GridOutcome outcome = runner.runGrid(rows);
     EXPECT_TRUE(outcome.ok());
-    std::vector<double> means;
-    for (const auto &row : outcome.results)
-        means.push_back(SuiteRunner::averageMispKI(row));
-    if (results != nullptr)
-        *results = std::move(outcome.results);
-    return means;
+    return std::move(outcome.results);
 }
 
 TEST(SuiteRunner, BestMeanIndexSkipsFailedPoints)
@@ -131,12 +125,13 @@ TEST(SuiteRunner, BestMeanIndexSkipsFailedPoints)
 TEST(Sweep, EvaluatesAllLengthsAndFindsMinimum)
 {
     SuiteRunner runner(kTinyScale);
-    std::vector<std::vector<BenchResult>> results;
-    const auto means = sweepMeans(runner, 12, {0, 6, 12}, &results);
-    ASSERT_EQ(means.size(), 3u);
-    for (size_t i = 0; i < means.size(); ++i) {
-        EXPECT_GT(means[i], 0.0);
-        EXPECT_EQ(results[i].size(), 8u);
+    const auto results = gshareSweep(runner, 12, {0, 6, 12});
+    ASSERT_EQ(results.size(), 3u);
+    std::vector<double> means;
+    for (const auto &row : results) {
+        EXPECT_EQ(row.size(), 8u);
+        means.push_back(SuiteRunner::averageMispKI(row));
+        EXPECT_GT(means.back(), 0.0);
     }
     const size_t best = SuiteRunner::bestMeanIndex(means);
     for (const double mean : means)
@@ -148,8 +143,9 @@ TEST(Sweep, HistoryHelpsOnTheSuite)
     // Even at tiny scale, *some* history must beat no history for a
     // gshare of adequate size -- the suite is correlation-rich.
     SuiteRunner runner(20000);
-    const auto means = sweepMeans(runner, 14, {0, 10});
-    EXPECT_LT(means[1], means[0]);
+    const auto results = gshareSweep(runner, 14, {0, 10});
+    EXPECT_LT(SuiteRunner::averageMispKI(results[1]),
+              SuiteRunner::averageMispKI(results[0]));
 }
 
 } // namespace
