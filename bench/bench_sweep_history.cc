@@ -55,8 +55,9 @@ printCurve(BenchContext &ctx, const Sweep &sweep,
     std::vector<std::string> columns;
     std::vector<double> values;
     for (size_t i = 0; i < kLengths.size(); ++i) {
-        labels.push_back("h=" + std::to_string(kLengths[i]));
-        columns.push_back("h" + std::to_string(kLengths[i]));
+        const std::string length = std::to_string(kLengths[i]);
+        labels.push_back("h=" + length);
+        columns.push_back("h" + length);
         values.push_back(means[i]);
     }
     const size_t best = SuiteRunner::bestMeanIndex(means);

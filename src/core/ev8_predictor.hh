@@ -74,7 +74,7 @@ class Ev8Predictor final : public ConditionalBranchPredictor
      * with the four indices from one ev8EntryIndices() pass and the
      * policy from one kGskewPolicy lookup.
      */
-    bool predictAndUpdate(const BranchSnapshot &snap, bool taken);
+    bool predictAndUpdate(const BranchSnapshot &snap, bool taken) override;
 
     uint64_t storageBits() const override;
     std::string name() const override;

@@ -2,72 +2,37 @@
  * @file
  * Smith's bimodal predictor [21]: a table of 2-bit counters indexed by
  * branch address. The baseline component of every hybrid in the paper.
+ *
+ * Bimodal is gshare with no history bits: the index reduces to
+ * (pc >> 2) & mask, so the class is a GsharePredictor with history
+ * length 0 under its own name, and fused walks step it with gshare's
+ * group stepper.
  */
 
 #ifndef EV8_PREDICTORS_BIMODAL_HH
 #define EV8_PREDICTORS_BIMODAL_HH
 
-#include <vector>
+#include <string>
 
-#include "common/simd.hh"
-#include "predictors/predictor.hh"
-#include "predictors/tables.hh"
+#include "predictors/gshare.hh"
 
 namespace ev8
 {
 
-class BimodalPredictor final : public ConditionalBranchPredictor
+class BimodalPredictor final : public GsharePredictor
 {
   public:
     /** @param log2_entries table holds 2^log2_entries 2-bit counters. */
-    explicit BimodalPredictor(unsigned log2_entries);
-
-    bool predict(const BranchSnapshot &snap) override;
-    void update(const BranchSnapshot &snap, bool taken,
-                bool predicted_taken) override;
-    uint64_t storageBits() const override;
-    std::string name() const override;
-    void reset() override;
-
-    /** Scalar-stepper entry points; see GsharePredictor::laneIndex(). */
-    size_t laneIndex(const BranchSnapshot &snap) const
+    explicit BimodalPredictor(unsigned log2_entries)
+        : GsharePredictor(log2_entries, 0)
     {
-        return index(snap.pc);
-    }
-    bool applyAt(size_t idx, bool taken)
-    {
-        return table.readAndUpdate(idx, taken);
     }
 
-    /** Group stepper; see GsharePredictor::FusedGroup. */
-    class FusedGroup
+    std::string
+    name() const override
     {
-      public:
-        FusedGroup(BimodalPredictor *const *preds, size_t nlanes);
-        FusedGroup(const FusedGroup &) = delete;
-        FusedGroup &operator=(const FusedGroup &) = delete;
-
-        /** Advances every lane over one branch; tallies into misp[l]. */
-        void step(const BranchSnapshot &snap, bool taken, uint64_t *misp);
-
-      private:
-        template <class Vec>
-        void stepVec(const BranchSnapshot &snap, bool taken,
-                     uint64_t *misp);
-        void stepVecAvx2(const BranchSnapshot &snap, bool taken,
-                         uint64_t *misp);
-
-        simd::Backend backend_ = simd::Backend::Off;
-        std::vector<BimodalPredictor *> lanes_;
-        size_t paddedLanes_ = 0;
-        std::vector<uint64_t> idxMask_, wordBase_;
-    };
-
-  private:
-    size_t index(uint64_t pc) const;
-
-    unsigned log2Entries;
-    TwoBitCounterTable table;
+        return "bimodal-" + std::to_string(size_t{1} << log2Size());
+    }
 };
 
 } // namespace ev8

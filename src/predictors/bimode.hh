@@ -41,7 +41,7 @@ class BimodePredictor final : public ConditionalBranchPredictor
      * selected direction counter is read and stepped in a single packed
      * word access. Identical transitions to predict(); update().
      */
-    bool predictAndUpdate(const BranchSnapshot &snap, bool taken);
+    bool predictAndUpdate(const BranchSnapshot &snap, bool taken) override;
 
     uint64_t storageBits() const override;
     std::string name() const override;

@@ -41,7 +41,7 @@ class EgskewPredictor final : public ConditionalBranchPredictor
      * three skewed indices and re-reads the banks in update()). Table
      * transitions are identical to predict() followed by update().
      */
-    bool predictAndUpdate(const BranchSnapshot &snap, bool taken);
+    bool predictAndUpdate(const BranchSnapshot &snap, bool taken) override;
 
     uint64_t storageBits() const override;
     std::string name() const override;

@@ -18,11 +18,13 @@
  *    step (gskewStep() over kGskewPolicy), scalar, on either backend:
  *    the policy is a table load, not vector arithmetic.
  *
- *  - gshare/bimodal: index, counter read and the saturating 2-bit
- *    update all happen in-register four lanes at a time; the update
- *    is TwoBitCounterTable::maskedSatIncWord/maskedSatDecWord masked
- *    bitplane arithmetic on the gathered words, written back one
- *    word per real lane (lanes own disjoint tables, so whole-word
+ *  - gshare, bimodal lanes included (a bimodal lane is a gshare lane
+ *    whose history mask is 0, so its fold loop contributes nothing):
+ *    index, counter read and the saturating 2-bit update all happen
+ *    in-register four lanes at a time; the update is
+ *    TwoBitCounterTable::maskedSatIncWord/maskedSatDecWord masked
+ *    bitplane arithmetic on the gathered words, written back one word
+ *    per real lane (lanes own disjoint tables, so whole-word
  *    write-back cannot clobber a sibling).
  *
  * Reading all lanes' counters before any lane updates (and likewise
@@ -35,7 +37,6 @@
 #define EV8_PREDICTORS_FUSED_VEC_HH
 
 #include "common/simd.hh"
-#include "predictors/bimodal.hh"
 #include "predictors/gshare.hh"
 #include "predictors/twobcgskew.hh"
 
@@ -126,40 +127,6 @@ GsharePredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
         const Vec w = Vec::gather(waddr);
         const Vec s = (idx & Vec(31)) << 1;
         const Vec counter = Vec::srlv(w, s); // low 2 bits
-        const Vec sel = Vec::sllv(one, s);
-        const Vec wNew =
-            taken ? TwoBitCounterTable::maskedSatIncWord(w, sel)
-                  : TwoBitCounterTable::maskedSatDecWord(w, sel);
-        uint64_t wArr[kW], aArr[kW], cArr[kW];
-        wNew.store(wArr);
-        waddr.store(aArr);
-        counter.store(cArr);
-        const size_t real =
-            lanes_.size() - l < kW ? lanes_.size() - l : kW;
-        for (size_t k = 0; k < real; ++k) {
-            *reinterpret_cast<uint64_t *>(
-                static_cast<uintptr_t>(aArr[k])) = wArr[k];
-            misp[l + k] +=
-                (((cArr[k] >> 1) & 1) != 0) != taken;
-        }
-    }
-}
-
-template <class Vec>
-void
-BimodalPredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
-                                      bool taken, uint64_t *misp)
-{
-    constexpr size_t kW = Vec::kLanes;
-    const Vec one(1);
-    const Vec pcv(snap.pc >> 2);
-    for (size_t l = 0; l < paddedLanes_; l += kW) {
-        const Vec idx = pcv & Vec::load(&idxMask_[l]);
-        const Vec waddr =
-            Vec::add(Vec::load(&wordBase_[l]), (idx >> 5) << 3);
-        const Vec w = Vec::gather(waddr);
-        const Vec s = (idx & Vec(31)) << 1;
-        const Vec counter = Vec::srlv(w, s);
         const Vec sel = Vec::sllv(one, s);
         const Vec wNew =
             taken ? TwoBitCounterTable::maskedSatIncWord(w, sel)

@@ -31,13 +31,6 @@ GsharePredictor::FusedGroup::stepVecAvx2(const BranchSnapshot &snap,
     stepVec<simd::U64x4Avx2>(snap, taken, misp);
 }
 
-void
-BimodalPredictor::FusedGroup::stepVecAvx2(const BranchSnapshot &snap,
-                                          bool taken, uint64_t *misp)
-{
-    stepVec<simd::U64x4Avx2>(snap, taken, misp);
-}
-
 #endif // __AVX2__
 
 } // namespace ev8

@@ -20,7 +20,7 @@
 namespace ev8
 {
 
-class GsharePredictor final : public ConditionalBranchPredictor
+class GsharePredictor : public ConditionalBranchPredictor
 {
   public:
     /**
@@ -38,6 +38,7 @@ class GsharePredictor final : public ConditionalBranchPredictor
     void reset() override;
 
     unsigned historyLength() const { return histLen; }
+    unsigned log2Size() const { return log2Entries; }
 
     /**
      * Two-phase entry points for FusedGroup's scalar stepper: the pure
@@ -57,11 +58,12 @@ class GsharePredictor final : public ConditionalBranchPredictor
 
     /**
      * Group stepper for the fused kernel: advances every gshare lane
-     * of a fused job through one branch. The vector path computes all
-     * lanes' history folds, table indices, counter reads and masked
-     * bitplane counter updates four lanes at a time; EV8_SIMD=0 falls
-     * back to the per-lane two-phase step. Table transitions and
-     * mispredict tallies are bit-identical either way.
+     * of a fused job (bimodal lanes included) through one branch. The
+     * vector path computes all lanes' history folds, table indices,
+     * counter reads and masked bitplane counter updates four lanes at
+     * a time; EV8_SIMD=0 falls back to the per-lane two-phase step.
+     * Table transitions and mispredict tallies are bit-identical either
+     * way.
      */
     class FusedGroup
     {

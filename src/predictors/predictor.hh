@@ -77,6 +77,21 @@ class ConditionalBranchPredictor
     virtual void update(const BranchSnapshot &snap, bool taken,
                         bool predicted_taken) = 0;
 
+    /**
+     * Predicts and trains in one step, returning the prediction: the
+     * entry point of the production walk. Schemes that would otherwise
+     * recompute or re-cache lookup state (indices, votes) between
+     * predict() and update() override it with a fused step that makes
+     * identical transitions; the oracle walk keeps the split calls.
+     */
+    virtual bool
+    predictAndUpdate(const BranchSnapshot &snap, bool taken)
+    {
+        const bool predicted = predict(snap);
+        update(snap, taken, predicted);
+        return predicted;
+    }
+
     /** Total memorization cost in bits, as the paper accounts it. */
     virtual uint64_t storageBits() const = 0;
 

@@ -46,7 +46,7 @@ class YagsPredictor final : public ConditionalBranchPredictor
      * prediction and the training decision, instead of being recomputed
      * by a predict(); update() pair. Identical transitions.
      */
-    bool predictAndUpdate(const BranchSnapshot &snap, bool taken);
+    bool predictAndUpdate(const BranchSnapshot &snap, bool taken) override;
 
     uint64_t storageBits() const override;
     std::string name() const override;

@@ -333,9 +333,13 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
      * identical runs, independent of scheduling.
      */
     auto cell_key = [&](size_t i) {
-        return "g" + std::to_string(batch) + "/r"
-            + std::to_string(i / nbench) + "/"
-            + specint95Suite()[i % nbench].profile.name;
+        std::string key = "g";
+        key += std::to_string(batch);
+        key += "/r";
+        key += std::to_string(i / nbench);
+        key += "/";
+        key += specint95Suite()[i % nbench].profile.name;
+        return key;
     };
 
     /**

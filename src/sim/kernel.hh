@@ -5,15 +5,15 @@
  * update, one information vector per fetch block).
  *
  *  - runFusedStreamKernelRange is the production walk over one block
- *    range, one instantiation per (concrete predictor type, history
- *    mode), so the lane steppers are direct calls. Mispredict events
+ *    range, one instantiation per walk bucket (the two group-stepped
+ *    types, Ev8Predictor, and the generic ConditionalBranchPredictor
+ *    walk), so the bucketed lane steppers are direct calls. The
+ *    history mode is a runtime value of the walk. Mispredict events
  *    come from whichever stepper runs: requesting them changes no
  *    stepper, only adds emission after each step;
  *  - runWindows is the windowed driver: an exact run is one window
  *    [0, blocks()) with no warmup, a sampled run is a plan's windows,
  *    each primed by its warmup range;
- *  - dispatchFusedKernel resolves the history mode to the matching
- *    production instantiation;
  *  - runOracleRange is the reference: one predictor behind the virtual
  *    base class, split predict()/update() calls. It runs
  *    only when SimConfig::forceGenericKernel / EV8_GENERIC_KERNEL=1 is
@@ -42,7 +42,6 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "frontend/bank_scheduler.hh"
@@ -112,22 +111,11 @@ makeMispredictEvent(uint64_t branch_seq, const BranchSnapshot &snap,
 }
 
 /**
- * Single-call lane entry point: predict and train in one step, letting
- * the predictor reuse lookup state (indices, votes) it would otherwise
- * recompute or re-cache between the two virtual calls.
- */
-template <class P>
-concept FusedSteppable = requires(P p, const BranchSnapshot &snap) {
-    { p.predictAndUpdate(snap, true) } -> std::same_as<bool>;
-};
-
-/**
- * Group-stepped lane entry point, the strongest fusion contract: the
- * predictor class exposes a FusedGroup stepper that advances every lane
- * of a fused job in one call, sharing cross-lane index arithmetic that
- * the per-lane entry points cannot see (all lanes of a group observe
- * the same BranchSnapshot). Constructed once per range walk, checked
- * before the per-lane entry points.
+ * Group-stepped lane entry point: the predictor class exposes a
+ * FusedGroup stepper that advances every lane of a fused job in one
+ * call, sharing cross-lane index arithmetic that the per-lane
+ * predictAndUpdate() cannot see (all lanes of a group observe the same
+ * BranchSnapshot). Constructed once per range walk.
  */
 template <class P>
 concept FusedGroupStepped = requires(typename P::FusedGroup &group,
@@ -184,9 +172,8 @@ checkFusedLanes(const FusedLaneState<Predictor> *lanes, size_t nlanes)
  * drives @p nlanes predictor lanes under one shared history
  * configuration, continuing from (and updating) @p walk.
  *
- * @tparam Predictor   concrete (final) predictor class, or
- *                     ConditionalBranchPredictor for types without one
- * @tparam LghistMode  config.history != HistoryMode::Ghist
+ * @tparam Predictor  a bucketed predictor class, or
+ *                    ConditionalBranchPredictor for the generic walk
  *
  * The walk tallies (fetchBlocks, condBranches, lghistBits,
  * branchesPerBlock) are computed once and added into every lane;
@@ -194,7 +181,7 @@ checkFusedLanes(const FusedLaneState<Predictor> *lanes, size_t nlanes)
  * gets one record per step that raised its tally, carrying the votes
  * the stepper left in lastVotes().
  */
-template <class Predictor, bool LghistMode>
+template <class Predictor>
 void
 runFusedStreamKernelRange(const BlockStream &stream,
                           FusedLaneState<Predictor> *lanes,
@@ -224,6 +211,7 @@ runFusedStreamKernelRange(const BlockStream &stream,
     (void)group;
 
     const bool assign_banks = config.assignBanks;
+    const bool lghist_mode = config.history != HistoryMode::Ghist;
 
     HistoryRegister ghist = walk.ghist;
     LghistTracker lghist = walk.lghist;
@@ -267,20 +255,14 @@ runFusedStreamKernelRange(const BlockStream &stream,
             const bool br_taken = (raw & 1) != 0;
             snap.pc = block_addr + uint64_t(raw >> 1) * kInstrBytes;
             snap.hist.ghist = ghist.raw();
-            snap.hist.indexHist = LghistMode ? block_hist : ghist.raw();
+            snap.hist.indexHist = lghist_mode ? block_hist : ghist.raw();
 
             if constexpr (FusedGroupStepped<Predictor>) {
                 group.step(snap, br_taken, misp);
-            } else if constexpr (FusedSteppable<Predictor>) {
+            } else {
                 for (size_t l = 0; l < nlanes; ++l)
                     misp[l] += preds[l]->predictAndUpdate(snap, br_taken)
                         != br_taken;
-            } else {
-                for (size_t l = 0; l < nlanes; ++l) {
-                    const bool predicted = preds[l]->predict(snap);
-                    preds[l]->update(snap, br_taken, predicted);
-                    misp[l] += predicted != br_taken;
-                }
             }
             if (observed) {
                 for (size_t l = 0; l < nlanes; ++l) {
@@ -461,33 +443,6 @@ runWindows(FusedLaneState<Predictor> *lanes, size_t nlanes,
         }
         next_block = w.blockEnd;
     }
-}
-
-/**
- * Resolves the history mode to the matching production instantiation
- * and walks @p windows with it, warmup and measured ranges alike.
- */
-template <class Predictor>
-void
-dispatchFusedKernel(const BlockStream &stream,
-                    FusedLaneState<Predictor> *lanes, size_t nlanes,
-                    const SimConfig &config, BankScheduler &bank_sched,
-                    const std::vector<SampledWindow> &windows)
-{
-    auto run = [&](auto lg_c) {
-        runWindows(
-            lanes, nlanes, config, bank_sched, windows,
-            [&](FusedLaneState<Predictor> *ls, KernelWalkState &walk,
-                size_t begin, size_t end, uint64_t seq) {
-                runFusedStreamKernelRange<Predictor,
-                                          decltype(lg_c)::value>(
-                    stream, ls, nlanes, config, bank_sched, begin, end,
-                    walk, seq);
-            });
-    };
-    if (config.history != HistoryMode::Ghist)
-        return run(std::true_type{});
-    return run(std::false_type{});
 }
 
 } // namespace detail

@@ -10,12 +10,8 @@
 #include "core/ev8_predictor.hh"
 #include "frontend/bank_scheduler.hh"
 #include "obs/metrics.hh"
-#include "predictors/bimodal.hh"
-#include "predictors/bimode.hh"
-#include "predictors/egskew.hh"
 #include "predictors/gshare.hh"
 #include "predictors/twobcgskew.hh"
-#include "predictors/yags.hh"
 #include "sim/block_stream.hh"
 #include "sim/kernel.hh"
 #include "sim/phase/sample_plan.hh"
@@ -205,10 +201,12 @@ simulateStreamFused(const BlockStream &stream,
             metrics_sched = sched;
         }
     } else {
-        // Production: lanes partitioned by concrete type, so each
-        // partition's walk is devirtualized; claimed[] keeps a lane in
-        // exactly one partition, and the ConditionalBranchPredictor
-        // bucket takes whatever no concrete bucket claims.
+        // Production: lanes partitioned into walk buckets, so each
+        // bucket's stepper is a direct call; claimed[] keeps a lane in
+        // exactly one bucket (a subclass joins its base's bucket, so
+        // bimodal lanes ride gshare's group stepper), and the
+        // ConditionalBranchPredictor bucket takes whatever no other
+        // bucket claims.
         std::vector<char> claimed(n, 0);
         auto run_bucket = [&]<class P>(std::type_identity<P>) {
             std::vector<size_t> members;
@@ -232,18 +230,20 @@ simulateStreamFused(const BlockStream &stream,
                     state[k] = lane_state(std::type_identity<P>{},
                                           members[beg + k]);
                 BankScheduler sched;
-                detail::dispatchFusedKernel<P>(stream, state.data(), cnt,
-                                               config, sched, windows);
+                detail::runWindows(
+                    state.data(), cnt, config, sched, windows,
+                    [&](auto *ls, detail::KernelWalkState &walk,
+                        size_t begin, size_t end, uint64_t seq) {
+                        detail::runFusedStreamKernelRange(
+                            stream, ls, cnt, config, sched, begin, end,
+                            walk, seq);
+                    });
                 metrics_sched = sched;
             }
         };
         run_bucket(std::type_identity<TwoBcGskewPredictor>{});
         run_bucket(std::type_identity<GsharePredictor>{});
         run_bucket(std::type_identity<Ev8Predictor>{});
-        run_bucket(std::type_identity<EgskewPredictor>{});
-        run_bucket(std::type_identity<BimodalPredictor>{});
-        run_bucket(std::type_identity<YagsPredictor>{});
-        run_bucket(std::type_identity<BimodePredictor>{});
         run_bucket(std::type_identity<ConditionalBranchPredictor>{});
     }
 

@@ -177,10 +177,12 @@ struct FusedLane
  * whole-trace stats per phase, with a stratified 95% confidence
  * interval in SimResult::sampled.
  *
- * Lanes are partitioned by concrete predictor type so each partition
- * runs the walk devirtualized on that type (a mixed-type lane set
- * costs one stream walk per distinct type); types without a partition
- * share one walk through the virtual interface. With
+ * Lanes are partitioned into four walk buckets: 2Bc-gskew and gshare
+ * (bimodal included) advance all their lanes through one group stepper
+ * call per branch, Ev8Predictor's lanes call its predictAndUpdate()
+ * directly, and every other type shares one generic walk that calls
+ * predictAndUpdate() through the virtual interface (a mixed lane set
+ * costs one stream walk per occupied bucket). With
  * SimConfig::forceGenericKernel or EV8_GENERIC_KERNEL=1 every lane
  * instead takes the oracle, a one-lane virtual walk that is the
  * readable reference. Every lane's SimResult, published metrics and

@@ -83,19 +83,22 @@ ev8Lane(const std::string &label, WordlineMode wordline,
 }
 
 /**
- * A mixed-type lane set: every fused dispatch bucket is exercised,
- * with or without event sinks (events come from the same steppers).
- * The 2Bc-gskew, gshare and bimodal buckets have several lanes, so
- * their group steppers take the vector path when EV8_SIMD allows it;
- * the 2Bc-gskew group mixes partial and total update, path info on
- * and off, shared hysteresis (ev8size) and a history-indexed BIM, and
- * its five lanes fill one vector and pad a second.
+ * A mixed-type lane set: every walk bucket is exercised, with or
+ * without event sinks (events come from the same steppers). The
+ * 2Bc-gskew and gshare buckets have several lanes, so their group
+ * steppers take the vector path when EV8_SIMD allows it; the gshare
+ * group's four lanes (two of them bimodal, which is gshare with no
+ * history) fill one vector, and the 2Bc-gskew group mixes partial and
+ * total update, path info on and off, shared hysteresis (ev8size) and
+ * a history-indexed BIM, and its five lanes fill one vector and pad a
+ * second.
  */
 std::vector<LaneSpec>
 laneSpecs()
 {
     return {
-        // FusedGroupStepped, two lanes each for gshare and bimodal.
+        // FusedGroupStepped: one four-lane gshare group, bimodal lanes
+        // included.
         fromSpec("gshare:12:8"),
         fromSpec("gshare:12:12"),
         fromSpec("bimodal:10"),
@@ -106,16 +109,17 @@ laneSpecs()
         gskewLane("gskew-total-path", 11, 4, false, true),
         gskewLane("gskew-partial-path", 12, 2, true, true),
         fromSpec("ev8size"),
-        // FusedSteppable (predictAndUpdate).
-        fromSpec("egskew:12:10"),
-        fromSpec("yags:10:10:10"),
-        fromSpec("bimode:10:10:10"),
-        // FusedSteppable: Ev8Predictor's own three-lane bucket, both
-        // wordline index tables and both update policies.
+        // Ev8Predictor's own three-lane bucket (direct predictAndUpdate
+        // calls), both wordline index tables and both update policies.
         ev8Lane("ev8", WordlineMode::Ev8, true),
         ev8Lane("ev8-addr-wordline", WordlineMode::AddressOnly, true),
         ev8Lane("ev8-total", WordlineMode::Ev8, false),
-        // Split predict()/update(): the generic (virtual) bucket.
+        // The generic walk: virtual predictAndUpdate() calls, fused
+        // overrides (e-gskew, YAGS, bi-mode) and the default split
+        // predict()/update() (perceptron) alike.
+        fromSpec("egskew:12:10"),
+        fromSpec("yags:10:10:10"),
+        fromSpec("bimode:10:10:10"),
         fromSpec("perceptron:10:16"),
     };
 }
@@ -225,13 +229,75 @@ TEST_P(FusedKernelTest, MatchesPerLaneSimulation)
     }
 }
 
+/**
+ * Every history mode runs through the same walk instantiation, so each
+ * needs its own check: conventional ghist, the full EV8 vector, and
+ * fig7's up-to-date lghist rows with and without the path bit.
+ */
 INSTANTIATE_TEST_SUITE_P(
     HistoryModes, FusedKernelTest,
-    ::testing::Values(SimConfig::ghist(), SimConfig::ev8()),
+    ::testing::Values(SimConfig::ghist(), SimConfig::ev8(),
+                      SimConfig{HistoryMode::LghistNoPath, 0, false},
+                      SimConfig{HistoryMode::LghistPath, 0, false}),
     [](const ::testing::TestParamInfo<SimConfig> &info) {
-        return info.param.history == HistoryMode::Ghist ? "ghist"
-                                                        : "ev8";
+        const SimConfig &c = info.param;
+        if (c.history == HistoryMode::Ghist)
+            return "ghist";
+        if (c.history == HistoryMode::LghistNoPath)
+            return "lghist_nopath";
+        return c.historyAge == 0 ? "lghist_path" : "ev8";
     });
+
+/**
+ * Bimodal is gshare with no history bits: bimodal:N and gshare:N:0
+ * lanes stepped in one fused group give identical results and
+ * mispredict events on every backend, both equal to the oracle, while
+ * the bimodal lane keeps its own name and storage.
+ */
+TEST(FusedKernel, BimodalIsGshareWithoutHistory)
+{
+    const Trace trace =
+        generateTrace(findBenchmark("gcc").profile, kTinyScale);
+    const BlockStream stream = decodeBlockStream(trace);
+    const SimConfig config = SimConfig::ghist();
+    const std::vector<std::string> specs{"bimodal:10", "gshare:10:0",
+                                         "bimodal:12", "gshare:12:0"};
+
+    std::vector<const char *> backends{"0"};
+    if (simd::builtWithAvx2() && simd::cpuHasAvx2())
+        backends.push_back("avx2");
+    for (const char *backend : backends) {
+        ScopedEnv simd_env("EV8_SIMD", backend);
+        std::vector<PredictorPtr> preds;
+        std::vector<BufferedEventSink> events(specs.size());
+        std::vector<FusedLane> lanes;
+        for (size_t i = 0; i < specs.size(); ++i) {
+            preds.push_back(makePredictor(specs[i]));
+            lanes.push_back({preds.back().get(), nullptr, &events[i]});
+        }
+        EXPECT_EQ(preds[0]->name(), "bimodal-1024");
+        EXPECT_EQ(preds[2]->name(), "bimodal-4096");
+        const auto fused = simulateStreamFused(stream, lanes, config);
+        for (size_t i = 0; i < specs.size(); i += 2) {
+            const std::string label = specs[i] + " simd=" + backend;
+            EXPECT_EQ(preds[i]->storageBits(), preds[i + 1]->storageBits());
+            expectSameResult(fused[i], fused[i + 1], label);
+            EXPECT_FALSE(events[i].events().empty()) << label;
+            expectSameEvents(events[i].events(), events[i + 1].events(),
+                             label);
+
+            const PredictorPtr ref_pred = makePredictor(specs[i]);
+            BufferedEventSink ref_events;
+            SimConfig ref_config = oracle(config);
+            ref_config.events = &ref_events;
+            const SimResult ref =
+                simulateStream(stream, *ref_pred, ref_config);
+            expectSameResult(fused[i], ref, label);
+            expectSameEvents(events[i].events(), ref_events.events(),
+                             label);
+        }
+    }
+}
 
 /**
  * A single cell is the degenerate one-lane walk: simulateStream() and a

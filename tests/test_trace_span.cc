@@ -72,8 +72,11 @@ TEST(TraceSpan, ConcurrentSpansSerializeToValidChromeTrace)
             tracer.setThreadName("span-test-" + std::to_string(t));
             for (unsigned i = 0; i < kSpansPerThread; ++i) {
                 ScopedSpan span(SpanPhase::Cell);
-                span.rename("t" + std::to_string(t) + ":"
-                            + std::to_string(i));
+                std::string name = "t";
+                name += std::to_string(t);
+                name += ":";
+                name += std::to_string(i);
+                span.rename(name);
                 span.arg("i", uint64_t{i});
                 span.arg("who", "worker \"quoted\\path\"");
             }
