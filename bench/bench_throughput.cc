@@ -128,7 +128,8 @@ BM_Perceptron(benchmark::State &state)
 BENCHMARK(BM_Perceptron)->Apply(applyDefaults);
 
 /**
- * The oracle (the one-lane virtual walk) on the same scheme as
+ * The oracle (a one-lane generic walk over split predict()/update()
+ * calls) on the same scheme as
  * BM_TwoBcGskew512K: the spread between the two is what the production
  * walk buys.
  */

@@ -145,12 +145,4 @@ Ev8Predictor::publishMetrics(MetricRegistry &registry,
     arrays.publishMetrics(registry, prefix + ".storage", accessStats());
 }
 
-void
-Ev8Predictor::reset()
-{
-    arrays.reset();
-    stats = GskewVoteStats{};
-    keyHist_.fill(0);
-}
-
 } // namespace ev8

@@ -78,7 +78,6 @@ class Ev8Predictor final : public ConditionalBranchPredictor
 
     uint64_t storageBits() const override;
     std::string name() const override;
-    void reset() override;
     VoteSnapshot lastVotes() const override;
 
     /** Publishes vote/conflict tallies plus the physical arrays'

@@ -43,17 +43,6 @@ Ev8PhysicalStorage::readPredWord(TableId table, const Ev8WordCoords &c) const
 }
 
 void
-Ev8PhysicalStorage::reset()
-{
-    for (unsigned t = 0; t < kNumTables; ++t) {
-        pred[t].assign(pred[t].size(), 0);
-        hyst[t].assign(hyst[t].size(), 1);
-    }
-    access = {};
-    wordlineReads_ = {};
-}
-
-void
 Ev8PhysicalStorage::publishMetrics(
     MetricRegistry &registry, const std::string &prefix,
     const std::array<AccessStats, kNumTables> &tallies) const

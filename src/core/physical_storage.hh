@@ -206,8 +206,6 @@ class Ev8PhysicalStorage
         return bits;
     }
 
-    void reset();
-
     /** Per-table access tallies (one count per read/write call). */
     using AccessStats = GskewAccessStats;
 

@@ -65,11 +65,4 @@ AgreePredictor::name() const
         + std::to_string(histLen);
 }
 
-void
-AgreePredictor::reset()
-{
-    agreeTable.reset();
-    bias.assign(bias.size(), -1);
-}
-
 } // namespace ev8

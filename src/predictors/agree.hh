@@ -38,7 +38,6 @@ class AgreePredictor : public ConditionalBranchPredictor
                 bool predicted_taken) override;
     uint64_t storageBits() const override;
     std::string name() const override;
-    void reset() override;
 
   private:
     size_t agreeIndex(const BranchSnapshot &snap) const;

@@ -87,12 +87,4 @@ BimodePredictor::name() const
         + std::to_string(histLen);
 }
 
-void
-BimodePredictor::reset()
-{
-    takenTable.reset();
-    notTakenTable.reset();
-    choice.reset();
-}
-
 } // namespace ev8

@@ -45,7 +45,6 @@ class BimodePredictor final : public ConditionalBranchPredictor
 
     uint64_t storageBits() const override;
     std::string name() const override;
-    void reset() override;
 
   private:
     size_t directionIndex(const BranchSnapshot &snap) const;

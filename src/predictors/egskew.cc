@@ -132,13 +132,4 @@ EgskewPredictor::publishMetrics(MetricRegistry &registry,
     registry.counter(prefix + ".unanimous").inc(unanimous);
 }
 
-void
-EgskewPredictor::reset()
-{
-    for (auto &bank : banks)
-        bank.reset();
-    tallies = {};
-    unanimous = 0;
-}
-
 } // namespace ev8

@@ -45,7 +45,6 @@ class EgskewPredictor final : public ConditionalBranchPredictor
 
     uint64_t storageBits() const override;
     std::string name() const override;
-    void reset() override;
     VoteSnapshot lastVotes() const override;
     void publishMetrics(MetricRegistry &registry,
                         const std::string &prefix) const override;

@@ -47,10 +47,4 @@ GasPredictor::name() const
         + std::to_string(histLen);
 }
 
-void
-GasPredictor::reset()
-{
-    table.reset();
-}
-
 } // namespace ev8

@@ -32,7 +32,6 @@ class GasPredictor : public ConditionalBranchPredictor
                 bool predicted_taken) override;
     uint64_t storageBits() const override;
     std::string name() const override;
-    void reset() override;
 
   private:
     size_t index(const BranchSnapshot &snap) const;

@@ -88,10 +88,4 @@ GsharePredictor::name() const
         + std::to_string(histLen);
 }
 
-void
-GsharePredictor::reset()
-{
-    table.reset();
-}
-
 } // namespace ev8

@@ -35,7 +35,6 @@ class GsharePredictor : public ConditionalBranchPredictor
                 bool predicted_taken) override;
     uint64_t storageBits() const override;
     std::string name() const override;
-    void reset() override;
 
     unsigned historyLength() const { return histLen; }
     unsigned log2Size() const { return log2Entries; }

@@ -62,18 +62,6 @@ HierarchyPredictor::name() const
         ? primary->name() + "+" + backup->name() : label;
 }
 
-void
-HierarchyPredictor::reset()
-{
-    primary->reset();
-    backup->reset();
-    chooser.reset();
-    lastPrimary = false;
-    lastBackup = false;
-    lookups = 0;
-    backupUsed = 0;
-}
-
 double
 HierarchyPredictor::backupUseRate() const
 {

@@ -36,7 +36,6 @@ class HierarchyPredictor : public ConditionalBranchPredictor
                 bool predicted_taken) override;
     uint64_t storageBits() const override;
     std::string name() const override;
-    void reset() override;
 
     /** Fraction of predictions the chooser gave to the backup. */
     double backupUseRate() const;

@@ -58,13 +58,6 @@ LocalPredictor::name() const
         + std::to_string(localBits);
 }
 
-void
-LocalPredictor::reset()
-{
-    bht.assign(bht.size(), 0);
-    pht.reset();
-}
-
 TournamentPredictor::TournamentPredictor(unsigned log2_local_bht,
                                          unsigned local_bits,
                                          unsigned log2_local_pht,
@@ -111,14 +104,6 @@ std::string
 TournamentPredictor::name() const
 {
     return "tournament-21264";
-}
-
-void
-TournamentPredictor::reset()
-{
-    local.reset();
-    global.reset();
-    choice.reset();
 }
 
 } // namespace ev8

@@ -43,7 +43,6 @@ class LocalPredictor : public ConditionalBranchPredictor
                 bool predicted_taken) override;
     uint64_t storageBits() const override;
     std::string name() const override;
-    void reset() override;
 
   private:
     size_t bhtIndex(uint64_t pc) const;
@@ -77,7 +76,6 @@ class TournamentPredictor : public ConditionalBranchPredictor
                 bool predicted_taken) override;
     uint64_t storageBits() const override;
     std::string name() const override;
-    void reset() override;
 
   private:
     LocalPredictor local;

@@ -77,11 +77,4 @@ PerceptronPredictor::name() const
         + std::to_string(histLen);
 }
 
-void
-PerceptronPredictor::reset()
-{
-    weights.assign(weights.size(), 0);
-    lastDot = 0;
-}
-
 } // namespace ev8

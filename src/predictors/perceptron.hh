@@ -39,7 +39,6 @@ class PerceptronPredictor : public ConditionalBranchPredictor
                 bool predicted_taken) override;
     uint64_t storageBits() const override;
     std::string name() const override;
-    void reset() override;
 
     int threshold() const { return theta; }
 

@@ -82,7 +82,8 @@ class ConditionalBranchPredictor
      * entry point of the production walk. Schemes that would otherwise
      * recompute or re-cache lookup state (indices, votes) between
      * predict() and update() override it with a fused step that makes
-     * identical transitions; the oracle walk keeps the split calls.
+     * identical transitions. The oracle's lane adapter keeps this
+     * default, so the oracle reaches every scheme by the split calls.
      */
     virtual bool
     predictAndUpdate(const BranchSnapshot &snap, bool taken)
@@ -97,9 +98,6 @@ class ConditionalBranchPredictor
 
     /** Scheme name with its configuration, e.g. "gshare-1M". */
     virtual std::string name() const = 0;
-
-    /** Returns all tables to their initial state (weakly not-taken). */
-    virtual void reset() = 0;
 
     /**
      * Votes of the most recent predict() call, for event tracing.

@@ -117,12 +117,6 @@ class TwoBitCounterTable
         update(idx, taken(idx));
     }
 
-    void
-    reset()
-    {
-        words.assign(words.size(), kInitWord);
-    }
-
     /** Storage cost: 2 bits per entry. */
     uint64_t storageBits() const { return uint64_t{entries_} * 2; }
 
@@ -252,13 +246,6 @@ class SplitCounterArray
             setBit(pred, idx, taken);  // weak -> flip direction
             setBit(hyst, hi, !taken);  // (stays weak)
         }
-    }
-
-    void
-    reset()
-    {
-        pred.assign(pred.size(), 0);
-        hyst.assign(hyst.size(), ~uint64_t{0});
     }
 
     uint64_t

@@ -429,12 +429,4 @@ TwoBcGskewPredictor::publishMetrics(MetricRegistry &registry,
     publishGskewVoteStats(registry, prefix, stats);
 }
 
-void
-TwoBcGskewPredictor::reset()
-{
-    for (auto &bank : banksStorage)
-        bank.reset();
-    stats = GskewVoteStats{};
-}
-
 } // namespace ev8

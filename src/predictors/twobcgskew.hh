@@ -99,7 +99,6 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
 
     uint64_t storageBits() const override;
     std::string name() const override;
-    void reset() override;
     VoteSnapshot lastVotes() const override;
     void publishMetrics(MetricRegistry &registry,
                         const std::string &prefix) const override;

@@ -121,12 +121,4 @@ YagsPredictor::name() const
         + std::to_string(histLen);
 }
 
-void
-YagsPredictor::reset()
-{
-    choice.reset();
-    takenCache.assign(takenCache.size(), CacheEntry{});
-    notTakenCache.assign(notTakenCache.size(), CacheEntry{});
-}
-
 } // namespace ev8

@@ -50,7 +50,6 @@ class YagsPredictor final : public ConditionalBranchPredictor
 
     uint64_t storageBits() const override;
     std::string name() const override;
-    void reset() override;
 
   private:
     struct CacheEntry

@@ -37,33 +37,14 @@ class PredictionServer::Session
         config.forceGenericKernel = open_.forceGeneric;
         rows_ = buildGridRows(grid_, config);
         outputs_.resize(cells());
-        requests_.resize(cells());
-        for (size_t i = 0; i < cells(); ++i) {
-            const size_t r = i / nbench_;
-            const size_t b = i % nbench_;
-            CellRequest &req = requests_[i];
-            // The immutable stream every session and batch grid shares.
-            req.stream = [&runner = server_.runner(),
-                          b]() -> const BlockStream & {
-                return runner.blockStream(b);
-            };
-            req.profile = &specint95Suite()[b].profile;
-            req.factory = rows_[r].factory;
-            req.config = rows_[r].config;
+        // Per-session fault identity: lets EV8_FAULT_SPEC kill one
+        // session by name ("session_drop/s1/") while its siblings'
+        // occurrence counters stay untouched. The rows carry no sinks;
+        // the open request says what the client will merge.
+        requests_ = gridCellRequests(rows_, server_.runner(), 0, name_);
+        for (CellRequest &req : requests_) {
             req.wantEvents = open_.wantEvents;
             req.wantMetrics = open_.wantMetrics;
-            req.rowLabel = rows_[r].label;
-            req.rowIndex = r;
-            // Per-session fault identity: lets EV8_FAULT_SPEC kill one
-            // session by name ("session_drop/s1/") while its siblings'
-            // occurrence counters stay untouched.
-            req.key = name_ + "/g0/r" + std::to_string(r) + "/"
-                + req.profile->name;
-            req.label = name_ + ":"
-                + (req.rowLabel.empty()
-                       ? req.profile->name
-                       : req.rowLabel + "/" + req.profile->name);
-            req.sessionFaults = true;
         }
     }
 

@@ -24,6 +24,54 @@ constexpr uint64_t kMaxBackoffMs = 1000;
 
 } // namespace
 
+std::vector<CellRequest>
+gridCellRequests(const std::vector<GridRow> &rows, SuiteRunner &runner,
+                 uint64_t batch, const std::string &session)
+{
+    const auto &suite = specint95Suite();
+    const size_t nbench = runner.size();
+    std::vector<CellRequest> requests(rows.size() * nbench);
+    for (size_t i = 0; i < requests.size(); ++i) {
+        const size_t r = i / nbench;
+        const size_t b = i % nbench;
+        const GridRow &row = rows[r];
+        CellRequest &req = requests[i];
+        req.stream = [&runner, b]() -> const BlockStream & {
+            return runner.blockStream(b);
+        };
+        if (runner.sampleSpec().active) {
+            req.plan = [&runner, b]() -> const SamplePlan * {
+                return runner.samplePlan(b);
+            };
+        }
+        req.profile = &suite[b].profile;
+        req.factory = row.factory;
+        req.config = row.config;
+        req.wantEvents = row.config.events != nullptr;
+        req.wantMetrics = row.config.metrics != nullptr;
+        req.rowLabel = row.label;
+        req.rowIndex = r;
+
+        // Stable identity for fault matching, journals and failure
+        // reports, independent of scheduling.
+        const std::string &bench = req.profile->name;
+        std::string key = "g";
+        key += std::to_string(batch);
+        key += "/r";
+        key += std::to_string(r);
+        key += '/';
+        key += bench;
+        req.key = std::move(key);
+        req.label = row.label.empty() ? bench : row.label + "/" + bench;
+        if (!session.empty()) {
+            req.key.insert(0, session + "/");
+            req.label.insert(0, session + ":");
+            req.sessionFaults = true;
+        }
+    }
+    return requests;
+}
+
 std::vector<std::vector<size_t>>
 fuseGroups(const std::vector<size_t> &cells,
            const std::vector<CellRequest> &reqs, size_t laneCap)

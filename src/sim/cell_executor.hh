@@ -115,6 +115,21 @@ struct CellRequest
 };
 
 /**
+ * The row-major requests of grid @p rows over @p runner's suite: cell i
+ * is row i / N, benchmark i % N. Each cell reads its stream (and, when
+ * the runner samples, its plan) from @p runner, and wantEvents /
+ * wantMetrics follow its row's sinks. A batch grid (empty @p session)
+ * keys cells "g<batch>/r<row>/<bench>" and labels them
+ * "<row label>/<bench>", or just the benchmark for anonymous rows. A
+ * served session prefixes the key with "<session>/" and the label with
+ * "<session>:", and consults the session_drop fault point.
+ */
+std::vector<CellRequest> gridCellRequests(const std::vector<GridRow> &rows,
+                                          SuiteRunner &runner,
+                                          uint64_t batch,
+                                          const std::string &session);
+
+/**
  * Groups @p cells (indexes into @p reqs) into the jobs runGroup takes.
  * Cells sharing a benchmark and a walk/sink configuration (history
  * mode, age, bank assignment, timing, events, metrics, kernel forcing)

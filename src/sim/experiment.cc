@@ -327,56 +327,9 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
     // only the scheduling and the checkpoint journal are batch-specific.
     CellExecutor executor;
 
-    /**
-     * Stable cell identity for fault matching and failure reports:
-     * batch index / row index / benchmark name. Deterministic across
-     * identical runs, independent of scheduling.
-     */
-    auto cell_key = [&](size_t i) {
-        std::string key = "g";
-        key += std::to_string(batch);
-        key += "/r";
-        key += std::to_string(i / nbench);
-        key += "/";
-        key += specint95Suite()[i % nbench].profile.name;
-        return key;
-    };
-
-    /**
-     * Human/timeline label for cell @p i: "<row label>/<bench>", or
-     * just the benchmark for anonymous rows.
-     */
-    auto cell_label = [&](size_t i) {
-        const std::string &label = rows[i / nbench].label;
-        const std::string &bench =
-            specint95Suite()[i % nbench].profile.name;
-        return label.empty() ? bench : label + "/" + bench;
-    };
-
     // Everything the executor needs to run cell i, caller-agnostic.
-    std::vector<CellRequest> requests(n);
-    for (size_t i = 0; i < n; ++i) {
-        const GridRow &row = rows[i / nbench];
-        const size_t b = i % nbench;
-        CellRequest &req = requests[i];
-        req.stream = [&runner, b]() -> const BlockStream & {
-            return runner.blockStream(b);
-        };
-        if (runner.sampleSpec().active) {
-            req.plan = [&runner, b]() -> const SamplePlan * {
-                return runner.samplePlan(b);
-            };
-        }
-        req.profile = &specint95Suite()[b].profile;
-        req.factory = row.factory;
-        req.config = row.config;
-        req.wantEvents = row.config.events != nullptr;
-        req.wantMetrics = row.config.metrics != nullptr;
-        req.rowLabel = row.label;
-        req.rowIndex = i / nbench;
-        req.key = cell_key(i);
-        req.label = cell_label(i);
-    }
+    const std::vector<CellRequest> requests =
+        gridCellRequests(rows, runner, batch, {});
 
     // Resume: load any journal for this exact grid and mark its cells
     // done before scheduling.

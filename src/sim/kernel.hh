@@ -4,20 +4,23 @@
  * N predictor lanes under the paper's method (Section 8.1.1: immediate
  * update, one information vector per fetch block).
  *
- *  - runFusedStreamKernelRange is the production walk over one block
- *    range, one instantiation per walk bucket (the two group-stepped
- *    types, Ev8Predictor, and the generic ConditionalBranchPredictor
- *    walk), so the bucketed lane steppers are direct calls. The
- *    history mode is a runtime value of the walk. Mispredict events
- *    come from whichever stepper runs: requesting them changes no
- *    stepper, only adds emission after each step;
+ *  - runFusedStreamKernelRange is the one walk that advances the
+ *    information vector, over one block range, one instantiation per
+ *    walk bucket (the two group-stepped types, Ev8Predictor, and the
+ *    generic ConditionalBranchPredictor walk), so the bucketed lane
+ *    steppers are direct calls. The history mode is a runtime value of
+ *    the walk. Mispredict events come from whichever stepper runs:
+ *    requesting them changes no stepper, only adds emission after each
+ *    step;
  *  - runWindows is the windowed driver: an exact run is one window
  *    [0, blocks()) with no warmup, a sampled run is a plan's windows,
  *    each primed by its warmup range;
- *  - runOracleRange is the reference: one predictor behind the virtual
- *    base class, split predict()/update() calls. It runs
- *    only when SimConfig::forceGenericKernel / EV8_GENERIC_KERNEL=1 is
- *    set, so the byte-identity gates compare it with production.
+ *  - SplitCallPredictor is the oracle's lane: under oracleForced() each
+ *    lane walks alone through the generic walk behind it, so every
+ *    scheme is reached only through its virtual predict()/update()
+ *    calls, which the byte-identity gates compare with the steppers.
+ *    The SMT interleaver (smt.cc) steps the same walk one fetch block
+ *    at a time, one KernelWalkState per thread.
  *
  * A single cell is a one-lane walk. Lanes may share the walk because
  * every register the simulator maintains -- ghist, lghist, the delayed
@@ -28,15 +31,13 @@
  * bits simply masks the shared register down. Per-lane work is laid
  * out struct-of-arrays: a dense predictor-pointer array and a dense
  * mispredict-tally array, with the per-branch snapshot built once per
- * branch instead of once per lane. simulator.cc owns the dispatch and
- * smt.cc keeps one KernelWalkState per thread; nothing else should
- * include this header.
+ * branch instead of once per lane. simulator.cc and smt.cc are its only
+ * includers.
  */
 
 #ifndef EV8_SIM_KERNEL_HH
 #define EV8_SIM_KERNEL_HH
 
-#include <algorithm>
 #include <array>
 #include <concepts>
 #include <cstddef>
@@ -168,9 +169,12 @@ checkFusedLanes(const FusedLaneState<Predictor> *lanes, size_t nlanes)
 }
 
 /**
- * The production walk: one pass over blocks [begin_block, end_block)
+ * The walk: one pass over blocks [begin_block, end_block)
  * drives @p nlanes predictor lanes under one shared history
- * configuration, continuing from (and updating) @p walk.
+ * configuration, continuing from (and updating) @p walk. The caller
+ * passes @p first_branch, stream.branchBegin(begin_block): a windowed
+ * run looks it up once per range, and the SMT interleaver, whose
+ * ranges are single blocks, keeps a running index per thread instead.
  *
  * @tparam Predictor  a bucketed predictor class, or
  *                    ConditionalBranchPredictor for the generic walk
@@ -187,8 +191,8 @@ runFusedStreamKernelRange(const BlockStream &stream,
                           FusedLaneState<Predictor> *lanes,
                           size_t nlanes, const SimConfig &config,
                           BankScheduler &bank_sched, size_t begin_block,
-                          size_t end_block, KernelWalkState &walk,
-                          uint64_t branch_seq_base)
+                          size_t end_block, uint32_t first_branch,
+                          KernelWalkState &walk, uint64_t branch_seq_base)
 {
     // SoA hot state: dense predictor pointers and mispredict tallies,
     // plus each observed lane's tally as of its last emitted event.
@@ -227,8 +231,8 @@ runFusedStreamKernelRange(const BlockStream &stream,
     std::array<uint64_t, 9> per_block{};
 
     BranchSnapshot snap;
-    // Running flat branch index: one checkpoint lookup per range.
-    uint32_t j = stream.branchBegin(begin_block);
+    // Running flat branch index.
+    uint32_t j = first_branch;
     const size_t nblocks = end_block;
     for (size_t b = begin_block; b < nblocks; ++b) {
         ++fetch_blocks;
@@ -314,78 +318,51 @@ runFusedStreamKernelRange(const BlockStream &stream,
 }
 
 /**
- * The oracle: the readable reference walk of one predictor over blocks
- * [begin_block, end_block), through the virtual interface, with
- * split predict()/update() calls and a plain runtime check for events.
- * Same contract as runFusedStreamKernelRange with one lane, and slower
- * by design.
+ * Whether the oracle replaces the production buckets:
+ * SimConfig::forceGenericKernel, or EV8_GENERIC_KERNEL=1 (strictly
+ * parsed: only "0"/"1", exit 2 otherwise), which the determinism gate
+ * in CI sets.
  */
-inline void
-runOracleRange(const BlockStream &stream,
-               const FusedLaneState<ConditionalBranchPredictor> &lane,
-               const SimConfig &config, BankScheduler &bank_sched,
-               size_t begin_block, size_t end_block,
-               KernelWalkState &walk, uint64_t branch_seq)
-{
-    ConditionalBranchPredictor &predictor = *lane.predictor;
-    SimResult &r = *lane.result;
-    const bool lghist_mode = config.history != HistoryMode::Ghist;
-
-    BranchSnapshot snap;
-    uint32_t j = stream.branchBegin(begin_block);
-    for (size_t b = begin_block; b < end_block; ++b) {
-        const BlockShape &shape = stream.blockShape(b);
-        const uint64_t block_addr = shape.address;
-        const uint32_t last = j + shape.numBranches;
-        ++r.fetchBlocks;
-        ++r.branchesPerBlock[std::min<size_t>(
-            shape.numBranches, r.branchesPerBlock.size() - 1)];
-
-        snap.blockAddr = block_addr;
-        snap.hist.pathZ = walk.pathZ;
-        snap.hist.pathY = walk.pathY;
-        snap.hist.pathX = walk.pathX;
-        if (config.assignBanks)
-            snap.bank =
-                static_cast<uint8_t>(bank_sched.assign(block_addr));
-        const uint64_t block_hist = walk.delayed.view();
-
-        for (; j < last; ++j, ++branch_seq) {
-            const uint8_t raw = stream.branchRaw(j);
-            const bool taken = (raw & 1) != 0;
-            snap.pc = block_addr + uint64_t(raw >> 1) * kInstrBytes;
-            snap.hist.ghist = walk.ghist.raw();
-            snap.hist.indexHist =
-                lghist_mode ? block_hist : walk.ghist.raw();
-
-            const bool predicted = predictor.predict(snap);
-            r.stats.record(predicted, taken);
-            if (lane.events && predicted != taken) {
-                lane.events->onMispredict(makeMispredictEvent(
-                    branch_seq, snap, taken, predicted,
-                    predictor.lastVotes()));
-            }
-            predictor.update(snap, taken, predicted);
-            walk.ghist.push(taken);
-            ++r.condBranches;
-        }
-
-        if (shape.numBranches > 0) {
-            const uint8_t raw = stream.branchRaw(last - 1);
-            walk.lghist.onBranchBlock(
-                block_addr + uint64_t(raw >> 1) * kInstrBytes,
-                (raw & 1) != 0);
-            ++r.lghistBits;
-        }
-        walk.delayed.advance(walk.lghist.value());
-        walk.pathX = walk.pathY;
-        walk.pathY = walk.pathZ;
-        walk.pathZ = block_addr;
-    }
-}
+bool oracleForced(const SimConfig &config);
 
 /**
- * The windowed driver, shared by the production walk and the oracle:
+ * The oracle's lane: forwards the split calls (and the votes, the
+ * stats switch, the name and the storage) to @p inner, and keeps the
+ * base class's predictAndUpdate(), so a walk over it reaches the scheme
+ * only through predict() then update(), never its fused stepper.
+ */
+class SplitCallPredictor final : public ConditionalBranchPredictor
+{
+  public:
+    explicit SplitCallPredictor(ConditionalBranchPredictor &inner)
+        : inner_(inner)
+    {
+    }
+
+    bool
+    predict(const BranchSnapshot &snap) override
+    {
+        return inner_.predict(snap);
+    }
+
+    void
+    update(const BranchSnapshot &snap, bool taken,
+           bool predicted_taken) override
+    {
+        inner_.update(snap, taken, predicted_taken);
+    }
+
+    VoteSnapshot lastVotes() const override { return inner_.lastVotes(); }
+    void enableStats(bool on) override { inner_.enableStats(on); }
+    std::string name() const override { return inner_.name(); }
+    uint64_t storageBits() const override { return inner_.storageBits(); }
+
+  private:
+    ConditionalBranchPredictor &inner_;
+};
+
+/**
+ * The windowed driver, shared by every bucket and the oracle:
  * @p windows in stream order over one evolving walk state. Each window
  * not contiguous with the previous one resets the history state and
  * the bank recurrence and is primed by its warmup range, which runs

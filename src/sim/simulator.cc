@@ -43,17 +43,6 @@ publishSimMetrics(MetricRegistry &registry, const SimResult &result,
 }
 
 /**
- * Runs the oracle instead of the production walk, so the byte-identity
- * gates can compare the two (the determinism gate in CI sets this).
- * Strictly parsed: only "0"/"1" are accepted (exit 2 otherwise).
- */
-bool
-genericKernelForced()
-{
-    return strictEnvBool("EV8_GENERIC_KERNEL", false);
-}
-
-/**
  * Turns the measured-window tallies of a sampled walk into the
  * whole-trace estimate (stratified by phase).
  *
@@ -145,6 +134,13 @@ finalizeSampledResult(SimResult &result, const SamplePlan &plan,
 
 } // namespace
 
+bool
+detail::oracleForced(const SimConfig &config)
+{
+    return config.forceGenericKernel
+        || strictEnvBool("EV8_GENERIC_KERNEL", false);
+}
+
 std::vector<SimResult>
 simulateStreamFused(const BlockStream &stream,
                     const std::vector<FusedLane> &lanes,
@@ -183,22 +179,29 @@ simulateStreamFused(const BlockStream &stream,
     // so every walk reproduces the same scheduler state; any walk's copy
     // serves all lanes' metrics.
     BankScheduler metrics_sched;
+    auto run_walk = [&]<class P>(detail::FusedLaneState<P> *state,
+                                 size_t cnt) {
+        BankScheduler sched;
+        detail::runWindows(
+            state, cnt, config, sched, windows,
+            [&](auto *ls, detail::KernelWalkState &walk, size_t begin,
+                size_t end, uint64_t seq) {
+                detail::runFusedStreamKernelRange(
+                    stream, ls, cnt, config, sched, begin, end,
+                    stream.branchBegin(begin), walk, seq);
+            });
+        metrics_sched = sched;
+    };
 
-    if (config.forceGenericKernel || genericKernelForced()) {
-        // The oracle: every lane walks alone through the virtual
-        // interface.
+    if (detail::oracleForced(config)) {
+        // The oracle: every lane walks alone through the generic walk,
+        // behind the split-call adapter.
         for (size_t i = 0; i < n; ++i) {
+            detail::SplitCallPredictor split(*lanes[i].predictor);
             auto lane = lane_state(
                 std::type_identity<ConditionalBranchPredictor>{}, i);
-            BankScheduler sched;
-            detail::runWindows(
-                &lane, 1, config, sched, windows,
-                [&](auto *ls, detail::KernelWalkState &walk, size_t begin,
-                    size_t end, uint64_t seq) {
-                    detail::runOracleRange(stream, *ls, config, sched,
-                                           begin, end, walk, seq);
-                });
-            metrics_sched = sched;
+            lane.predictor = &split;
+            run_walk(&lane, 1);
         }
     } else {
         // Production: lanes partitioned into walk buckets, so each
@@ -229,16 +232,7 @@ simulateStreamFused(const BlockStream &stream,
                 for (size_t k = 0; k < cnt; ++k)
                     state[k] = lane_state(std::type_identity<P>{},
                                           members[beg + k]);
-                BankScheduler sched;
-                detail::runWindows(
-                    state.data(), cnt, config, sched, windows,
-                    [&](auto *ls, detail::KernelWalkState &walk,
-                        size_t begin, size_t end, uint64_t seq) {
-                        detail::runFusedStreamKernelRange(
-                            stream, ls, cnt, config, sched, begin, end,
-                            walk, seq);
-                    });
-                metrics_sched = sched;
+                run_walk(state.data(), cnt);
             }
         };
         run_bucket(std::type_identity<TwoBcGskewPredictor>{});

@@ -66,11 +66,12 @@ struct SimConfig
     MispredictSink *events = nullptr;  //!< sampled mispredict JSONL
 
     /**
-     * Run the oracle -- the readable one-lane walk through the virtual
-     * predictor interface -- instead of the production walk. The two
-     * must produce identical results; this flag (or the
-     * EV8_GENERIC_KERNEL environment variable) exists so tests and CI
-     * can prove it byte-for-byte.
+     * Run the oracle instead of the production buckets: every lane
+     * walks alone through the generic walk and reaches its scheme only
+     * through split predict()/update() calls (simulateSmt() takes the
+     * same switch). The two must produce identical results; this flag
+     * (or the EV8_GENERIC_KERNEL environment variable) exists so tests
+     * and CI can prove it byte-for-byte.
      */
     bool forceGenericKernel = false;
 
@@ -140,9 +141,9 @@ struct SimResult
 
 /**
  * Runs @p predictor over @p trace under @p config: simulateStream()
- * over decodeBlockStream(@p trace). The predictor is NOT reset first
- * (callers decide whether warm state is wanted; the bench harness
- * always uses a fresh instance per run). The tests' reference for
+ * over decodeBlockStream(@p trace). The predictor keeps whatever state
+ * it has (a cold predictor is a fresh instance, which is what the
+ * bench harness builds per run). The tests' reference for
  * stream-based runs; nothing that can reach a cached stream needs it.
  */
 SimResult simulateTrace(const Trace &trace,
@@ -184,10 +185,11 @@ struct FusedLane
  * predictAndUpdate() through the virtual interface (a mixed lane set
  * costs one stream walk per occupied bucket). With
  * SimConfig::forceGenericKernel or EV8_GENERIC_KERNEL=1 every lane
- * instead takes the oracle, a one-lane virtual walk that is the
- * readable reference. Every lane's SimResult, published metrics and
- * emitted events are bit-identical on both, and independent of which
- * lanes share the call.
+ * instead takes the oracle: it walks alone through the generic walk
+ * behind an adapter that keeps the default predictAndUpdate(), so its
+ * scheme sees only predict() then update(). Every lane's SimResult,
+ * published metrics and emitted events are bit-identical on both, and
+ * independent of which lanes share the call.
  */
 std::vector<SimResult> simulateStreamFused(
     const BlockStream &stream, const std::vector<FusedLane> &lanes,

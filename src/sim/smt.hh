@@ -10,11 +10,15 @@
  *
  * This module interleaves several fetch-block streams block by block
  * (round-robin, two blocks per cycle as on the EV8) into one shared
- * predictor, maintaining either per-thread history state (the EV8
- * design) or a single naively shared history (the straw man), and
- * reports per-thread accuracy. The paper's evaluation section contains
- * no SMT data -- this is the repository's quantitative extension of the
- * Section 3 argument, not a figure reproduction.
+ * predictor, and reports per-thread accuracy. Each fetch slot is one
+ * block of the production range walk (sim/kernel.hh) for one thread:
+ * the shared predictor is the lane, the thread's SimResult its output,
+ * and the thread's walk state -- per-thread history (the EV8 design)
+ * or a single naively shared one (the straw man) -- carries across
+ * its slots, beside one bank recurrence spanning all threads. The
+ * paper's evaluation section contains no SMT data -- this is the
+ * repository's quantitative extension of the Section 3 argument, not a
+ * figure reproduction.
  */
 
 #ifndef EV8_SIM_SMT_HH

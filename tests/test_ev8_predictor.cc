@@ -209,20 +209,6 @@ TEST(Ev8Predictor, TotalUpdateConfigObservablyDifferent)
     EXPECT_GT(diffs, 0);
 }
 
-TEST(Ev8Predictor, ResetRestoresColdState)
-{
-    Ev8Predictor p;
-    Rng rng(15);
-    const BranchSnapshot probe = randomSnapshot(rng);
-    const bool cold = p.predict(probe);
-    for (int i = 0; i < 5000; ++i) {
-        const BranchSnapshot s = randomSnapshot(rng);
-        p.update(s, true, p.predict(s));
-    }
-    p.reset();
-    EXPECT_EQ(p.predict(probe), cold);
-}
-
 TEST(Ev8Predictor, NameAndConfig)
 {
     Ev8Predictor p;

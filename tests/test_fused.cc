@@ -2,8 +2,8 @@
  * @file
  * Tests for fused multi-configuration simulation: the guarantee that a
  * fused walk -- one stream pass driving N predictor lanes -- produces
- * *exactly* what N independent oracle runs (forceGenericKernel, the
- * one-lane virtual walk) produce, for any lane mix and any lane cap
+ * *exactly* what N independent oracle runs (forceGenericKernel: one
+ * lane behind split predict()/update() calls) produce, for any lane mix and any lane cap
  * (EV8_FUSED_LANES=1: one one-lane walk per cell), exact or
  * phase-sampled, down to the bytes of
  * the merged metric registry and the sampled event stream.
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -28,6 +29,7 @@
 #include "sim/experiment.hh"
 #include "sim/phase/sample_plan.hh"
 #include "sim/simulator.hh"
+#include "sim/smt.hh"
 #include "sim/suite_runner.hh"
 #include "workloads/suite.hh"
 
@@ -322,6 +324,89 @@ TEST(FusedKernel, SingleLaneMatchesSimulateStream)
     ASSERT_EQ(fused.size(), 1u);
     expectSameResult(fused[0], ref, "gshare:12:10 fused");
     expectSameResult(cell, ref, "gshare:12:10 simulateStream");
+}
+
+/** Counts whether a walk reached it by split calls or the fused step. */
+class CountingPredictor final : public ConditionalBranchPredictor
+{
+  public:
+    bool
+    predict(const BranchSnapshot &) override
+    {
+        ++predicts;
+        return false;
+    }
+    void update(const BranchSnapshot &, bool, bool) override { ++updates; }
+    bool
+    predictAndUpdate(const BranchSnapshot &, bool) override
+    {
+        ++fusedSteps;
+        return false;
+    }
+    uint64_t storageBits() const override { return 0; }
+    std::string name() const override { return "counting"; }
+
+    uint64_t predicts = 0, updates = 0, fusedSteps = 0;
+};
+
+/**
+ * The oracle stays independent of the steppers: it reaches a scheme
+ * only through predict() then update(), never predictAndUpdate(), one
+ * pair per walked branch, exact, sampled and under SMT; the production
+ * walk takes one predictAndUpdate() per branch.
+ */
+TEST(FusedKernel, OracleReachesSchemesOnlyThroughSplitCalls)
+{
+    const BlockStream stream = decodeBlockStream(
+        generateTrace(findBenchmark("go").profile, kTinyScale));
+
+    // Two non-contiguous windows, each primed by a warmup range.
+    SamplePlan plan;
+    plan.phases = 1;
+    plan.totals.resize(1);
+    uint64_t sampled_branches = 0;
+    for (const auto &[warm, begin, end] :
+         {std::array<size_t, 3>{0, 50, 150},
+          std::array<size_t, 3>{300, 400, 500}}) {
+        SampledWindow w;
+        w.warmupBlockBegin = warm;
+        w.blockBegin = begin;
+        w.blockEnd = end;
+        w.branchSeqBase = stream.branchBegin(begin);
+        w.branches = stream.branchBegin(end) - stream.branchBegin(begin);
+        plan.windows.push_back(w);
+        sampled_branches +=
+            stream.branchBegin(end) - stream.branchBegin(warm);
+    }
+    ASSERT_LT(size_t{500}, stream.blocks());
+
+    const SamplePlan *const plans[] = {nullptr, &plan};
+    for (const SamplePlan *p : plans) {
+        const uint64_t branches = p ? sampled_branches : stream.branches();
+        CountingPredictor production, ref;
+        simulateStream(stream, production, SimConfig::ev8(), p);
+        EXPECT_EQ(production.fusedSteps, branches);
+        EXPECT_EQ(production.predicts, 0u);
+        EXPECT_EQ(production.updates, 0u);
+
+        simulateStream(stream, ref, oracle(SimConfig::ev8()), p);
+        EXPECT_EQ(ref.fusedSteps, 0u);
+        EXPECT_EQ(ref.predicts, branches);
+        EXPECT_EQ(ref.updates, branches);
+    }
+
+    // SMT reads the same switch for its one shared predictor.
+    SmtConfig smt;
+    smt.sim = SimConfig::ev8();
+    CountingPredictor shared, shared_ref;
+    simulateSmt({&stream, &stream}, shared, smt);
+    EXPECT_EQ(shared.fusedSteps, 2 * stream.branches());
+    EXPECT_EQ(shared.predicts, 0u);
+    smt.sim = oracle(smt.sim);
+    simulateSmt({&stream, &stream}, shared_ref, smt);
+    EXPECT_EQ(shared_ref.fusedSteps, 0u);
+    EXPECT_EQ(shared_ref.predicts, 2 * stream.branches());
+    EXPECT_EQ(shared_ref.updates, 2 * stream.branches());
 }
 
 /**

@@ -91,20 +91,6 @@ TEST(Hierarchy, KeepsPrimaryForBiasedBranches)
     EXPECT_LT(wrong, 10);
 }
 
-TEST(Hierarchy, ResetRestoresBothComponents)
-{
-    auto h = makeHierarchy();
-    const auto probe = snap(0x3000, 0x55);
-    const bool cold = h.predict(probe);
-    for (int i = 0; i < 500; ++i) {
-        auto s = snap(0x3000 + (i % 7) * 4, i);
-        h.update(s, (i % 3) == 0, h.predict(s));
-    }
-    h.reset();
-    EXPECT_EQ(h.predict(probe), cold);
-    EXPECT_DOUBLE_EQ(h.backupUseRate(), 0.0);
-}
-
 TEST(Hierarchy, BeatsEitherComponentOnMixedWork)
 {
     // Half the branches are PC-biased (primary's home turf), half are

@@ -196,17 +196,6 @@ TEST(PhysicalStorage, TalliesCountOneAccessPerCall)
     EXPECT_EQ(arrays.accessStats(G0).predReads, 0u);
 }
 
-TEST(PhysicalStorage, ResetRestoresInitialState)
-{
-    Ev8PhysicalStorage arrays;
-    const Ev8WordCoords c{0, 1, 2, 0};
-    arrays.writePredBit(BIM, c, 1, true);
-    arrays.writeHystBit(BIM, c, 1, false);
-    arrays.reset();
-    EXPECT_FALSE(arrays.readPredBit(BIM, c, 1));
-    EXPECT_TRUE(arrays.readHystBit(BIM, c, 1));
-}
-
 TEST(SinglePortChecker, DetectsSecondAccessToSameBank)
 {
     SinglePortChecker checker;

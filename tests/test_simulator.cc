@@ -42,7 +42,6 @@ class ProbePredictor : public ConditionalBranchPredictor
     }
     uint64_t storageBits() const override { return 0; }
     std::string name() const override { return "probe"; }
-    void reset() override { seen.clear(); }
 
     std::vector<BranchSnapshot> seen;
     std::vector<bool> outcomes;

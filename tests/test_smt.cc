@@ -26,24 +26,30 @@ streamOf(const char *name, uint64_t branches)
 TEST(Smt, SingleThreadMatchesPlainSimulator)
 {
     // One SMT "thread" must be bit-identical to simulateTrace over the
-    // trace its stream was built from.
+    // trace its stream was built from, on the production walk and
+    // under the oracle switch (split predict()/update() calls) alike.
     const Trace t = generateTrace(findBenchmark("perl").profile, 30000);
     const BlockStream stream = decodeBlockStream(t);
-    SmtConfig cfg;
-    cfg.sim = SimConfig::ev8();
+    for (const bool oracle : {false, true}) {
+        SCOPED_TRACE(oracle ? "oracle" : "production");
+        SmtConfig cfg;
+        cfg.sim = SimConfig::ev8();
+        cfg.sim.forceGenericKernel = oracle;
 
-    Ev8Predictor smt_pred;
-    const auto smt = simulateSmt({&stream}, smt_pred, cfg);
+        Ev8Predictor smt_pred;
+        const auto smt = simulateSmt({&stream}, smt_pred, cfg);
 
-    Ev8Predictor plain_pred;
-    const SimResult plain = simulateTrace(t, plain_pred, cfg.sim);
+        Ev8Predictor plain_pred;
+        const SimResult plain = simulateTrace(t, plain_pred, cfg.sim);
 
-    ASSERT_EQ(smt.size(), 1u);
-    EXPECT_EQ(smt[0].sim.stats.mispredictions(),
-              plain.stats.mispredictions());
-    EXPECT_EQ(smt[0].sim.condBranches, plain.condBranches);
-    EXPECT_EQ(smt[0].sim.lghistBits, plain.lghistBits);
-    EXPECT_EQ(smt[0].sim.fetchBlocks, plain.fetchBlocks);
+        ASSERT_EQ(smt.size(), 1u);
+        EXPECT_EQ(smt[0].sim.stats.mispredictions(),
+                  plain.stats.mispredictions());
+        EXPECT_EQ(smt[0].sim.condBranches, plain.condBranches);
+        EXPECT_EQ(smt[0].sim.lghistBits, plain.lghistBits);
+        EXPECT_EQ(smt[0].sim.fetchBlocks, plain.fetchBlocks);
+        EXPECT_EQ(smt[0].sim.branchesPerBlock, plain.branchesPerBlock);
+    }
 }
 
 TEST(Smt, TwoThreadStreamsReproduceTheTraceInterleaverPins)

@@ -45,7 +45,6 @@ class RefTwoBit
     }
 
     void strengthen(size_t i) { update(i, taken(i)); }
-    void reset() { table.assign(table.size(), 1); }
 
   private:
     std::vector<uint8_t> table;
@@ -88,13 +87,6 @@ class RefSplit
     {
         pred[i] = p;
         hyst[hi(i)] = h;
-    }
-
-    void
-    reset()
-    {
-        pred.assign(pred.size(), 0);
-        hyst.assign(hyst.size(), 1);
     }
 
   private:
@@ -144,11 +136,6 @@ TEST(PackedTables, TwoBitTableMatchesByteReferenceUnderRandomOps)
     // Final sweep: every entry, not just the ones just touched.
     for (size_t i = 0; i < kEntries; ++i)
         ASSERT_EQ(packed.raw(i), ref.raw(i)) << "entry " << i;
-
-    packed.reset();
-    ref.reset();
-    for (size_t i = 0; i < kEntries; ++i)
-        ASSERT_EQ(packed.raw(i), TwoBitCounterTable::kWeaklyNotTaken);
 }
 
 TEST(PackedTables, SplitArrayMatchesByteReferenceUnderRandomOps)
@@ -195,13 +182,6 @@ TEST(PackedTables, SplitArrayMatchesByteReferenceUnderRandomOps)
     for (size_t i = 0; i < kEntries; ++i) {
         ASSERT_EQ(packed.rawPred(i), ref.rawPred(i)) << "entry " << i;
         ASSERT_EQ(packed.rawHyst(i), ref.rawHyst(i)) << "entry " << i;
-    }
-
-    packed.reset();
-    ref.reset();
-    for (size_t i = 0; i < kEntries; ++i) {
-        ASSERT_EQ(packed.rawPred(i), 0);
-        ASSERT_EQ(packed.rawHyst(i), 1);
     }
 }
 

@@ -184,18 +184,6 @@ TEST(TwoBcGskew, HalfSizeHysteresisSharesEntries)
     EXPECT_NE(g1.hystIndex(0x8123), g1.hystIndex(0x0123));
 }
 
-TEST(TwoBcGskew, ResetRestoresInitialState)
-{
-    TwoBcGskewPredictor p(
-        TwoBcGskewConfig::symmetric(10, 0, 8, 9, 10, "t"));
-    const auto s = snap(0x1000, 0x3c);
-    const bool before = p.predict(s);
-    for (int i = 0; i < 100; ++i)
-        p.update(s, !before, p.predict(s));
-    p.reset();
-    EXPECT_EQ(p.predict(s), before);
-}
-
 TEST(TwoBcGskew, NameUsesLabel)
 {
     EXPECT_EQ(TwoBcGskewPredictor(TwoBcGskewConfig::ev8Size()).name(),
