@@ -119,6 +119,32 @@ BM_Ev8Constrained(benchmark::State &state)
 }
 BENCHMARK(BM_Ev8Constrained)->Apply(applyDefaults);
 
+/**
+ * BM_Ev8Constrained with a MetricRegistry attached, as the fig10 and
+ * fig9 artifacts run it: the stepper then also keeps its key histogram
+ * and the arrays' wordline tallies.
+ */
+void
+BM_Ev8ConstrainedMetrics(benchmark::State &state)
+{
+    const BlockStream &stream = benchStream();
+    uint64_t branches = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        Ev8Predictor predictor;
+        MetricRegistry metrics;
+        SimConfig config = SimConfig::ev8();
+        config.metrics = &metrics;
+        state.ResumeTiming();
+        const SimResult r = simulateStream(stream, predictor, config);
+        branches += r.condBranches;
+        benchmark::DoNotOptimize(r.stats.mispredictions());
+    }
+    state.counters["branches/s"] = benchmark::Counter(
+        static_cast<double>(branches), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Ev8ConstrainedMetrics)->Apply(applyDefaults);
+
 void
 BM_Perceptron(benchmark::State &state)
 {

@@ -72,7 +72,7 @@ bool cpuHasAvx2();
 Backend activeBackend();
 
 /**
- * The backend a fused group stepper of @p nlanes lanes runs. The vector
+ * The backend gshare's group stepper of @p nlanes lanes runs. Its vector
  * path packs lanes four to a vector, so a one-lane group would pay for
  * three padding lanes with nothing to share them with: it steps scalar
  * (Off) under any EV8_SIMD value. Wider groups take activeBackend().

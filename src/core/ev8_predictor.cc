@@ -58,7 +58,7 @@ Ev8Predictor::predictAndUpdate(const BranchSnapshot &snap, bool taken)
 {
     const std::array<size_t, kNumTables> idx =
         ev8EntryIndices(indexInput(snap), snap.pc, cfg.wordline);
-    GskewStepBits<uint8_t> bits = arrays.stepBits(idx);
+    GskewStepBits bits = arrays.stepBits(idx);
     const GskewStep s =
         gskewStep(bits, gskewOutcomeKey(taken, cfg.partialUpdate));
     lastKey_ = s.key;

@@ -21,8 +21,8 @@ Ev8PhysicalStorage::Ev8PhysicalStorage()
 {
     for (unsigned t = 0; t < kNumTables; ++t) {
         const auto id = static_cast<TableId>(t);
-        pred[t].assign(predEntries(id), 0);
-        hyst[t].assign(hystEntries(id), 1);
+        pred[t].assign(predEntries(id) / 64, 0);
+        hyst[t].assign(hystEntries(id) / 64, ~uint64_t{0});
     }
 }
 
@@ -36,9 +36,10 @@ Ev8PhysicalStorage::readPredWord(TableId table, const Ev8WordCoords &c) const
     const size_t base = ev8FlatIndex(c, 0);
     assert(base < predEntries(table));
     uint8_t word = 0;
-    for (unsigned b = 0; b < 8; ++b)
-        word |= static_cast<uint8_t>(pred[table][base | (size_t{b} << 2)]
-                                     << b);
+    for (unsigned b = 0; b < 8; ++b) {
+        word |= static_cast<uint8_t>(
+            unsigned{bitOf(pred[table], base | (size_t{b} << 2))} << b);
+    }
     return word;
 }
 

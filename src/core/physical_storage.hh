@@ -23,6 +23,11 @@
  * masking a flat index down to it drops the column MSB (i15) exactly
  * as Section 4.4 does. The flat accessors take an ev8EntryIndex()
  * value; the coordinate accessors address the same bits.
+ *
+ * Packing: each array is a vector of 64-bit words in that flat order,
+ * bit i of the array being bit (i mod 64) of word i / 64, so the
+ * 352 Kbits take 44 KB. The tracked accessors and the production
+ * stepper's stepBits() address the same words.
  */
 
 #ifndef EV8_CORE_PHYSICAL_STORAGE_HH
@@ -99,7 +104,7 @@ class Ev8PhysicalStorage
             ++access[table].predReads;
             ++wordlineReads_[table][ev8IndexWordline(idx)];
         }
-        return pred[table][idx] != 0;
+        return bitOf(pred[table], idx);
     }
 
     void
@@ -108,7 +113,7 @@ class Ev8PhysicalStorage
         assert(idx < predEntries(table));
         if (tracking)
             ++access[table].predWrites;
-        pred[table][idx] = value;
+        setBit(pred[table], idx, value);
     }
 
     /**
@@ -123,7 +128,7 @@ class Ev8PhysicalStorage
         assert(idx < predEntries(table));
         if (tracking)
             ++access[table].hystReads;
-        return hyst[table][idx & (hystEntries(table) - 1)] != 0;
+        return bitOf(hyst[table], idx & (hystEntries(table) - 1));
     }
 
     void
@@ -132,7 +137,7 @@ class Ev8PhysicalStorage
         assert(idx < predEntries(table));
         if (tracking)
             ++access[table].hystWrites;
-        hyst[table][idx & (hystEntries(table) - 1)] = value;
+        setBit(hyst[table], idx & (hystEntries(table) - 1), value);
     }
 
     /**
@@ -140,15 +145,18 @@ class Ev8PhysicalStorage
      * may flip, untracked: the production stepper tallies per step
      * key instead (see setTracking()).
      */
-    GskewStepBits<uint8_t>
+    GskewStepBits
     stepBits(const std::array<size_t, kNumTables> &idx)
     {
-        GskewStepBits<uint8_t> bits{};
+        GskewStepBits bits;
         for (unsigned t = 0; t < kNumTables; ++t) {
             const auto id = static_cast<TableId>(t);
             assert(idx[t] < predEntries(id));
-            bits.word[t] = &pred[t][idx[t]];
-            bits.word[4 + t] = &hyst[t][idx[t] & (hystEntries(id) - 1)];
+            const size_t hi = idx[t] & (hystEntries(id) - 1);
+            bits.word[t] = &pred[t][idx[t] >> 6];
+            bits.shift[t] = static_cast<uint8_t>(idx[t] & 63);
+            bits.word[4 + t] = &hyst[t][hi >> 6];
+            bits.shift[4 + t] = static_cast<uint8_t>(hi & 63);
         }
         return bits;
     }
@@ -243,9 +251,25 @@ class Ev8PhysicalStorage
         const std::array<AccessStats, kNumTables> &tallies) const;
 
   private:
-    // One byte per bit, in flat-index order.
-    std::array<std::vector<uint8_t>, kNumTables> pred;
-    std::array<std::vector<uint8_t>, kNumTables> hyst;
+    using Words = std::vector<uint64_t>;
+
+    static bool
+    bitOf(const Words &words, size_t idx)
+    {
+        return ((words[idx >> 6] >> (idx & 63)) & 1) != 0;
+    }
+
+    static void
+    setBit(Words &words, size_t idx, bool value)
+    {
+        const uint64_t bit = uint64_t{1} << (idx & 63);
+        words[idx >> 6] = value ? words[idx >> 6] | bit
+                                : words[idx >> 6] & ~bit;
+    }
+
+    // 64 bits per word, in flat-index order.
+    std::array<Words, kNumTables> pred;
+    std::array<Words, kNumTables> hyst;
 
     // Access tallies; mutable because reads are logically const.
     bool tracking = false;

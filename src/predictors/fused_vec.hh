@@ -10,13 +10,15 @@
  * transitions -- so artifacts stay byte-identical across EV8_SIMD.
  * The layout of the work differs:
  *
- *  - 2Bc-gskew: only the deduplicated address/history slot terms run
- *    here, four slots at a time (the fold loop runs until every lane's
- *    remainder is zero; finished lanes contribute zero XORs, and the
- *    per-table H/H' chains apply under per-slot all-ones masks). Each
- *    lane then composes its indices and takes one tabulated policy
- *    step (gskewStep() over kGskewPolicy), scalar, on either backend:
- *    the policy is a table load, not vector arithmetic.
+ *  - 2Bc-gskew: only the deduplicated history slot terms run here,
+ *    four slots at a time (the fold loop runs until every slot's
+ *    remainder is zero; finished slots contribute zero XORs, and the
+ *    per-table H' chains apply under per-slot all-ones masks). The
+ *    address terms come from the group's per-pc table on either
+ *    backend. Each lane then composes its indices and takes one
+ *    tabulated policy step (gskewStep() over kGskewPolicy), scalar,
+ *    on either backend: the policy is a table load, not vector
+ *    arithmetic.
  *
  *  - gshare, bimodal lanes included (a bimodal lane is a gshare lane
  *    whose history mask is 0, so its fold loop contributes nothing):
@@ -45,39 +47,12 @@ namespace ev8
 
 template <class Vec>
 void
-TwoBcGskewPredictor::FusedGroup::slotsVec(const BranchSnapshot &snap)
+TwoBcGskewPredictor::FusedGroup::histVec(const BranchSnapshot &snap)
 {
     constexpr size_t kW = Vec::kLanes;
     const Vec one(1);
 
-    // Address-side slot terms, four slots per iteration.
-    const Vec pcv(snap.pc);
-    const Vec bimFold(bimFold_);
-    const Vec gskewFold(gskewFold_);
-    for (size_t s = 0; s < paddedAddr_; s += kW) {
-        const Vec n = Vec::load(&aN_[s]);
-        const Vec nm1 = Vec::load(&aNm1_[s]);
-        const Vec m = Vec::load(&aMask_[s]);
-        const Vec fold = (bimFold & Vec::load(&aSelBim_[s]))
-                         | (gskewFold & Vec::load(&aSelGskew_[s]));
-        Vec v = (pcv ^ fold) >> 2;
-        Vec x = Vec::zero();
-        while (!v.allZero()) {
-            x = x ^ (v & m);
-            v = Vec::srlv(v, n);
-        }
-        for (size_t c = 0; c < aChain_.size(); ++c) {
-            const Vec act = Vec::load(&aChain_[c][s]);
-            if (act.allZero())
-                break; // chain masks shrink with the round number
-            const Vec fb = (x ^ Vec::srlv(x, nm1)) & one;
-            const Vec xn = (x >> 1) | Vec::sllv(fb, nm1);
-            x = Vec::blend(act, xn, x);
-        }
-        x.store(&aVal_[s]);
-    }
-
-    // History-side slot terms through the inverse chain H'^table.
+    // History slot terms through the inverse chain H'^table.
     const Vec histv(snap.hist.indexHist);
     for (size_t s = 0; s < paddedHist_; s += kW) {
         const Vec n = Vec::load(&hN_[s]);

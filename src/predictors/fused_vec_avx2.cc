@@ -19,9 +19,9 @@ namespace ev8
 #if defined(__AVX2__)
 
 void
-TwoBcGskewPredictor::FusedGroup::slotsVecAvx2(const BranchSnapshot &snap)
+TwoBcGskewPredictor::FusedGroup::histVecAvx2(const BranchSnapshot &snap)
 {
-    slotsVec<simd::U64x4Avx2>(snap);
+    histVec<simd::U64x4Avx2>(snap);
 }
 
 void

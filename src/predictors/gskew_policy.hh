@@ -419,14 +419,13 @@ gskewKeyAccess(unsigned key)
 /**
  * The eight bits one step reads and may flip, in key order: the
  * prediction bits of BIM, G0, G1 and Meta, then their hysteresis bits
- * (at the possibly shared entry, Section 4.4). Each is a word and a
- * bit position in it, so packed bitplanes (Word = uint64_t) and
- * byte-per-bit arrays (Word = uint8_t, shift 0) step alike.
+ * (at the possibly shared entry, Section 4.4). Each is a 64-bit word
+ * of a packed bitplane and a bit position in it; the 2Bc-gskew banks
+ * and the EV8 physical arrays are both stored that way.
  */
-template <class Word>
 struct GskewStepBits
 {
-    std::array<Word *, 8> word;
+    std::array<uint64_t *, 8> word;
     std::array<uint8_t, 8> shift;
 
     /** The key of the eight bits, with @p outcome_key. */
@@ -444,8 +443,7 @@ struct GskewStepBits
     flip(unsigned flips)
     {
         for (unsigned j = 0; j < 8; ++j)
-            *word[j] ^= static_cast<Word>(Word((flips >> j) & 1u)
-                                          << shift[j]);
+            *word[j] ^= uint64_t{(flips >> j) & 1u} << shift[j];
     }
 };
 
@@ -462,9 +460,8 @@ struct GskewStep
  * gskewOutcomeKey(taken, partial_update). Nothing is counted per
  * access; callers tally per key (foldGskewVotes()).
  */
-template <class Word>
 inline GskewStep
-gskewStep(GskewStepBits<Word> &bits, unsigned outcome_key)
+gskewStep(GskewStepBits &bits, unsigned outcome_key)
 {
     const unsigned key = bits.key(outcome_key);
     const GskewTransition e = kGskewPolicy.step[key];

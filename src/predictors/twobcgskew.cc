@@ -181,6 +181,7 @@ TwoBcGskewPredictor::FusedGroup::FusedGroup(
             assert(geo.log2Pred >= 1 && geo.log2Pred < 64);
             assert(geo.log2Pred >= 2 || (t == BIM && geo.histLen == 0));
             assert(geo.histLen <= 63);
+            assert(geo.log2Pred <= 32); // address terms are uint32_t
             const uint8_t fold_kind = !p.cfg.usePathInfo ? 0
                                       : t == BIM         ? 1
                                                          : 2;
@@ -195,7 +196,27 @@ TwoBcGskewPredictor::FusedGroup::FusedGroup(
         keyHist_.assign(nlanes, GskewKeyHistogram{});
     aVal_.assign(addrSlots_.size(), 0);
     hVal_.assign(histSlots_.size(), 0);
-    backend_ = simd::groupBackend(nlanes);
+    foldTerm_.assign(addrSlots_.size(), 0);
+    if (anyPathInfo_) {
+        foldLut_.resize(addrSlots_.size()); // zero: slots without a fold
+        for (size_t i = 0; i < addrSlots_.size(); ++i) {
+            const AddrSlot &s = addrSlots_[i];
+            for (unsigned k = 0; s.foldKind != 0 && k < kFoldNibbles; ++k) {
+                for (uint64_t v = 0; v < 16; ++v) {
+                    foldLut_[i][k][v] = static_cast<uint32_t>(
+                        addressTerm(s.table, s.n, v << (2 + 4 * k)));
+                }
+            }
+        }
+    }
+    addrTag_.resize(kAddrRows);
+    for (size_t r = 0; r < kAddrRows; ++r)
+        addrTag_[r] = uint64_t{r ^ 1} << 2; // addrRow() is r ^ 1
+    addrPcTerm_.assign(kAddrRows * addrSlots_.size(), 0);
+    // The vector path packs history slots, not lanes, and one lane has
+    // four: unlike gshare's lane-packing group, a one-lane group takes
+    // it too.
+    backend_ = simd::activeBackend();
     if (backend_ != simd::Backend::Off)
         buildVectorState();
 }
@@ -204,38 +225,16 @@ void
 TwoBcGskewPredictor::FusedGroup::buildVectorState()
 {
     constexpr size_t kW = simd::kVectorLanes;
-    const auto pad = [](size_t n) { return (n + kW - 1) & ~(kW - 1); };
     const uint64_t ones = ~uint64_t{0};
 
-    // Address slots. Padding slots get n = 63 so their fold loop
-    // terminates in one round, a zero mask so they contribute nothing,
-    // and zero chain masks so the H rounds leave them alone.
-    paddedAddr_ = pad(addrSlots_.size());
-    aN_.assign(paddedAddr_, 63);
-    aNm1_.assign(paddedAddr_, 62);
-    aMask_.assign(paddedAddr_, 0);
-    aSelBim_.assign(paddedAddr_, 0);
-    aSelGskew_.assign(paddedAddr_, 0);
-    aVal_.assign(paddedAddr_, 0);
-    for (auto &c : aChain_)
-        c.assign(paddedAddr_, 0);
-    for (size_t i = 0; i < addrSlots_.size(); ++i) {
-        const AddrSlot &s = addrSlots_[i];
-        aN_[i] = s.n;
-        aNm1_[i] = s.n - 1u;
-        aMask_[i] = mask(s.n);
-        aSelBim_[i] = s.foldKind == 1 ? ones : 0;
-        aSelGskew_[i] = s.foldKind == 2 ? ones : 0;
-        for (unsigned c = 0; c < aChain_.size(); ++c)
-            aChain_[c][i] = s.table > c ? ones : 0;
-    }
-
-    // History slots likewise. A len == 0 slot keeps its zero history
-    // mask, so the uniform vector arithmetic reproduces the scalar
-    // "constant 0" skip; its n may be 1 (BIM), making n - 2 wrap, but
-    // its chain masks are zero and srlv() zeroes counts >= 64, so the
-    // wrapped shift is computed and discarded, never observed.
-    paddedHist_ = pad(histSlots_.size());
+    // Padding slots get n = 63 so their fold loop terminates in one
+    // round, and zero masks so they contribute nothing. A len == 0
+    // slot keeps its zero history mask, so the uniform vector
+    // arithmetic reproduces the scalar "constant 0" skip; its n may be
+    // 1 (BIM), making n - 2 wrap, but its chain masks are zero and
+    // srlv() zeroes counts >= 64, so the wrapped shift is computed and
+    // discarded, never observed.
+    paddedHist_ = (histSlots_.size() + kW - 1) & ~(kW - 1);
     hN_.assign(paddedHist_, 63);
     hNm1_.assign(paddedHist_, 62);
     hNm2_.assign(paddedHist_, 61);
@@ -274,19 +273,28 @@ TwoBcGskewPredictor::FusedGroup::step(const BranchSnapshot &snap,
         pathZ_ = snap.hist.pathZ;
         pathY_ = snap.hist.pathY;
         pathX_ = snap.hist.pathX;
-        bimFold_ = bimPathFold(snap.hist);
-        gskewFold_ = gskewPathFold(snap.hist);
+        const uint64_t fold[3] = {0, bimPathFold(snap.hist) >> 2,
+                                  gskewPathFold(snap.hist) >> 2};
+        for (size_t i = 0; i < addrSlots_.size(); ++i) {
+            const uint64_t v = fold[addrSlots_[i].foldKind];
+            assert(v >> (4 * kFoldNibbles) == 0);
+            uint32_t x = 0;
+            for (unsigned k = 0; k < kFoldNibbles; ++k)
+                x ^= foldLut_[i][k][(v >> (4 * k)) & 15];
+            foldTerm_[i] = x;
+        }
     }
+    const uint32_t *addr_terms = addrTerms(snap);
 #ifdef EV8_HAVE_AVX2
     if (backend_ == simd::Backend::Avx2)
-        slotsVecAvx2(snap);
+        histVecAvx2(snap);
     else
 #endif
-        slotsScalar(snap);
+        histScalar(snap);
     if (anyStats_)
-        stepLanes<true>(snap, taken, misp);
+        stepLanes<true>(addr_terms, snap, taken, misp);
     else
-        stepLanes<false>(snap, taken, misp);
+        stepLanes<false>(addr_terms, snap, taken, misp);
 }
 
 uint16_t
@@ -315,39 +323,40 @@ TwoBcGskewPredictor::FusedGroup::histSlot(uint8_t table, uint8_t n,
     return static_cast<uint16_t>(histSlots_.size() - 1);
 }
 
-void
-TwoBcGskewPredictor::FusedGroup::slotsScalar(const BranchSnapshot &snap)
+uint64_t
+TwoBcGskewPredictor::FusedGroup::addressTerm(unsigned table, unsigned n,
+                                             uint64_t addr)
 {
-    // Address-side terms: one XOR-fold plus H^table chain per distinct
-    // slot, shared by every lane that subscripts it. The fold and H
-    // loops are written out longhand: this is the innermost arithmetic
-    // of a sweep, and in unoptimized builds the helper-call round trips
-    // cost more than the arithmetic itself.
-    for (size_t i = 0; i < addrSlots_.size(); ++i) {
-        const AddrSlot &s = addrSlots_[i];
-        const uint64_t fold = s.foldKind == 0
-                                  ? 0
-                                  : (s.foldKind == 1 ? bimFold_
-                                                     : gskewFold_);
-        const unsigned n = s.n;
-        const uint64_t m = mask(n);
-        uint64_t v = (snap.pc ^ fold) >> 2;
-        uint64_t x = 0;
-        while (v) {
-            x ^= v & m;
-            v >>= n;
-        }
-        for (unsigned c = 0; c < s.table; ++c) {
-            const uint64_t fb = (x ^ (x >> (n - 1))) & 1;
-            x = (x >> 1) | (fb << (n - 1));
-        }
-        aVal_[i] = x;
-    }
+    return skewHPow(xorFold(addr >> 2, n), table, n);
+}
 
-    // History-side terms likewise, per distinct (table, width, length):
-    // the masked history folded to n bits through the inverse chain
-    // H'^table. In a history sweep these stay per-length, but the
-    // address side above has already collapsed to one term per table.
+const uint32_t *
+TwoBcGskewPredictor::FusedGroup::addrTerms(const BranchSnapshot &snap)
+{
+    const size_t nslots = addrSlots_.size();
+    const size_t row = addrRow(snap.pc);
+    uint32_t *pc_term = &addrPcTerm_[row * nslots];
+    if (addrTag_[row] != snap.pc) {
+        addrTag_[row] = snap.pc;
+        for (size_t i = 0; i < nslots; ++i) {
+            pc_term[i] = static_cast<uint32_t>(addressTerm(
+                addrSlots_[i].table, addrSlots_[i].n, snap.pc));
+        }
+    }
+    if (!anyPathInfo_)
+        return pc_term;
+    for (size_t i = 0; i < nslots; ++i)
+        aVal_[i] = pc_term[i] ^ foldTerm_[i];
+    return aVal_.data();
+}
+
+void
+TwoBcGskewPredictor::FusedGroup::histScalar(const BranchSnapshot &snap)
+{
+    // One term per distinct (table, width, length): the masked history
+    // folded to n bits through the inverse chain H'^table. In a history
+    // sweep these stay per-length, while the address terms collapse to
+    // one per table.
     for (size_t i = 0; i < histSlots_.size(); ++i) {
         const HistSlot &s = histSlots_[i];
         if (s.len == 0)
@@ -371,16 +380,18 @@ TwoBcGskewPredictor::FusedGroup::slotsScalar(const BranchSnapshot &snap)
 
 template <bool kStats>
 void
-TwoBcGskewPredictor::FusedGroup::stepLanes(const BranchSnapshot &snap,
+TwoBcGskewPredictor::FusedGroup::stepLanes(const uint32_t *addr_terms,
+                                           const BranchSnapshot &snap,
                                            bool taken, uint64_t *misp)
 {
     const size_t n = lanes_.size();
     const unsigned taken_key = gskewOutcomeKey(taken, false);
     for (size_t l = 0; l < n; ++l) {
         const Lane &lane = lanes_[l];
-        GskewStepBits<uint64_t> bits;
+        GskewStepBits bits;
         for (unsigned t = 0; t < kNumTables; ++t) {
-            const uint64_t idx = aVal_[lane.addr[t]] ^ hVal_[lane.hist[t]];
+            const uint64_t idx =
+                addr_terms[lane.addr[t]] ^ hVal_[lane.hist[t]];
             const uint64_t hi = idx & lane.hystMask[t];
             bits.word[t] = lane.predWords[t] + (idx >> 6);
             bits.shift[t] = static_cast<uint8_t>(idx & 63);

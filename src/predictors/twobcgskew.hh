@@ -114,16 +114,15 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
     /**
      * Shared-index group stepper for the fused kernel: one instance
      * drives every 2Bc-gskew lane of a fused job through one branch at
-     * a time. All lanes of a group see the same BranchSnapshot, and the
-     * address-side half of every skewed index -- the XOR-fold of
-     * (pc ^ path-fold) and its H^table chain -- depends only on that
-     * shared snapshot and the table geometry, never on per-lane state.
-     * The group therefore computes each distinct (table, fold kind,
-     * index width) term once per branch and each distinct (table,
-     * width, history length) history term once per branch, instead of
-     * once per lane; in a history sweep the address side collapses from
-     * 4*nlanes computations to 4. The slot terms run scalar, or four
-     * slots at a time on AVX2 (fused_vec.hh).
+     * a time. All lanes of a group see the same BranchSnapshot, so the
+     * group computes each distinct (table, fold kind, index width)
+     * address term and each distinct (table, width, history length)
+     * history term once per branch, instead of once per lane. Address
+     * terms -- the XOR-fold of (pc ^ path-fold) and its H^table chain
+     * -- are linear over GF(2): the group keeps each static branch's pc
+     * terms in a table keyed by pc and XORs in the path-fold terms,
+     * recomputed only when the fold moves. History terms run scalar,
+     * or four slots at a time on AVX2 (fused_vec.hh).
      *
      * Each lane then composes its four indices from the slot terms and
      * takes one tabulated policy step (gskewStep() over kGskewPolicy):
@@ -147,6 +146,24 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
 
         /** Advances every lane over one branch; tallies into misp[l]. */
         void step(const BranchSnapshot &snap, bool taken, uint64_t *misp);
+
+        /** H^@p table of (@p addr >> 2) XOR-folded to @p n bits: the
+         *  address half of skewIndex() (addressIndex() for BIM). */
+        static uint64_t addressTerm(unsigned table, unsigned n,
+                                    uint64_t addr);
+
+        /** Rows of the direct-mapped address-term table. The suite
+         *  has 31-1679 static branches per benchmark; 1024 rows hit on
+         *  97.1% (vortex) to 100% of branches, and 2048 would add at
+         *  most 1.6 points for twice the footprint. */
+        static constexpr size_t kAddrRows = 1024;
+
+        /** The address-term table row of branch @p pc. */
+        static constexpr size_t
+        addrRow(uint64_t pc)
+        {
+            return (pc >> 2) & (kAddrRows - 1);
+        }
 
       private:
         /** One distinct address-side index term H^table(fold(addr)). */
@@ -182,26 +199,32 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
         uint16_t addrSlot(uint8_t table, uint8_t fold_kind, uint8_t n);
         uint16_t histSlot(uint8_t table, uint8_t n, uint8_t len);
 
-        /** The slot terms, one at a time (EV8_SIMD=0, one lane). */
-        void slotsScalar(const BranchSnapshot &snap);
+        /** The address terms of @p snap, one per address slot: the
+         *  pc's row (filled on a miss), XORed with the fold terms into
+         *  aVal_ when a lane uses path information. */
+        const uint32_t *addrTerms(const BranchSnapshot &snap);
+
+        /** The history terms, one at a time (EV8_SIMD=0). */
+        void histScalar(const BranchSnapshot &snap);
 
         /**
-         * The slot terms four at a time, templated over a simd.hh
+         * The history terms four at a time, templated over a simd.hh
          * vector type. Defined in fused_vec.hh; instantiated only by
          * the -mavx2 translation unit fused_vec_avx2.cc, which exposes
          * it through the out-of-line entry point below so no intrinsic
          * code leaks into TUs built without -mavx2.
          */
         template <class Vec>
-        void slotsVec(const BranchSnapshot &snap);
-        void slotsVecAvx2(const BranchSnapshot &snap);
+        void histVec(const BranchSnapshot &snap);
+        void histVecAvx2(const BranchSnapshot &snap);
 
-        /** Builds the padded SoA constants slotsVec() consumes. */
+        /** Builds the padded SoA constants histVec() consumes. */
         void buildVectorState();
 
         /** The per-lane policy steps, with or without key counting. */
         template <bool kStats>
-        void stepLanes(const BranchSnapshot &snap, bool taken,
+        void stepLanes(const uint32_t *addr_terms,
+                       const BranchSnapshot &snap, bool taken,
                        uint64_t *misp);
 
         std::vector<Lane> lanes_;
@@ -211,32 +234,44 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
         std::vector<GskewKeyHistogram> keyHist_;
         std::vector<AddrSlot> addrSlots_;
         std::vector<HistSlot> histSlots_;
-        //! The slot terms, recomputed every step() (padded to the
+        //! The history terms, recomputed every step() (padded to the
         //! vector width when the AVX2 path runs).
-        std::vector<uint64_t> aVal_, hVal_;
+        std::vector<uint64_t> hVal_;
+        std::vector<uint32_t> aVal_; //!< path-fold groups' address terms
+
+        //! The address-term table: per row, the pc it holds and that
+        //! pc's term per address slot. A fresh row's tag maps to
+        //! another row, so no pc hits it before it is filled.
+        std::vector<uint64_t> addrTag_;
+        std::vector<uint32_t> addrPcTerm_;
 
         //! Group-level path-fold cache, mirroring lookup()'s: the path
         //! registers move once per fetch block, and they are shared by
-        //! the whole group.
+        //! the whole group. foldTerm_ is each address slot's
+        //! addressTerm() of its fold (0 without one). A fold term is
+        //! linear in the fold, whose address bits span at most 24 (the
+        //! gskew path word), so foldLut_ holds each slot's term of
+        //! every value of each of those six nibbles: a block's terms
+        //! cost six lookups per slot, not a fold and an H chain.
+        static constexpr unsigned kFoldNibbles = 6;
         bool anyPathInfo_ = false;
         uint64_t pathZ_ = 0, pathY_ = 0, pathX_ = 0;
-        uint64_t bimFold_ = 0, gskewFold_ = 0;
+        std::vector<uint32_t> foldTerm_;
+        std::vector<std::array<std::array<uint32_t, 16>, kFoldNibbles>>
+            foldLut_;
 
-        //! Per-walk backend choice (simd::groupBackend: EV8_SIMD /
-        //! cpuid, scalar for one lane), made once in the constructor
-        //! so in-process env overrides take effect.
+        //! Per-walk backend choice (simd::activeBackend: EV8_SIMD /
+        //! cpuid), made once in the constructor so in-process env
+        //! overrides take effect.
         simd::Backend backend_ = simd::Backend::Off;
 
-        // ---- AVX2 slot staging (built when backend_ != Off), every
-        // array padded to a multiple of the vector width: the slot
-        // constants (index width n, its chain companions, the n-bit
-        // mask, all-ones fold-select masks per path-fold kind and per
-        // H-chain round) splatted to one uint64_t per slot so the
-        // fold and chain loops run as unconditional masked vector
-        // arithmetic.
-        size_t paddedAddr_ = 0, paddedHist_ = 0;
-        std::vector<uint64_t> aN_, aNm1_, aMask_, aSelBim_, aSelGskew_;
-        std::array<std::vector<uint64_t>, 3> aChain_;
+        // ---- AVX2 history staging (built when backend_ != Off),
+        // every array padded to a multiple of the vector width: the
+        // slot constants (index width n, its chain companions, the
+        // n-bit and history-length masks, all-ones masks per H'-chain
+        // round) splatted to one uint64_t per slot so the fold and
+        // chain loops run as unconditional masked vector arithmetic.
+        size_t paddedHist_ = 0;
         std::vector<uint64_t> hN_, hNm1_, hNm2_, hMask_, hLenMask_;
         std::array<std::vector<uint64_t>, 3> hChain_;
     };

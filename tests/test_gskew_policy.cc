@@ -297,11 +297,11 @@ splitState(const std::array<SplitCounterArray, kNumTables> &arrays,
 }
 
 /** The eight bits of entries idx on split arrays, for gskewStep(). */
-GskewStepBits<uint64_t>
+GskewStepBits
 splitBits(std::array<SplitCounterArray, kNumTables> &arrays,
           const std::array<size_t, kNumTables> &idx)
 {
-    GskewStepBits<uint64_t> bits;
+    GskewStepBits bits;
     for (unsigned t = 0; t < kNumTables; ++t) {
         const size_t hi = arrays[t].hystIndex(idx[t]);
         bits.word[t] = arrays[t].predWords() + idx[t] / 64;
@@ -350,7 +350,7 @@ TEST(GskewPolicyTable, MatchesTemplatesOnSplitCounterArraysPerKey)
                 << "key " << key;
             EXPECT_EQ(gskewVoteKey(look), key & 0xf) << "key " << key;
 
-            GskewStepBits<uint64_t> bits = splitBits(tab, idx);
+            GskewStepBits bits = splitBits(tab, idx);
             const GskewStep s =
                 gskewStep(bits, gskewOutcomeKey(taken, partial));
             EXPECT_EQ(splitState(tab, idx), splitState(ref, idx))
@@ -385,7 +385,7 @@ TEST(GskewPolicyTable, StepMatchesTemplatesOverSharedWords)
             const bool taken = (next() & 3) != 0;
             const GskewLookup look =
                 runTemplates(SplitBanks{ref}, idx, taken, partial);
-            GskewStepBits<uint64_t> bits = splitBits(tab, idx);
+            GskewStepBits bits = splitBits(tab, idx);
             const GskewStep s =
                 gskewStep(bits, gskewOutcomeKey(taken, partial));
             ASSERT_EQ(s.t.overall(), look.overall) << "step " << step;
@@ -427,7 +427,7 @@ TEST(GskewPolicyTable, MatchesEv8ArraysAndAccessCountsPerKey)
             SplitBitBanks<Ev8PhysicalStorage>{ref}, idx, taken, partial);
         ref.setTracking(false);
 
-        GskewStepBits<uint8_t> bits = tab.stepBits(idx);
+        GskewStepBits bits = tab.stepBits(idx);
         const GskewStep s = gskewStep(bits, gskewOutcomeKey(taken, partial));
         EXPECT_EQ(s.t.overall(), look.overall) << "key " << key;
 

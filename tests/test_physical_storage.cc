@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "common/random.hh"
 #include "core/physical_storage.hh"
 #include "frontend/bank_scheduler.hh"
@@ -194,6 +197,117 @@ TEST(PhysicalStorage, TalliesCountOneAccessPerCall)
     }
     EXPECT_EQ(total, 3u);
     EXPECT_EQ(arrays.accessStats(G0).predReads, 0u);
+}
+
+/** Byte-per-bit model of the eight arrays, in flat-index order. */
+struct RefEv8Arrays
+{
+    std::array<std::vector<uint8_t>, kNumTables> pred, hyst;
+
+    RefEv8Arrays()
+    {
+        for (unsigned t = 0; t < kNumTables; ++t) {
+            const auto id = static_cast<TableId>(t);
+            pred[t].assign(Ev8PhysicalStorage::predEntries(id), 0);
+            hyst[t].assign(Ev8PhysicalStorage::hystEntries(id), 1);
+        }
+    }
+
+    uint8_t &
+    hystAt(unsigned t, size_t idx)
+    {
+        return hyst[t][idx & (hyst[t].size() - 1)];
+    }
+};
+
+/**
+ * The packed arrays against a byte-per-bit reference under long random
+ * sequences of stepBits() flips and tracked reads and writes: the
+ * stepper's words and the oracle's accessors address the same bits,
+ * the shared hysteresis of G0 and Meta included, and readPredWord()
+ * gathers them. Entries are drawn from a few words per table so that
+ * steps and writes keep landing in the same packed words.
+ */
+TEST(PhysicalStorage, PackedMatchesByteReferenceUnderRandomOps)
+{
+    Ev8PhysicalStorage packed;
+    RefEv8Arrays ref;
+    Rng rng(0xb17ab1e);
+    auto draw = [&rng](TableId t) {
+        // Low bits anywhere in four words, high bits (column MSB
+        // included) from a small set, so hysteresis sharing happens.
+        const size_t entries = Ev8PhysicalStorage::predEntries(t);
+        const size_t hi = (rng.below(4) * (entries / 4)) & ~size_t{255};
+        return (hi | rng.below(256)) & (entries - 1);
+    };
+    for (int op = 0; op < 40000; ++op) {
+        std::array<size_t, kNumTables> idx;
+        for (unsigned t = 0; t < kNumTables; ++t)
+            idx[t] = draw(static_cast<TableId>(t));
+        switch (rng.below(4)) {
+          case 0: {
+            GskewStepBits bits = packed.stepBits(idx);
+            unsigned want = 0;
+            for (unsigned t = 0; t < kNumTables; ++t) {
+                want |= (unsigned{ref.pred[t][idx[t]]} << t)
+                    | (unsigned{ref.hystAt(t, idx[t])} << (4 + t));
+            }
+            ASSERT_EQ(bits.key(0), want) << "op " << op;
+            const unsigned flips = unsigned(rng.below(256));
+            bits.flip(flips);
+            for (unsigned t = 0; t < kNumTables; ++t) {
+                ref.pred[t][idx[t]] ^= (flips >> t) & 1;
+                ref.hystAt(t, idx[t]) ^= (flips >> (4 + t)) & 1;
+            }
+            break;
+          }
+          case 1: {
+            const auto t = static_cast<TableId>(rng.below(kNumTables));
+            const bool v = rng.below(2) != 0;
+            packed.writePred(t, idx[t], v);
+            ref.pred[t][idx[t]] = v;
+            break;
+          }
+          case 2: {
+            const auto t = static_cast<TableId>(rng.below(kNumTables));
+            const bool v = rng.below(2) != 0;
+            packed.writeHyst(t, idx[t], v);
+            ref.hystAt(t, idx[t]) = v;
+            break;
+          }
+          default:
+            break;
+        }
+        for (unsigned t = 0; t < kNumTables; ++t) {
+            const auto id = static_cast<TableId>(t);
+            ASSERT_EQ(packed.readPred(id, idx[t]), ref.pred[t][idx[t]] != 0)
+                << "op " << op;
+            ASSERT_EQ(packed.readHyst(id, idx[t]),
+                      ref.hystAt(t, idx[t]) != 0)
+                << "op " << op;
+        }
+    }
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        const auto id = static_cast<TableId>(t);
+        for (size_t i = 0; i < ref.pred[t].size(); ++i) {
+            ASSERT_EQ(packed.readPred(id, i), ref.pred[t][i] != 0)
+                << "table " << t << " entry " << i;
+            ASSERT_EQ(packed.readHyst(id, i), ref.hystAt(t, i) != 0)
+                << "table " << t << " entry " << i;
+        }
+        for (unsigned bank = 0; bank < 4; ++bank) {
+            for (unsigned wl = 0; wl < kEv8Wordlines; ++wl) {
+                for (unsigned col = 0; col < ev8PredColumns(id); ++col) {
+                    const Ev8WordCoords c{bank, wl, col, 0};
+                    uint8_t want = 0;
+                    for (unsigned b = 0; b < 8; ++b)
+                        want |= ref.pred[t][ev8FlatIndex(c, b)] << b;
+                    ASSERT_EQ(packed.readPredWord(id, c), want)
+                        << "table " << t;
+                }
+            }
+        }
+    }
 }
 
 TEST(SinglePortChecker, DetectsSecondAccessToSameBank)

@@ -6,8 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <tuple>
+#include <vector>
+
+#include "common/bits.hh"
 #include "common/random.hh"
 #include "predictors/twobcgskew.hh"
+#include "serve/grids.hh"
 
 namespace ev8
 {
@@ -188,6 +195,130 @@ TEST(TwoBcGskew, NameUsesLabel)
 {
     EXPECT_EQ(TwoBcGskewPredictor(TwoBcGskewConfig::ev8Size()).name(),
               "2Bc-gskew-EV8size");
+}
+
+/** Every (table, uses path fold, index width) the registry grids'
+ *  2Bc-gskew rows configure. */
+std::set<std::tuple<unsigned, bool, unsigned>>
+registryAddressSlots()
+{
+    std::set<std::tuple<unsigned, bool, unsigned>> slots;
+    for (const std::string &id : knownGrids()) {
+        const GridSpec *grid = findGrid(id);
+        for (const GridRow &row : buildGridRows(*grid, baseConfig(*grid))) {
+            const PredictorPtr p = row.factory();
+            const auto *g =
+                dynamic_cast<const TwoBcGskewPredictor *>(p.get());
+            if (g == nullptr)
+                continue;
+            for (unsigned t = 0; t < kNumTables; ++t) {
+                slots.insert({t, g->config().usePathInfo,
+                              g->config().tables[t].log2Pred});
+            }
+        }
+    }
+    return slots;
+}
+
+/**
+ * The fused group's address terms are linear over GF(2) for every
+ * slot the registry grids use -- term(a ^ b) == term(a) ^ term(b) --
+ * and they are the address half of the predictor's own index: with no
+ * history, tableIndex(pc, path) == term(pc) ^ tableIndex(0, path).
+ * This is what lets the group split a path-fold slot into a cached
+ * per-pc term and a per-block fold term.
+ */
+TEST(TwoBcGskewFusedGroup, AddressTermsAreLinearForEveryRegistrySlot)
+{
+    using Group = TwoBcGskewPredictor::FusedGroup;
+    const auto slots = registryAddressSlots();
+    ASSERT_FALSE(slots.empty());
+    bool saw_path = false;
+    Rng rng(0x11ea7);
+    for (const auto &[table, path, n] : slots) {
+        saw_path |= path;
+        TwoBcGskewConfig cfg = TwoBcGskewConfig::symmetric(n, 0, 0, 0, 0,
+                                                           "lin");
+        cfg.usePathInfo = path;
+        const TwoBcGskewPredictor p(cfg);
+        const auto id = static_cast<TableId>(table);
+        for (int i = 0; i < 2000; ++i) {
+            const uint64_t a = rng.next(), b = rng.next();
+            ASSERT_EQ(Group::addressTerm(table, n, a ^ b),
+                      Group::addressTerm(table, n, a)
+                          ^ Group::addressTerm(table, n, b))
+                << "table " << table << " n " << n;
+            const uint64_t pc = rng.next() & ~uint64_t{3};
+            const uint64_t path_z = rng.next() & mask(24);
+            ASSERT_EQ(p.tableIndex(id, snap(pc, 0, path_z)),
+                      Group::addressTerm(table, n, pc)
+                          ^ p.tableIndex(id, snap(0, 0, path_z)))
+                << "table " << table << " n " << n << " path " << path;
+        }
+    }
+    EXPECT_TRUE(saw_path) << "the registry has path-fold 2Bc-gskew rows";
+}
+
+/**
+ * Branches whose pcs share an address-term table row, interleaved with
+ * history and path changes: the group refills the row on every pc
+ * change and matches the predict()/update() oracle step for step, on a
+ * path-fold lane and a plain one.
+ */
+TEST(TwoBcGskewFusedGroup, CollidingPcsMatchOracleStepForStep)
+{
+    using Group = TwoBcGskewPredictor::FusedGroup;
+    const uint64_t base = 0x4a10;
+    const uint64_t stride = Group::kAddrRows << 2;
+    const std::vector<uint64_t> pcs = {base, base + stride,
+                                       base + 5 * stride};
+    for (const uint64_t pc : pcs)
+        ASSERT_EQ(Group::addrRow(pc), Group::addrRow(base));
+
+    std::vector<TwoBcGskewConfig> cfgs = {
+        TwoBcGskewConfig::symmetric(12, 0, 6, 8, 11, "plain"),
+        TwoBcGskewConfig::ev8Size()};
+    ASSERT_TRUE(cfgs[1].usePathInfo);
+    std::vector<std::unique_ptr<TwoBcGskewPredictor>> fused, ref;
+    std::vector<TwoBcGskewPredictor *> lanes;
+    for (const auto &cfg : cfgs) {
+        fused.push_back(std::make_unique<TwoBcGskewPredictor>(cfg));
+        ref.push_back(std::make_unique<TwoBcGskewPredictor>(cfg));
+        lanes.push_back(fused.back().get());
+    }
+    Group group(lanes.data(), lanes.size());
+    std::vector<uint64_t> misp(lanes.size(), 0);
+    Rng rng(0xc011);
+    uint64_t hist = 0, path_z = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const uint64_t pc = pcs[i % 2 == 0 ? 0 : 1 + rng.below(2)];
+        if (rng.below(4) == 0)
+            path_z = rng.next() & mask(24);
+        const bool taken = ((pc >> 12) ^ hist ^ rng.below(8)) & 1;
+        const BranchSnapshot s = snap(pc, hist, path_z);
+        group.step(s, taken, misp.data());
+        for (size_t l = 0; l < lanes.size(); ++l) {
+            const bool p = ref[l]->predict(s);
+            ref[l]->update(s, taken, p);
+            const VoteSnapshot a = fused[l]->lastVotes();
+            const VoteSnapshot b = ref[l]->lastVotes();
+            ASSERT_EQ(std::tie(a.bim, a.g0, a.g1, a.meta, a.majority),
+                      std::tie(b.bim, b.g0, b.g1, b.meta, b.majority))
+                << "step " << i << " lane " << l;
+        }
+        hist = (hist << 1) | taken;
+    }
+    for (size_t l = 0; l < lanes.size(); ++l) {
+        for (unsigned t = 0; t < kNumTables; ++t) {
+            const auto id = static_cast<TableId>(t);
+            const SplitCounterArray &a = fused[l]->bank(id);
+            const SplitCounterArray &b = ref[l]->bank(id);
+            for (size_t i = 0; i < a.predSize(); ++i) {
+                ASSERT_EQ(a.rawPred(i), b.rawPred(i)) << "lane " << l;
+                ASSERT_EQ(a.rawHyst(i), b.rawHyst(i)) << "lane " << l;
+            }
+        }
+    }
 }
 
 } // namespace
